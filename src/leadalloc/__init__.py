@@ -19,7 +19,6 @@ from .evaluation import (
     city_hits,
     format_report_table,
     report_to_dict,
-    run_accuracy,
     truncate_display,
 )
 from .ingest import (

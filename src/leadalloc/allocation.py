@@ -1,15 +1,15 @@
 """Integer apportionment of a kit budget over a priority ranking.
 
-Fractional shares are carried as exact :class:`~fractions.Fraction` values
-and integerized with the largest-remainder (Hamilton) method, so every
-plan conserves the budget, stays within one kit of its ideal share, and is
-bit-identical across platforms.
+Every strategy is expressed as non-negative integer weights and
+integerized by one largest-remainder (Hamilton) pass in exact integer
+arithmetic, so every plan conserves the budget, stays within one kit of
+its ideal share, and is bit-identical across platforms.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DataQualityWarning, DomainValidationError
@@ -18,20 +18,23 @@ from .model import AllocationEntry, AllocationPlan, PriorityRanking, Strategy
 DEFAULT_TOP_K = 3
 
 
-def largest_remainder(ideals: Sequence[Fraction], total: int) -> list[int]:
-    """Integerize exact shares summing to ``total``.
+def largest_remainder(weights: Sequence[int], total: int) -> list[int]:
+    """Apportion ``total`` units in proportion to non-negative integer weights.
 
-    Each entry receives the floor of its share; leftover units go to the
-    largest fractional remainders, earlier entries first on ties.
+    Each entry receives the floor of its exact quota
+    ``total * weight / sum(weights)``; leftover units go to the largest
+    remainders, earlier entries first on ties.
     """
-    if sum(ideals) != total:
-        raise DomainValidationError("ideal shares must sum to the total")
-    base = [int(q) for q in ideals]
-    leftover = total - sum(base)
-    by_remainder = sorted(range(len(ideals)), key=lambda i: (base[i] - ideals[i], i))
-    for i in by_remainder[:leftover]:
-        base[i] += 1
-    return base
+    weight_sum = sum(weights)
+    if weight_sum <= 0 or min(weights) < 0:
+        raise DomainValidationError("weights must be non-negative with a positive sum")
+    kits = [total * weight // weight_sum for weight in weights]
+    remainders = [total * weight % weight_sum for weight in weights]
+    # A reverse sort is still stable, so equal remainders keep index order.
+    by_remainder = sorted(range(len(weights)), key=remainders.__getitem__, reverse=True)
+    for i in by_remainder[: total - sum(kits)]:
+        kits[i] += 1
+    return kits
 
 
 def allocate(
@@ -58,18 +61,33 @@ def allocate(
         raise DomainValidationError(
             f"floor of {floor} kits across {n} neighborhoods exceeds budget {total_kits}"
         )
-    remaining = total_kits - floor * n
 
     if strategy is Strategy.PROPORTIONAL:
-        shares = _proportional_shares(ranking, remaining)
-        kits = largest_remainder(shares, remaining)
+        # Raw scores are floats, so each is an exact ratio with a power-of-two
+        # denominator; scaling to the largest one makes every weight integral.
+        ratios = [entry.raw_score.as_integer_ratio() for entry in ranking.entries]
+        if not any(numerator for numerator, _ in ratios):
+            raise DomainValidationError(
+                f"{ranking.city}: proportional allocation needs a positive raw score"
+            )
+        scale = max(denominator for _, denominator in ratios)
+        weights = [numerator * (scale // denominator) for numerator, denominator in ratios]
     elif strategy is Strategy.RANK_WEIGHTED:
-        weights = [Fraction(1, position) for position in range(1, n + 1)]
-        shares = _from_weights(weights, remaining)
-        kits = largest_remainder(shares, remaining)
+        scale = math.lcm(*range(1, n + 1))
+        weights = [scale // position for position in range(1, n + 1)]
     else:
-        kits = _top_k_equal(n, remaining, k)
+        if k < 1:
+            raise DomainValidationError(f"k must be >= 1, got {k}")
+        if k > n:
+            warnings.warn(
+                f"k={k} exceeds the {n} ranked neighborhoods; truncated to {n}",
+                DataQualityWarning,
+                stacklevel=2,
+            )
+            k = n
+        weights = [1] * k + [0] * (n - k)
 
+    kits = largest_remainder(weights, total_kits - floor * n)
     allocations = tuple(
         AllocationEntry(entry.name, floor + kit)
         for entry, kit in zip(ranking.entries, kits)
@@ -82,31 +100,3 @@ def allocate(
         strategy=strategy,
         apportionment=apportionment,
     )
-
-
-def _proportional_shares(ranking: PriorityRanking, remaining: int) -> list[Fraction]:
-    scores = [Fraction(entry.raw_score) for entry in ranking.entries]
-    if max(scores) <= 0:
-        raise DomainValidationError(
-            f"{ranking.city}: proportional allocation needs a positive raw score"
-        )
-    return _from_weights(scores, remaining)
-
-
-def _from_weights(weights: list[Fraction], remaining: int) -> list[Fraction]:
-    total_weight = sum(weights)
-    return [remaining * w / total_weight for w in weights]
-
-
-def _top_k_equal(n: int, remaining: int, k: int) -> list[int]:
-    if k < 1:
-        raise DomainValidationError(f"k must be >= 1, got {k}")
-    if k > n:
-        warnings.warn(
-            f"k={k} exceeds the {n} ranked neighborhoods; truncated to {n}",
-            DataQualityWarning,
-            stacklevel=3,
-        )
-        k = n
-    base, extra = divmod(remaining, k)
-    return [base + 1 if i < extra else base if i < k else 0 for i in range(n)]

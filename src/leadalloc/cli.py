@@ -26,7 +26,7 @@ from fractions import Fraction
 from . import __version__, resources
 from .allocation import DEFAULT_TOP_K, allocate
 from .errors import LeadAllocError
-from .evaluation import DEFAULT_K, build_report, format_report_table, report_to_dict
+from .evaluation import DEFAULT_K, build_report, format_report_table, report_to_dict, table_lines
 from .ingest import (
     ValidationReport,
     parse_city_dataset,
@@ -180,7 +180,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         print(json.dumps(doc, indent=2))
         return 0
     rows = [(res.factor, f"{res.r:.2f}", str(res.n)) for res in results]
-    _print_table(("factor", "r", "n"), rows, left={0})
+    sys.stdout.writelines(table_lines(("factor", "r", "n"), rows, left={0}))
     return 0
 
 
@@ -219,7 +219,8 @@ def cmd_score(args: argparse.Namespace) -> int:
                 f"{record.public_coverage_pct:g}",
             )
         )
-    _print_table(("rank", "neighborhood", "raw_ps", "scaled_ps", "P", "U", "H"), rows, left={1})
+    headers = ("rank", "neighborhood", "raw_ps", "scaled_ps", "P", "U", "H")
+    sys.stdout.writelines(table_lines(headers, rows, left={1}))
     return 0
 
 
@@ -245,7 +246,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         running += entry.kits
         share = Fraction(running, plan.total_kits)
         rows.append((entry.name, str(entry.kits), f"{float(share):.4f}"))
-    _print_table(("neighborhood", "kits", "cumulative_share"), rows, left={0})
+    sys.stdout.writelines(table_lines(("neighborhood", "kits", "cumulative_share"), rows, left={0}))
     print(f"total: {plan.total_kits}")
     return 0
 
@@ -283,24 +284,6 @@ def _split_factors(raw: str) -> list[str]:
 def _emit_report(report: ValidationReport) -> None:
     for issue in report.warnings():
         print(str(issue), file=sys.stderr)
-
-
-def _print_table(headers: tuple[str, ...], rows: list[tuple[str, ...]], left: set[int]) -> None:
-    widths = [
-        max(len(headers[col]), *(len(row[col]) for row in rows)) if rows else len(headers[col])
-        for col in range(len(headers))
-    ]
-
-    def fmt(cells: tuple[str, ...]) -> str:
-        aligned = [
-            cells[col].ljust(widths[col]) if col in left else cells[col].rjust(widths[col])
-            for col in range(len(cells))
-        ]
-        return "  ".join(aligned).rstrip()
-
-    print(fmt(headers))
-    for row in rows:
-        print(fmt(row))
 
 
 if __name__ == "__main__":  # pragma: no cover

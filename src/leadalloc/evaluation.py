@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import AbstractSet, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Iterator, Mapping, Sequence
 
 from .errors import DomainValidationError
 from .model import ModelRun, TargetSet
@@ -38,31 +38,6 @@ def city_hits(recommended: Sequence[str], targets: AbstractSet[str], k: int = DE
     if k < 1:
         raise DomainValidationError(f"k must be >= 1, got {k}")
     return len(set(recommended[:k]) & set(targets))
-
-
-class AccuracySummary(NamedTuple):
-    total_hits: int
-    denominator: int
-    exact: Fraction
-
-
-def run_accuracy(run: ModelRun, targets: TargetSet, k: int = DEFAULT_K) -> AccuracySummary:
-    """Aggregate hits for one run over every target city.
-
-    Cities the run skipped contribute zero hits but still count in the
-    denominator.
-    """
-    hits = _hits_by_city(run, targets, k)
-    total = sum(hits.values())
-    denominator = targets.total_targets()
-    return AccuracySummary(total, denominator, Fraction(total, denominator))
-
-
-def _hits_by_city(run: ModelRun, targets: TargetSet, k: int) -> dict[str, int]:
-    return {
-        city: city_hits([rec.name for rec in run.per_city.get(city, ())], names, k)
-        for city, names in targets.per_city.items()
-    }
 
 
 @dataclass(frozen=True)
@@ -102,11 +77,15 @@ def build_report(runs: Sequence[ModelRun], targets: TargetSet, k: int = DEFAULT_
     """Evaluate runs in input order and summarize overall accuracy."""
     if not runs:
         raise DomainValidationError("cannot build a report from zero runs")
+    denominator = targets.total_targets()
     per_run = []
     for run in runs:
-        hits = _hits_by_city(run, targets, k)
+        # Cities the run skipped score zero hits but still count in the denominator.
+        hits = {
+            city: city_hits([rec.name for rec in run.per_city.get(city, ())], names, k)
+            for city, names in targets.per_city.items()
+        }
         total = sum(hits.values())
-        denominator = targets.total_targets()
         exact = Fraction(total, denominator)
         per_run.append(
             RunAccuracy(
@@ -135,6 +114,23 @@ def build_report(runs: Sequence[ModelRun], targets: TargetSet, k: int = DEFAULT_
     )
 
 
+def table_lines(
+    headers: Sequence[str], rows: Sequence[Sequence[str]], left: AbstractSet[int]
+) -> Iterator[str]:
+    """Fixed-width text table, one newline-terminated line at a time.
+
+    Columns in ``left`` are left-aligned, the others right-aligned.
+    """
+    table = (headers, *rows)
+    widths = [max(len(cells[col]) for cells in table) for col in range(len(headers))]
+    for cells in table:
+        aligned = [
+            cell.ljust(width) if col in left else cell.rjust(width)
+            for col, (cell, width) in enumerate(zip(cells, widths))
+        ]
+        yield "  ".join(aligned).rstrip() + "\n"
+
+
 def format_report_table(report: AccuracyReport) -> str:
     """Fixed-width text table: one row per run plus the overall lines."""
     rows = [
@@ -144,24 +140,7 @@ def format_report_table(report: AccuracyReport) -> str:
     pooled = f"{report.pooled_hits}/{report.pooled_denominator}"
     rows.append(("overall (pooled)", "", pooled, report.overall_mean_display))
     rows.append(("overall (mean of runs)", "", "", report.run_mean_display))
-    headers = ("model", "mode", "hits", "accuracy")
-    widths = [
-        max(len(headers[col]), *(len(row[col]) for row in rows)) for col in range(4)
-    ]
-    lines = [
-        "  ".join(
-            [headers[0].ljust(widths[0]), headers[1].ljust(widths[1]),
-             headers[2].rjust(widths[2]), headers[3].rjust(widths[3])]
-        ).rstrip()
-    ]
-    for model, mode, hits, accuracy in rows:
-        lines.append(
-            "  ".join(
-                [model.ljust(widths[0]), mode.ljust(widths[1]),
-                 hits.rjust(widths[2]), accuracy.rjust(widths[3])]
-            ).rstrip()
-        )
-    return "\n".join(lines) + "\n"
+    return "".join(table_lines(("model", "mode", "hits", "accuracy"), rows, left={0, 1}))
 
 
 def report_to_dict(report: AccuracyReport) -> dict:

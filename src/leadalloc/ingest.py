@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import DatasetValidationError, DomainValidationError, InvalidNameError
 from .model import (
@@ -38,10 +38,12 @@ from .model import (
     RankingEntry,
     Recommendation,
     TargetSet,
+    UnitKind,
     WeightConfig,
     WeightVariant,
     canonicalize_name,
     city_profile,
+    is_zip_code,
 )
 
 
@@ -98,7 +100,7 @@ def parse_city_dataset(
     """
     profile = city_profile(city)
     report = ValidationReport(strict=strict)
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
 
     lines = text.splitlines()
     unit, comment_count = _leading_directives(lines, report)
@@ -131,7 +133,7 @@ def parse_city_dataset(
                 row=line,
             )
             continue
-        if profile.unit_kind.value == "zip_code" and not record.name.isdigit():
+        if profile.unit_kind is UnitKind.ZIP_CODE and not is_zip_code(record.name):
             report.error(f"{record.name!r} is not a 5-digit ZIP code", row=line)
             continue
         seen_rows[record.name] = line
@@ -397,10 +399,19 @@ def parse_targets(
     return TargetSet(per_city=per_city), report
 
 
+def read_text(path: str | Path) -> str:
+    """Contents of a UTF-8 input file; undecodable bytes reject the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        report = ValidationReport()
+        report.error(f"{path}: not UTF-8 text ({exc.reason} at byte offset {exc.start})")
+        raise DatasetValidationError(report) from None
+
+
 def _load_json(path: str | Path, report: ValidationReport):
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         report.error(f"malformed JSON: {exc}")
         report.raise_if_rejected()
@@ -465,7 +476,3 @@ def load_aliases(source: str | Path | dict | None) -> AliasTable | None:
     if isinstance(source, dict):
         return AliasTable.from_mapping(source)
     return AliasTable.from_file(source)
-
-
-def iter_issues(report: ValidationReport) -> Iterable[str]:
-    return (str(issue) for issue in report.issues)

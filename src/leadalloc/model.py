@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -29,7 +28,10 @@ COL_UNTESTED = "untested_pct"
 COL_COVERAGE = "public_coverage_pct"
 CORE_COLUMNS = (COL_NEIGHBORHOOD, COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE)
 
-_ZIP_RE = re.compile(r"^\d{5}$")
+
+def is_zip_code(name: str) -> bool:
+    """Whether a canonical name is a 5-digit ZIP code."""
+    return len(name) == 5 and name.isdecimal()
 
 
 def canonicalize_name(raw: str, aliases: "AliasTable | None" = None) -> str:
@@ -90,11 +92,12 @@ class AliasTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AliasTable":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                mapping = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DomainValidationError(f"alias file {path}: {exc}") from exc
+        from .ingest import read_text  # deferred: ingest imports this module
+
+        try:
+            mapping = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise DomainValidationError(f"alias file {path}: {exc}") from exc
         if not isinstance(mapping, dict):
             raise DomainValidationError(f"alias file {path}: expected a JSON object")
         return cls.from_mapping(mapping)
@@ -230,7 +233,7 @@ class CityDataset:
                     f"{self.city}: duplicate neighborhood {record.name!r}"
                 )
             seen.add(record.name)
-            if self.unit_kind is UnitKind.ZIP_CODE and not _ZIP_RE.match(record.name):
+            if self.unit_kind is UnitKind.ZIP_CODE and not is_zip_code(record.name):
                 raise DomainValidationError(
                     f"{self.city}: {record.name!r} is not a 5-digit ZIP code"
                 )
@@ -245,6 +248,17 @@ class CityDataset:
         """Core metric columns plus all extra factors seen on any record."""
         extras = sorted({name for record in self.records for name in record.extra_factors})
         return (COL_UNTESTED, COL_COVERAGE, *extras)
+
+
+def derived_beta_gamma(r: float, alpha: float, variant: WeightVariant) -> tuple[float, float]:
+    """(beta, gamma) under ``variant``'s rule, with ``r`` clamped to [0, 1].
+
+    ``text``: gamma = r * (1 - alpha); ``algorithm``: gamma = r; in both,
+    beta = (1 - alpha) * (1 - gamma).
+    """
+    r_clamped = min(max(r, 0.0), 1.0)
+    gamma = r_clamped * (1 - alpha) if variant is WeightVariant.TEXT else r_clamped
+    return (1 - alpha) * (1 - gamma), gamma
 
 
 @dataclass(frozen=True)
@@ -274,12 +288,9 @@ class WeightConfig:
                     f"normalized weights must sum to 1, got {total}"
                 )
         else:
-            r_clamped = min(max(self.source_correlation, 0.0), 1.0)
-            if self.variant is WeightVariant.TEXT:
-                expected_gamma = r_clamped * (1 - self.alpha)
-            else:
-                expected_gamma = r_clamped
-            expected_beta = (1 - self.alpha) * (1 - expected_gamma)
+            expected_beta, expected_gamma = derived_beta_gamma(
+                self.source_correlation, self.alpha, self.variant
+            )
             if not (
                 math.isclose(self.gamma, expected_gamma, rel_tol=1e-9, abs_tol=1e-12)
                 and math.isclose(self.beta, expected_beta, rel_tol=1e-9, abs_tol=1e-12)
@@ -322,9 +333,9 @@ class PriorityRanking:
         if not self.entries:
             raise DomainValidationError(f"{self.city}: ranking has no entries")
         for entry in self.entries:
-            if entry.raw_score < 0:
+            if not math.isfinite(entry.raw_score) or entry.raw_score < 0:
                 raise DomainValidationError(
-                    f"{self.city}: negative raw score for {entry.name!r}"
+                    f"{self.city}: non-finite or negative raw score for {entry.name!r}"
                 )
             if not 0 <= entry.scaled_score <= 10:
                 raise DomainValidationError(

@@ -24,6 +24,7 @@ from .model import (
     RankingEntry,
     WeightConfig,
     WeightVariant,
+    derived_beta_gamma,
 )
 from .stats import min_max_normalize, pearson
 
@@ -48,19 +49,13 @@ def derive_weights(
         raise DomainValidationError(f"alpha must be in the open interval (0, 1), got {alpha}")
     if not -1 <= r <= 1:
         raise DomainValidationError(f"correlation must lie in [-1, 1], got {r}")
-    r_clamped = r
     if r < 0:
         warnings.warn(
             f"negative correlation {r} clamped to 0 for weight derivation",
             DataQualityWarning,
             stacklevel=2,
         )
-        r_clamped = 0.0
-    if variant is WeightVariant.TEXT:
-        gamma = r_clamped * (1 - alpha)
-    else:
-        gamma = r_clamped
-    beta = (1 - alpha) * (1 - gamma)
+    beta, gamma = derived_beta_gamma(r, alpha, variant)
     if normalize:
         total = alpha + beta + gamma
         return WeightConfig(

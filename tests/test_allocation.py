@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import ranking_from_scores
@@ -16,19 +17,19 @@ from leadalloc.model import Strategy
 
 class TestLargestRemainder:
     def test_exact_shares_pass_through(self):
-        assert largest_remainder([Fraction(5), Fraction(3), Fraction(2)], 10) == [5, 3, 2]
+        assert largest_remainder([5, 3, 2], 10) == [5, 3, 2]
 
     def test_equal_remainders_resolve_to_earlier_entries(self):
-        thirds = [Fraction(100, 3)] * 3
-        assert largest_remainder(thirds, 100) == [34, 33, 33]
+        assert largest_remainder([1, 1, 1], 100) == [34, 33, 33]
 
     def test_largest_fraction_wins_leftover(self):
-        shares = [Fraction(27, 10), Fraction(51, 10), Fraction(22, 10)]
-        assert largest_remainder(shares, 10) == [3, 5, 2]
+        assert largest_remainder([27, 51, 22], 10) == [3, 5, 2]
 
-    def test_shares_must_sum_to_total(self):
-        with pytest.raises(DomainValidationError, match="sum to the total"):
-            largest_remainder([Fraction(1), Fraction(2)], 10)
+    def test_weights_need_a_positive_sum(self):
+        with pytest.raises(DomainValidationError, match="positive sum"):
+            largest_remainder([0, 0], 10)
+        with pytest.raises(DomainValidationError, match="non-negative"):
+            largest_remainder([3, -1], 10)
 
     @given(
         st.lists(st.integers(0, 1000), min_size=1, max_size=20).filter(
@@ -37,12 +38,10 @@ class TestLargestRemainder:
         st.integers(1, 5000),
     )
     def test_conserves_and_stays_within_quota(self, weights, total):
-        denom = sum(weights)
-        shares = [Fraction(total) * w / denom for w in weights]
-        kits = largest_remainder(shares, total)
+        kits = largest_remainder(weights, total)
         assert sum(kits) == total
-        for kit, share in zip(kits, shares):
-            assert abs(Fraction(kit) - share) < 1
+        for kit, weight in zip(kits, weights):
+            assert abs(Fraction(kit) - Fraction(total * weight, sum(weights))) < 1
 
 
 class TestAllocateProportional:
@@ -152,3 +151,49 @@ def test_every_strategy_conserves_the_budget(scores, budget, strategy):
     assert sum(entry.kits for entry in plan.allocations) == budget
     assert all(entry.kits >= 0 for entry in plan.allocations)
     assert allocate(ranking, budget, strategy, k=k) == plan
+
+
+def fraction_allocate(ranking, total_kits, strategy, k, floor):
+    """Kit counts by exact rational shares: the reference the integer kernel must match."""
+    n = len(ranking.entries)
+    remaining = total_kits - floor * n
+    if strategy is Strategy.TOP_K_EQUAL:
+        k = min(k, n)
+        base, extra = divmod(remaining, k)
+        kits = [base + 1 if i < extra else base if i < k else 0 for i in range(n)]
+    else:
+        if strategy is Strategy.PROPORTIONAL:
+            weights = [Fraction(entry.raw_score) for entry in ranking.entries]
+        else:
+            weights = [Fraction(1, position) for position in range(1, n + 1)]
+        total_weight = sum(weights)
+        ideals = [remaining * w / total_weight for w in weights]
+        kits = [int(ideal) for ideal in ideals]
+        by_remainder = sorted(range(n), key=lambda i: (kits[i] - ideals[i], i))
+        for i in by_remainder[: remaining - sum(kits)]:
+            kits[i] += 1
+    return [floor + kit for kit in kits]
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from([f"area {i:02d}" for i in range(30)]),
+        st.floats(0.0, 10.0),
+        min_size=1,
+        max_size=30,
+    ),
+    st.integers(1, 5000),
+    st.sampled_from(list(Strategy)),
+    st.integers(1, 35),
+    st.data(),
+)
+def test_integer_kernel_matches_fraction_reference(scores, budget, strategy, k, data):
+    ranking = ranking_from_scores(scores)
+    n = len(ranking.entries)
+    assume(strategy is not Strategy.PROPORTIONAL or any(scores.values()))
+    floor = data.draw(st.integers(0, budget // n), label="floor")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DataQualityWarning)
+        plan = allocate(ranking, budget, strategy, k=k, floor=floor)
+    expected = fraction_allocate(ranking, budget, strategy, k, floor)
+    assert [entry.kits for entry in plan.allocations] == expected

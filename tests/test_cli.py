@@ -213,6 +213,21 @@ class TestCorrelate:
         assert "warning [row 2]" in err
         assert "warning" not in out
 
+    def test_invalid_zip_code_exits_2_naming_the_row(self, capsys, write_file):
+        path = write_file(
+            """
+            neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct
+            20001,4.0,50.0,40.0
+            123,5.0,60.0,30.0
+            20003,3.0,40.0,50.0
+            """,
+            "dc.csv",
+        )
+        code, out, err = run_cli(capsys, "correlate", "--input", str(path), "--city", "dc")
+        assert code == 2
+        assert out == ""
+        assert "[row 3]: '123' is not a 5-digit ZIP code" in err
+
 
 class TestScore:
     def test_demo_table_matches_golden(self, capsys, golden, demo_csv):
@@ -395,6 +410,56 @@ class TestAllocate:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("strategy", ["proportional", "rank_weighted", "top_k_equal"])
+    def test_infinite_raw_score_exits_2(self, capsys, demo_ranking, strategy):
+        doc = json.loads(demo_ranking.read_text(encoding="utf-8"))
+        doc["entries"][0]["raw_score"] = float("inf")
+        demo_ranking.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "allocate", "--ranking", str(demo_ranking), "--kits", "10",
+            "--strategy", strategy,
+        )
+        assert code == 2
+        assert out == ""
+        assert "non-finite or negative raw score" in err
+
+
+LATIN1_CSV = (
+    "neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct\n"
+    "Café,1.0,2.0,3.0\n"
+).encode("latin-1")
+LATIN1_JSON = '{"runs": [], "city": "Café"}\n'.encode("latin-1")
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            (["correlate", "--city", "demo", "--input"], LATIN1_CSV),
+            (["score", "--city", "demo", "--input"], LATIN1_CSV),
+            (["allocate", "--kits", "10", "--ranking"], LATIN1_JSON),
+            (["evaluate", "--runs"], LATIN1_JSON),
+            (["evaluate", "--targets"], LATIN1_JSON),
+        ],
+        ids=["correlate", "score", "allocate", "evaluate-runs", "evaluate-targets"],
+    )
+    def test_non_utf8_file_exits_2_naming_it(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "latin1.dat"
+        path.write_bytes(payload)
+        code, out, err = run_cli(capsys, *command, str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}: not UTF-8 text" in err
+
+    def test_non_utf8_alias_file_exits_2_naming_it(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "aliases.json"
+        path.write_bytes(LATIN1_JSON)
+        monkeypatch.setenv(ALIAS_ENV_VAR, str(path))
+        code, out, err = run_cli(capsys, "evaluate")
+        assert code == 2
+        assert out == ""
+        assert f"{path}: not UTF-8 text" in err
 
 
 class TestParserBasics:

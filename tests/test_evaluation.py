@@ -12,7 +12,6 @@ from leadalloc.evaluation import (
     city_hits,
     format_report_table,
     report_to_dict,
-    run_accuracy,
     truncate_display,
 )
 from leadalloc.ingest import parse_model_runs, parse_targets
@@ -102,10 +101,10 @@ class TestRunAccuracy:
                 "nyc": frozenset({"greenpoint"}),
             }
         )
-        summary = run_accuracy(run, targets)
+        summary = build_report([run], targets).per_run[0]
         assert summary.total_hits == 1
         assert summary.denominator == 3
-        assert summary.exact == Fraction(1, 3)
+        assert summary.accuracy_exact == Fraction(1, 3)
 
     def test_cities_not_in_targets_are_ignored(self):
         run = ModelRun(
@@ -117,7 +116,7 @@ class TestRunAccuracy:
             },
         )
         targets = TargetSet(per_city={"chicago": frozenset({"austin"})})
-        assert run_accuracy(run, targets).exact == Fraction(1, 1)
+        assert build_report([run], targets).per_run[0].accuracy_exact == Fraction(1, 1)
 
 
 class TestBuildReport:

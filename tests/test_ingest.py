@@ -12,7 +12,6 @@ from leadalloc.errors import (
     UnknownCityError,
 )
 from leadalloc.ingest import (
-    iter_issues,
     load_aliases,
     parse_city_dataset,
     parse_model_runs,
@@ -468,7 +467,7 @@ class TestAliasLoading:
 
 
 class TestIssueFormatting:
-    def test_iter_issues_renders_severity_and_row(self, write_file):
+    def test_issues_render_severity_and_row(self, write_file):
         path = write_file(
             """
             neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct
@@ -477,5 +476,5 @@ class TestIssueFormatting:
             """
         )
         _, report = parse_city_dataset(path, "chicago")
-        rendered = list(iter_issues(report))
+        rendered = [str(issue) for issue in report.issues]
         assert rendered == ["warning [row 2]: row excluded: missing untested_pct"]
