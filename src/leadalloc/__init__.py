@@ -24,7 +24,6 @@ from .evaluation import (
 from .ingest import (
     ValidationIssue,
     ValidationReport,
-    load_aliases,
     parse_city_dataset,
     parse_model_runs,
     parse_ranking,

@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import warnings
-from fractions import Fraction
 
 from . import __version__, resources
 from .allocation import DEFAULT_TOP_K, allocate
@@ -29,11 +28,11 @@ from .errors import LeadAllocError
 from .evaluation import DEFAULT_K, build_report, format_report_table, report_to_dict, table_lines
 from .ingest import (
     ValidationReport,
+    dump_ranking,
     parse_city_dataset,
     parse_model_runs,
     parse_ranking,
     parse_targets,
-    ranking_to_dict,
     write_ranking,
 )
 from .model import AliasTable, Strategy, WeightVariant
@@ -199,7 +198,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.out:
         write_ranking(ranking, args.out)
     if args.json:
-        print(json.dumps(ranking_to_dict(ranking), indent=2))
+        dump_ranking(ranking, sys.stdout)
         return 0
     w = ranking.weights
     print(f"city: {ranking.city}  variant: {w.variant.value}  r: {w.source_correlation:g}")
@@ -244,8 +243,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     running = 0
     for entry in plan.allocations:
         running += entry.kits
-        share = Fraction(running, plan.total_kits)
-        rows.append((entry.name, str(entry.kits), f"{float(share):.4f}"))
+        rows.append((entry.name, str(entry.kits), f"{running / plan.total_kits:.4f}"))
     sys.stdout.writelines(table_lines(("neighborhood", "kits", "cumulative_share"), rows, left={0}))
     print(f"total: {plan.total_kits}")
     return 0

@@ -9,6 +9,8 @@ City dataset CSV schema (header order-insensitive, UTF-8, comma-separated)::
 
     neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct[,<factor>...]
 
+A leading byte-order mark is ignored and header names are stripped; a
+repeated header name or a row wider than the header rejects the file.
 Lines before the header starting with ``#`` are comments; a comment of the
 form ``# unit=fraction`` declares that the two percentage columns are
 given in [0, 1] and converts them to 0-100 on load.
@@ -19,9 +21,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .errors import DatasetValidationError, DomainValidationError, InvalidNameError
 from .model import (
@@ -100,30 +103,32 @@ def parse_city_dataset(
     """
     profile = city_profile(city)
     report = ValidationReport(strict=strict)
-    text = read_text(path)
-
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     unit, comment_count = _leading_directives(lines, report)
     body = lines[comment_count:]
     if not any(line.strip() for line in body):
         report.error("empty file: no header row")
         report.raise_if_rejected()
 
-    reader = csv.DictReader(body)
-    header = [name.strip() for name in reader.fieldnames or []]
+    rows = _csv_rows(body, comment_count, report)
+    header_line, cells = next(rows, (comment_count + 1, []))
+    header = [name.strip() for name in cells]
     missing = [column for column in CORE_COLUMNS if column not in header]
     if missing:
-        report.error(
-            f"missing required column(s): {', '.join(missing)}", row=comment_count + 1
-        )
-        report.raise_if_rejected()
+        report.error(f"missing required column(s): {', '.join(missing)}", row=header_line)
+    duplicated = [name for name, count in Counter(header).items() if name and count > 1]
+    if duplicated:
+        report.error(f"duplicate column(s): {', '.join(duplicated)}", row=header_line)
+    report.raise_if_rejected()
     extra_columns = [column for column in header if column not in CORE_COLUMNS and column]
 
     records: list[NeighborhoodRecord] = []
     seen_rows: dict[str, int] = {}
-    for row in reader:
-        line = comment_count + reader.line_num
-        record = _parse_row(row, line, unit, extra_columns, aliases, report)
+    for line, cells in rows:
+        if len(cells) > len(header):
+            report.error(f"row has {len(cells)} fields, header has {len(header)}", row=line)
+            continue
+        record = _parse_row(dict(zip(header, cells)), line, unit, extra_columns, aliases, report)
         if record is None:
             continue
         if record.name in seen_rows:
@@ -171,15 +176,27 @@ def _leading_directives(lines: list[str], report: ValidationReport) -> tuple[str
     return unit, count
 
 
+def _csv_rows(lines: list[str], first_line: int, report: ValidationReport):
+    """Yield (row number, cells) for each non-blank row up to the first unreadable one."""
+    reader = csv.reader(lines)
+    try:
+        for cells in reader:
+            if cells:
+                yield first_line + reader.line_num, cells
+    except csv.Error as exc:
+        report.error(f"unreadable CSV row: {exc}", row=first_line + reader.line_num)
+
+
 def _parse_row(
-    row: dict,
+    row: dict[str, str],
     line: int,
     unit: str,
     extra_columns: list[str],
     aliases: AliasTable | None,
     report: ValidationReport,
 ) -> NeighborhoodRecord | None:
-    raw_name = (row.get(COL_NEIGHBORHOOD) or "").strip()
+    """Build one record, or report why the row is excluded and return None."""
+    raw_name = row.get(COL_NEIGHBORHOOD, "").strip()
     if not raw_name:
         report.warning("row excluded: missing neighborhood name", row=line)
         return None
@@ -189,31 +206,29 @@ def _parse_row(
         report.error(f"invalid neighborhood name {raw_name!r}", row=line)
         return None
 
-    core: dict[str, float] = {}
-    usable = True
-    for column in (COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE):
-        value = _numeric_cell(row.get(column), column, line, report)
-        if value is _BAD:
-            usable = False
-        elif value is None:
-            report.warning(f"row excluded: missing {column}", row=line)
-            usable = False
-        else:
-            core[column] = value
-
-    extras: dict[str, float] = {}
-    for column in extra_columns:
-        value = _numeric_cell(row.get(column), column, line, report)
-        if value is _BAD:
-            usable = False
-        elif value is not None:
-            extras[column] = value
-    if not usable:
+    issues_before = len(report.issues)
+    values: dict[str, float] = {}
+    for column in (COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE, *extra_columns):
+        cell = row.get(column, "").strip()
+        if not cell:
+            if column in CORE_COLUMNS:
+                report.warning(f"row excluded: missing {column}", row=line)
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            report.error(f"non-numeric value {cell!r} in column {column}", row=line)
+            continue
+        if not math.isfinite(value):
+            report.error(f"non-finite value {cell!r} in column {column}", row=line)
+            continue
+        values[column] = value
+    if len(report.issues) > issues_before:
         return None
 
-    prevalence = core[COL_PREVALENCE]
-    untested = core[COL_UNTESTED]
-    coverage = core[COL_COVERAGE]
+    prevalence = values[COL_PREVALENCE]
+    untested = values[COL_UNTESTED]
+    coverage = values[COL_COVERAGE]
     if prevalence < 0:
         report.error(f"{COL_PREVALENCE} must be non-negative, got {prevalence}", row=line)
         return None
@@ -238,30 +253,8 @@ def _parse_row(
         prevalence=prevalence,
         untested_pct=untested,
         public_coverage_pct=coverage,
-        extra_factors=extras,
+        extra_factors={column: values[column] for column in extra_columns if column in values},
     )
-
-
-class _Bad:
-    pass
-
-
-_BAD = _Bad()
-
-
-def _numeric_cell(cell, column: str, line: int, report: ValidationReport):
-    """Parse one cell: float value, None when empty, _BAD on bad content."""
-    if cell is None or not cell.strip():
-        return None
-    try:
-        value = float(cell)
-    except ValueError:
-        report.error(f"non-numeric value {cell.strip()!r} in column {column}", row=line)
-        return _BAD
-    if not math.isfinite(value):
-        report.error(f"non-finite value {cell.strip()!r} in column {column}", row=line)
-        return _BAD
-    return value
 
 
 def write_city_dataset(dataset: CityDataset, path: str | Path) -> None:
@@ -290,7 +283,7 @@ def parse_model_runs(
 ) -> tuple[list[ModelRun], ValidationReport]:
     """Parse a model-run JSON file, preserving run and recommendation order."""
     report = ValidationReport()
-    doc = _load_json(path, report)
+    doc = load_json(path)
     runs: list[ModelRun] = []
     entries = doc.get("runs") if isinstance(doc, dict) else None
     if not isinstance(entries, list):
@@ -300,7 +293,6 @@ def parse_model_runs(
         report.warning("file contains no runs")
     for index, entry in enumerate(entries):
         location = f"runs[{index}]"
-        errors_before = len(report.errors())
         if not isinstance(entry, dict):
             report.error(f"{location}: expected an object")
             continue
@@ -327,8 +319,7 @@ def parse_model_runs(
             if not recs:
                 report.warning(f"{location}: no recommendations for city {city!r}")
             per_city[city] = recs
-        if len(report.errors()) == errors_before:
-            runs.append(ModelRun(model=model.strip(), mode=mode.strip(), per_city=per_city))
+        runs.append(ModelRun(model=model.strip(), mode=mode.strip(), per_city=per_city))
     report.raise_if_rejected()
     return runs, report
 
@@ -370,7 +361,7 @@ def parse_targets(
 ) -> tuple[TargetSet, ValidationReport]:
     """Parse a target-set JSON file: ``{"<city>": ["name", ...]}``."""
     report = ValidationReport()
-    doc = _load_json(path, report)
+    doc = load_json(path)
     if not isinstance(doc, dict) or not doc:
         report.error("malformed document: expected a non-empty object of city lists")
         report.raise_if_rejected()
@@ -400,21 +391,27 @@ def parse_targets(
 
 
 def read_text(path: str | Path) -> str:
-    """Contents of a UTF-8 input file; undecodable bytes reject the file."""
+    """Contents of a UTF-8 input file, less any byte-order mark; non-UTF-8 bytes reject it."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        report = ValidationReport()
-        report.error(f"{path}: not UTF-8 text ({exc.reason} at byte offset {exc.start})")
-        raise DatasetValidationError(report) from None
+        message = f"{path}: not UTF-8 text ({exc.reason} at byte offset {exc.start})"
+        raise _rejected(message) from None
 
 
-def _load_json(path: str | Path, report: ValidationReport):
+def load_json(path: str | Path):
+    """The parsed JSON document in an input file; malformed JSON rejects the file."""
+    text = read_text(path)
     try:
-        return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        report.error(f"malformed JSON: {exc}")
-        report.raise_if_rejected()
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise _rejected(f"{path}: malformed JSON: {exc}") from None
+
+
+def _rejected(message: str) -> DatasetValidationError:
+    report = ValidationReport()
+    report.error(message)
+    return DatasetValidationError(report)
 
 
 def ranking_to_dict(ranking: PriorityRanking) -> dict:
@@ -452,27 +449,25 @@ def ranking_from_dict(doc: dict) -> PriorityRanking:
             for entry in doc["entries"]
         )
         city = str(doc["city"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainValidationError(f"malformed ranking document: {exc}") from exc
     return PriorityRanking(city=city, weights=weights, entries=entries)
 
 
 def write_ranking(ranking: PriorityRanking, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(ranking_to_dict(ranking), fh, indent=2)
-        fh.write("\n")
+        dump_ranking(ranking, fh)
+
+
+def dump_ranking(ranking: PriorityRanking, fh: TextIO) -> None:
+    """Stream the ranking JSON document, as ``score --out`` and ``score --json`` write it."""
+    json.dump(ranking_to_dict(ranking), fh, indent=2)
+    fh.write("\n")
 
 
 def parse_ranking(path: str | Path) -> PriorityRanking:
-    report = ValidationReport()
-    doc = _load_json(path, report)
-    return ranking_from_dict(doc if isinstance(doc, dict) else {})
-
-
-def load_aliases(source: str | Path | dict | None) -> AliasTable | None:
-    """Build an alias table from a path, an in-memory mapping, or None."""
-    if source is None:
-        return None
-    if isinstance(source, dict):
-        return AliasTable.from_mapping(source)
-    return AliasTable.from_file(source)
+    doc = load_json(path)
+    try:
+        return ranking_from_dict(doc if isinstance(doc, dict) else {})
+    except DomainValidationError as exc:
+        raise _rejected(f"{path}: {exc}") from None

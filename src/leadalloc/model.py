@@ -7,7 +7,6 @@ re-checking them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -92,14 +91,14 @@ class AliasTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AliasTable":
-        from .ingest import read_text  # deferred: ingest imports this module
+        from .ingest import load_json  # deferred: ingest imports this module
 
-        try:
-            mapping = json.loads(read_text(path))
-        except json.JSONDecodeError as exc:
-            raise DomainValidationError(f"alias file {path}: {exc}") from exc
-        if not isinstance(mapping, dict):
-            raise DomainValidationError(f"alias file {path}: expected a JSON object")
+        mapping = load_json(path)
+        if not isinstance(mapping, dict) or not all(
+            isinstance(names, list) and all(isinstance(name, str) for name in names)
+            for names in mapping.values()
+        ):
+            raise DomainValidationError(f"alias file {path}: expected a JSON object of name lists")
         return cls.from_mapping(mapping)
 
     def resolve(self, normalized_name: str) -> str:

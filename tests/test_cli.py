@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import codecs
 import json
 import subprocess
 import sys
 
 import pytest
 
-from leadalloc import cli
+from leadalloc import cli, resources
 from leadalloc.cli import ALIAS_ENV_VAR, main
 from leadalloc.ingest import parse_ranking
 
@@ -22,6 +23,15 @@ def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def demo_ranking(capsys, demo_csv, tmp_path):
+    path = tmp_path / "ranking.json"
+    code = main(["score", "--input", str(demo_csv), "--city", "demo", "--out", str(path)])
+    assert code == 0
+    capsys.readouterr()
+    return path
 
 
 class TestEvaluate:
@@ -263,6 +273,22 @@ class TestScore:
         assert ranking.city == "demo"
         assert ranking.entries[0].scaled_score == 10.0
 
+    def test_json_stdout_and_out_file_are_the_same_bytes(self, capsys, demo_csv, tmp_path):
+        out_path = tmp_path / "ranking.json"
+        code, out, _ = run_cli(
+            capsys,
+            "score",
+            "--input",
+            str(demo_csv),
+            "--city",
+            "demo",
+            "--json",
+            "--out",
+            str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_bytes() == out.encode("utf-8")
+
     def test_variants_change_weights(self, capsys, demo_csv):
         _, out_text, _ = run_cli(
             capsys,
@@ -346,16 +372,6 @@ class TestScore:
 
 
 class TestAllocate:
-    @pytest.fixture
-    def demo_ranking(self, capsys, demo_csv, tmp_path):
-        path = tmp_path / "ranking.json"
-        code = main(
-            ["score", "--input", str(demo_csv), "--city", "demo", "--out", str(path)]
-        )
-        assert code == 0
-        capsys.readouterr()
-        return path
-
     def test_demo_table_matches_golden(self, capsys, golden, demo_ranking):
         code, out, err = run_cli(
             capsys, "allocate", "--ranking", str(demo_ranking), "--kits", "1000"
@@ -460,6 +476,105 @@ class TestUndecodableInput:
         assert code == 2
         assert out == ""
         assert f"{path}: not UTF-8 text" in err
+
+
+GOOD_HEADER = "neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct"
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "command, source",
+        [
+            (["score", "--city", "demo", "--input"], "demo_csv"),
+            (["allocate", "--kits", "1000", "--ranking"], "demo_ranking"),
+            (["evaluate", "--runs"], "bundled_runs"),
+            (["evaluate", "--targets"], "bundled_targets"),
+        ],
+        ids=["csv", "ranking", "runs", "targets"],
+    )
+    def test_byte_order_mark_is_ignored(self, capsys, request, tmp_path, command, source):
+        clean = request.getfixturevalue(source)
+        marked = tmp_path / f"bom-{clean.name}"
+        marked.write_bytes(codecs.BOM_UTF8 + clean.read_bytes())
+        expected = run_cli(capsys, *command, str(clean))
+        assert expected[0] == 0
+        assert run_cli(capsys, *command, str(marked)) == expected
+
+    def test_byte_order_mark_in_alias_file_is_ignored(self, capsys, tmp_path, monkeypatch):
+        expected = run_cli(capsys, "evaluate")
+        marked = tmp_path / "aliases.json"
+        marked.write_bytes(codecs.BOM_UTF8 + resources.aliases_path().read_bytes())
+        monkeypatch.setenv(ALIAS_ENV_VAR, str(marked))
+        assert run_cli(capsys, "evaluate") == expected
+
+    def test_padded_header_names_are_stripped(self, capsys, write_file, demo_csv):
+        lines = demo_csv.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = ",".join(f" {name} " for name in lines[1].rstrip("\n").split(",")) + "\n"
+        padded = write_file("".join(lines), "padded.csv")
+        expected = run_cli(capsys, "score", "--city", "demo", "--input", str(demo_csv))
+        assert run_cli(capsys, "score", "--city", "demo", "--input", str(padded)) == expected
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (
+                [GOOD_HEADER + ",untested_pct", "Austin,1.0,2.0,3.0,4.0"],
+                "[row 1]: duplicate column(s): untested_pct",
+            ),
+            (
+                [GOOD_HEADER, "Austin,1.0,2.0,3.0", "A,1,2,3,4,5"],
+                "[row 3]: row has 6 fields, header has 4",
+            ),
+            (
+                [GOOD_HEADER, "Austin,1.0,2.0,3.0", "A,1,2," + "3" * 131_073],
+                "[row 3]: unreadable CSV row: field larger than field limit",
+            ),
+        ],
+        ids=["duplicate-column", "over-wide-row", "over-long-field"],
+    )
+    def test_bad_csv_shape_exits_2_naming_the_row(self, capsys, write_file, rows, message):
+        path = write_file("\n".join(rows) + "\n", "bad.csv")
+        code, out, err = run_cli(capsys, "score", "--city", "chicago", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_huge_integer_raw_score_exits_2(self, capsys, demo_ranking):
+        doc = json.loads(demo_ranking.read_text(encoding="utf-8"))
+        doc["entries"][0]["raw_score"] = 10**400
+        demo_ranking.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "allocate", "--ranking", str(demo_ranking), "--kits", "10")
+        assert code == 2
+        assert out == ""
+        assert f"{demo_ranking}: malformed ranking document" in err
+
+    @pytest.mark.parametrize(
+        "payload", ["{broken", "[" * 100_000, "1" * 5_000], ids=["syntax", "deep", "long-int"]
+    )
+    @pytest.mark.parametrize("reader", ["--runs", "--targets", "--ranking", "aliases"])
+    def test_malformed_json_exits_2_naming_the_file(
+        self, capsys, tmp_path, monkeypatch, reader, payload
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(payload, encoding="utf-8")
+        if reader == "aliases":
+            monkeypatch.setenv(ALIAS_ENV_VAR, str(path))
+            command = ["evaluate"]
+        elif reader == "--ranking":
+            command = ["allocate", "--kits", "10", reader, str(path)]
+        else:
+            command = ["evaluate", reader, str(path)]
+        code, out, err = run_cli(capsys, *command)
+        assert code == 2
+        assert out == ""
+        assert f"{path}: malformed JSON" in err
+
+    def test_alias_lists_must_hold_names(self, capsys, write_file, monkeypatch):
+        monkeypatch.setenv(ALIAS_ENV_VAR, str(write_file('{"austin": 5}', "aliases.json")))
+        code, out, err = run_cli(capsys, "evaluate")
+        assert code == 2
+        assert out == ""
+        assert "expected a JSON object of name lists" in err
 
 
 class TestParserBasics:

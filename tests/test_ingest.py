@@ -12,7 +12,6 @@ from leadalloc.errors import (
     UnknownCityError,
 )
 from leadalloc.ingest import (
-    load_aliases,
     parse_city_dataset,
     parse_model_runs,
     parse_ranking,
@@ -459,11 +458,10 @@ class TestRankingRoundTrip:
 
 class TestAliasLoading:
     def test_load_aliases_dispatch(self, write_file):
-        assert load_aliases(None) is None
-        table = load_aliases({"bedford stuyvesant": ["bed stuy"]})
+        table = AliasTable.from_mapping({"bedford stuyvesant": ["bed stuy"]})
         assert table.resolve("bed stuy") == "bedford stuyvesant"
         path = write_file(json.dumps({"bedford stuyvesant": ["bed stuy"]}))
-        assert load_aliases(path).resolve("bed stuy") == "bedford stuyvesant"
+        assert AliasTable.from_file(path).resolve("bed stuy") == "bedford stuyvesant"
 
 
 class TestIssueFormatting:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import dataset, record
 from leadalloc.errors import (
+    DatasetValidationError,
     DomainValidationError,
     InvalidNameError,
     UnknownCityError,
@@ -95,7 +96,7 @@ class TestAliasTable:
 
     def test_from_file_rejects_malformed_json(self, write_file):
         path = write_file("{nope", "aliases.json")
-        with pytest.raises(DomainValidationError):
+        with pytest.raises(DatasetValidationError, match="malformed JSON"):
             AliasTable.from_file(path)
 
 
