@@ -1,21 +1,26 @@
 """Integer apportionment of a kit budget over a priority ranking.
 
-Every strategy is expressed as non-negative integer weights and
-integerized by one largest-remainder (Hamilton) pass in exact integer
-arithmetic, so every plan conserves the budget, stays within one kit of
-its ideal share, and is bit-identical across platforms.
+Every strategy is a largest-remainder (Hamilton) apportionment of integer
+weights in exact integer arithmetic, so every plan conserves the budget,
+stays within one kit of its ideal share, and is bit-identical across
+platforms. ``rank_weighted`` apportions the weights ``lcm(1..n) // rank``
+without building them: see :func:`_rank_weighted_kits`.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DataQualityWarning, DomainValidationError
-from .model import AllocationEntry, AllocationPlan, PriorityRanking, Strategy
+from .model import AllocationPlan, PriorityRanking, Strategy
 
 DEFAULT_TOP_K = 3
+
+# Fraction bits of the rank_weighted screen. Any width gives the exact plan;
+# a wider one leaves fewer entries whose remainder must be computed exactly.
+_SCREEN_BITS = 64
 
 
 def largest_remainder(weights: Sequence[int], total: int) -> list[int]:
@@ -30,11 +35,73 @@ def largest_remainder(weights: Sequence[int], total: int) -> list[int]:
         raise DomainValidationError("weights must be non-negative with a positive sum")
     kits = [total * weight // weight_sum for weight in weights]
     remainders = [total * weight % weight_sum for weight in weights]
-    # A reverse sort is still stable, so equal remainders keep index order.
-    by_remainder = sorted(range(len(weights)), key=remainders.__getitem__, reverse=True)
-    for i in by_remainder[: total - sum(kits)]:
-        kits[i] += 1
+    _award_leftover(kits, remainders, range(len(weights)), total - sum(kits))
     return kits
+
+
+def _rank_weighted_kits(n: int, total: int) -> list[int]:
+    """``largest_remainder([L // rank for rank in 1..n], total)`` with ``L = lcm(1..n)``.
+
+    Those weights are about 1.44·n bits each, so building them costs time and
+    memory quadratic in ``n``. Instead, with ``S / L`` the harmonic number
+    H_n, entry ``rank`` has the quota ``total·L / (S·rank)``, and one
+    fixed-point constant ``scaled = total·L·2^B // S`` gives
+    ``scaled // rank == floor(2^B · quota)`` exactly (nested floor division).
+    Its high bits are the exact kit floor; its low ``B`` bits are the
+    remainder truncated to ``B`` bits. Truncation keeps the order of any two
+    remainders whose truncations differ, so only the entries whose truncated
+    remainder equals that of the last entry to receive a leftover kit need
+    their exact remainder ``total·(L // rank) mod S``.
+    """
+    harmonic, lcm = _harmonic_sum(1, n + 1)
+    scaled = (total * lcm << _SCREEN_BITS) // harmonic
+    kits = [scaled // (rank << _SCREEN_BITS) for rank in range(1, n + 1)]
+    mask = (1 << _SCREEN_BITS) - 1
+    screened = [scaled // rank & mask for rank in range(1, n + 1)]
+    leftover = total - sum(kits)
+    if not leftover:
+        return kits
+    cutoff = sorted(screened, reverse=True)[leftover - 1]
+    tied = []
+    for i, remainder in enumerate(screened):
+        if remainder > cutoff:
+            kits[i] += 1
+            leftover -= 1
+        elif remainder == cutoff:
+            tied.append(i)
+    exact = {i: total * (lcm // (i + 1)) % harmonic for i in tied}
+    _award_leftover(kits, exact, tied, leftover)
+    return kits
+
+
+def _harmonic_sum(lo: int, hi: int) -> tuple[int, int]:
+    """``(S, L)`` with ``L = lcm(lo..hi-1)`` and ``S / L`` the sum of ``1/j`` over that range.
+
+    Binary splitting: each half's sum stays over its own lcm, so no operand
+    is wider than the lcm of the range it covers.
+    """
+    if hi - lo == 1:
+        return 1, lo
+    mid = (lo + hi) // 2
+    left_sum, left_lcm = _harmonic_sum(lo, mid)
+    right_sum, right_lcm = _harmonic_sum(mid, hi)
+    lcm = math.lcm(left_lcm, right_lcm)
+    return left_sum * (lcm // left_lcm) + right_sum * (lcm // right_lcm), lcm
+
+
+def _award_leftover(
+    kits: list[int],
+    remainders: Sequence[int] | Mapping[int, int],
+    candidates: Iterable[int],
+    leftover: int,
+) -> None:
+    """Give one more unit to each of the ``leftover`` candidates with the largest remainders.
+
+    Candidates come in index order and a reverse sort is still stable, so
+    equal remainders go to earlier entries first.
+    """
+    for i in sorted(candidates, key=remainders.__getitem__, reverse=True)[:leftover]:
+        kits[i] += 1
 
 
 def allocate(
@@ -61,6 +128,7 @@ def allocate(
         raise DomainValidationError(
             f"floor of {floor} kits across {n} neighborhoods exceeds budget {total_kits}"
         )
+    remaining = total_kits - floor * n
 
     if strategy is Strategy.PROPORTIONAL:
         # Raw scores are floats, so each is an exact ratio with a power-of-two
@@ -72,9 +140,9 @@ def allocate(
             )
         scale = max(denominator for _, denominator in ratios)
         weights = [numerator * (scale // denominator) for numerator, denominator in ratios]
+        kits = largest_remainder(weights, remaining)
     elif strategy is Strategy.RANK_WEIGHTED:
-        scale = math.lcm(*range(1, n + 1))
-        weights = [scale // position for position in range(1, n + 1)]
+        kits = _rank_weighted_kits(n, remaining)
     else:
         if k < 1:
             raise DomainValidationError(f"k must be >= 1, got {k}")
@@ -85,18 +153,14 @@ def allocate(
                 stacklevel=2,
             )
             k = n
-        weights = [1] * k + [0] * (n - k)
+        kits = largest_remainder([1] * k + [0] * (n - k), remaining)
 
-    kits = largest_remainder(weights, total_kits - floor * n)
-    allocations = tuple(
-        AllocationEntry(entry.name, floor + kit)
-        for entry, kit in zip(ranking.entries, kits)
-    )
     apportionment = "even_split" if strategy is Strategy.TOP_K_EQUAL else "largest_remainder"
     return AllocationPlan(
         city=ranking.city,
         total_kits=total_kits,
-        allocations=allocations,
+        # The plan builds its entries from these pairs, so n entries are held once.
+        allocations=((entry.name, floor + kit) for entry, kit in zip(ranking.entries, kits)),
         strategy=strategy,
         apportionment=apportionment,
     )

@@ -28,6 +28,7 @@ from .errors import LeadAllocError
 from .evaluation import DEFAULT_K, build_report, format_report_table, report_to_dict, table_lines
 from .ingest import (
     ValidationReport,
+    dump_plan,
     dump_ranking,
     parse_city_dataset,
     parse_model_runs,
@@ -227,17 +228,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     ranking = parse_ranking(args.ranking)
     plan = allocate(ranking, args.kits, args.strategy, k=args.k, floor=args.floor)
     if args.json:
-        doc = {
-            "city": plan.city,
-            "total_kits": plan.total_kits,
-            "strategy": plan.strategy.value,
-            "apportionment": plan.apportionment,
-            "allocations": [
-                {"neighborhood": entry.name, "kits": entry.kits}
-                for entry in plan.allocations
-            ],
-        }
-        print(json.dumps(doc, indent=2))
+        dump_plan(plan, sys.stdout)
         return 0
     rows = []
     running = 0
@@ -281,7 +272,7 @@ def _split_factors(raw: str) -> list[str]:
 
 def _emit_report(report: ValidationReport) -> None:
     for issue in report.warnings():
-        print(str(issue), file=sys.stderr)
+        print(report.describe(issue), file=sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,7 +28,7 @@ class DatasetValidationError(LeadAllocError):
 
     def __init__(self, report):
         self.report = report
-        lines = "; ".join(str(issue) for issue in report.errors())
+        lines = "; ".join(report.describe(issue) for issue in report.errors())
         super().__init__(f"input rejected: {lines}")
 
 

@@ -24,11 +24,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from json.encoder import encode_basestring_ascii as _json_string
+from typing import Iterator, NamedTuple, TextIO
 
 from .errors import DatasetValidationError, DomainValidationError, InvalidNameError
 from .model import (
     AliasTable,
+    AllocationPlan,
     CityDataset,
     COL_COVERAGE,
     COL_NEIGHBORHOOD,
@@ -62,9 +64,10 @@ class ValidationIssue(NamedTuple):
 
 @dataclass
 class ValidationReport:
-    """Accumulates issues during a single parse; read-only afterwards."""
+    """Accumulates issues during a single parse of ``source``; read-only afterwards."""
 
     strict: bool = False
+    source: str | None = None
     issues: list[ValidationIssue] = field(default_factory=list)
 
     def error(self, message: str, row: int | None = None) -> None:
@@ -73,6 +76,10 @@ class ValidationReport:
     def warning(self, message: str, row: int | None = None) -> None:
         severity = "error" if self.strict else "warning"
         self.issues.append(ValidationIssue(severity, row, message))
+
+    def describe(self, issue: ValidationIssue) -> str:
+        """The issue as users read it, led by the file it was found in."""
+        return f"{self.source}: {issue}" if self.source else str(issue)
 
     def errors(self) -> list[ValidationIssue]:
         return [issue for issue in self.issues if issue.severity == "error"]
@@ -102,7 +109,7 @@ def parse_city_dataset(
     imputed; ``strict=True`` turns those warnings into errors.
     """
     profile = city_profile(city)
-    report = ValidationReport(strict=strict)
+    report = ValidationReport(strict=strict, source=str(path))
     lines = read_text(path).splitlines()
     unit, comment_count = _leading_directives(lines, report)
     body = lines[comment_count:]
@@ -282,7 +289,7 @@ def parse_model_runs(
     path: str | Path, *, aliases: AliasTable | None = None
 ) -> tuple[list[ModelRun], ValidationReport]:
     """Parse a model-run JSON file, preserving run and recommendation order."""
-    report = ValidationReport()
+    report = ValidationReport(source=str(path))
     doc = load_json(path)
     runs: list[ModelRun] = []
     entries = doc.get("runs") if isinstance(doc, dict) else None
@@ -360,7 +367,7 @@ def parse_targets(
     path: str | Path, *, aliases: AliasTable | None = None
 ) -> tuple[TargetSet, ValidationReport]:
     """Parse a target-set JSON file: ``{"<city>": ["name", ...]}``."""
-    report = ValidationReport()
+    report = ValidationReport(source=str(path))
     doc = load_json(path)
     if not isinstance(doc, dict) or not doc:
         report.error("malformed document: expected a non-empty object of city lists")
@@ -431,27 +438,42 @@ def ranking_to_dict(ranking: PriorityRanking) -> dict:
 
 def ranking_from_dict(doc: dict) -> PriorityRanking:
     try:
-        weights_doc = dict(doc["weights"])
+        weights_doc = doc["weights"]
         weights = WeightConfig(
-            alpha=float(weights_doc["alpha"]),
-            beta=float(weights_doc["beta"]),
-            gamma=float(weights_doc["gamma"]),
+            alpha=float(_json_field(weights_doc, "alpha", "number")),
+            beta=float(_json_field(weights_doc, "beta", "number")),
+            gamma=float(_json_field(weights_doc, "gamma", "number")),
             variant=WeightVariant(weights_doc["variant"]),
-            source_correlation=float(weights_doc["source_correlation"]),
-            normalized=bool(weights_doc.get("normalized", False)),
+            source_correlation=float(_json_field(weights_doc, "source_correlation", "number")),
+            normalized=(
+                _json_field(weights_doc, "normalized", "boolean")
+                if "normalized" in weights_doc
+                else False
+            ),
         )
         entries = tuple(
             RankingEntry(
-                str(entry["neighborhood"]),
-                float(entry["raw_score"]),
-                float(entry["scaled_score"]),
+                _json_field(entry, "neighborhood", "string"),
+                float(_json_field(entry, "raw_score", "number")),
+                float(_json_field(entry, "scaled_score", "number")),
             )
             for entry in doc["entries"]
         )
-        city = str(doc["city"])
+        city = _json_field(doc, "city", "string")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainValidationError(f"malformed ranking document: {exc}") from exc
     return PriorityRanking(city=city, weights=weights, entries=entries)
+
+
+_JSON_TYPES = {"string": str, "number": (int, float), "boolean": bool}
+
+
+def _json_field(doc: dict, key: str, kind: str):
+    """``doc[key]`` if it is a JSON value of ``kind``; true and false are not numbers."""
+    value = doc[key]
+    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
+        raise TypeError(f"{key!r} must be a JSON {kind}, got {value!r:.40}")
+    return value
 
 
 def write_ranking(ranking: PriorityRanking, path: str | Path) -> None:
@@ -461,8 +483,45 @@ def write_ranking(ranking: PriorityRanking, path: str | Path) -> None:
 
 def dump_ranking(ranking: PriorityRanking, fh: TextIO) -> None:
     """Stream the ranking JSON document, as ``score --out`` and ``score --json`` write it."""
-    json.dump(ranking_to_dict(ranking), fh, indent=2)
-    fh.write("\n")
+    head = {"city": ranking.city, "weights": ranking.weights.as_dict()}
+    entries = (
+        f'{{\n      "neighborhood": {_json_string(entry.name)},'
+        f'\n      "raw_score": {entry.raw_score!r},'
+        f'\n      "scaled_score": {entry.scaled_score!r}\n    }}'
+        for entry in ranking.entries
+    )
+    _dump_document(head, "entries", entries, fh)
+
+
+def dump_plan(plan: AllocationPlan, fh: TextIO) -> None:
+    """Stream the allocation plan JSON document that ``allocate --json`` prints."""
+    head = {
+        "city": plan.city,
+        "total_kits": plan.total_kits,
+        "strategy": plan.strategy.value,
+        "apportionment": plan.apportionment,
+    }
+    allocations = (
+        f'{{\n      "neighborhood": {_json_string(entry.name)},\n      "kits": {entry.kits!r}\n    }}'
+        for entry in plan.allocations
+    )
+    _dump_document(head, "allocations", allocations, fh)
+
+
+def _dump_document(head: dict, key: str, items: Iterator[str], fh: TextIO) -> None:
+    """Write ``head`` plus ``key`` holding ``items`` as ``json.dump(..., indent=2)`` and a newline would.
+
+    ``items`` are the non-empty list's members, already encoded at the
+    list's indent. ``json.dump`` runs its pure-Python encoder whenever
+    ``indent`` is set; here it encodes only the small head, and each member
+    is written as it is made, so the document is never held whole. Members
+    encode strings with json's own ASCII encoder and numbers with ``repr``,
+    which is how ``json.dump`` writes ``str``, ``int`` and finite ``float``.
+    """
+    fh.write(f'{json.dumps(head, indent=2)[:-2]},\n  "{key}": [\n    {next(items)}')
+    for item in items:
+        fh.write(f",\n    {item}")
+    fh.write("\n  ]\n}\n")
 
 
 def parse_ranking(path: str | Path) -> PriorityRanking:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import ranking_from_scores
+from leadalloc import allocation
 from leadalloc.allocation import allocate, largest_remainder
 from leadalloc.errors import DataQualityWarning, DomainValidationError
 from leadalloc.model import Strategy
@@ -175,19 +178,19 @@ def fraction_allocate(ranking, total_kits, strategy, k, floor):
     return [floor + kit for kit in kits]
 
 
-@given(
-    st.dictionaries(
-        st.sampled_from([f"area {i:02d}" for i in range(30)]),
-        st.floats(0.0, 10.0),
-        min_size=1,
-        max_size=30,
-    ),
-    st.integers(1, 5000),
-    st.sampled_from(list(Strategy)),
-    st.integers(1, 35),
-    st.data(),
-)
-def test_integer_kernel_matches_fraction_reference(scores, budget, strategy, k, data):
+@given(st.sampled_from(list(Strategy)), st.integers(1, 5000), st.integers(1, 35), st.data())
+def test_integer_kernel_matches_fraction_reference(strategy, budget, k, data):
+    # rank_weighted screens its remainders, so it is checked on longer rankings.
+    size = 300 if strategy is Strategy.RANK_WEIGHTED else 30
+    scores = data.draw(
+        st.dictionaries(
+            st.sampled_from([f"area {i:03d}" for i in range(size)]),
+            st.floats(0.0, 10.0),
+            min_size=1,
+            max_size=size,
+        ),
+        label="scores",
+    )
     ranking = ranking_from_scores(scores)
     n = len(ranking.entries)
     assume(strategy is not Strategy.PROPORTIONAL or any(scores.values()))
@@ -197,3 +200,53 @@ def test_integer_kernel_matches_fraction_reference(scores, budget, strategy, k, 
         plan = allocate(ranking, budget, strategy, k=k, floor=floor)
     expected = fraction_allocate(ranking, budget, strategy, k, floor)
     assert [entry.kits for entry in plan.allocations] == expected
+
+
+def lcm_rank_weighted(n, total):
+    """rank_weighted as integer weights lcm(1..n) // rank, apportioned by largest remainder."""
+    scale = math.lcm(*range(1, n + 1))
+    weights = [scale // rank for rank in range(1, n + 1)]
+    weight_sum = sum(weights)
+    kits = [total * weight // weight_sum for weight in weights]
+    remainders = [total * weight % weight_sum for weight in weights]
+    by_remainder = sorted(range(n), key=remainders.__getitem__, reverse=True)
+    for i in by_remainder[: total - sum(kits)]:
+        kits[i] += 1
+    return kits
+
+
+SWEEP_BUDGETS = [*range(1, 51), 360, 2520, 27720, 2**53 + 1, 10**12, 10**30]
+
+
+def test_rank_weighted_matches_lcm_weights_exhaustively():
+    for n in range(1, 151):
+        ranking = ranking_from_scores({f"area {i:03d}": float(n - i) for i in range(n)})
+        for budget in SWEEP_BUDGETS:
+            for floor in {0, budget // n // 2}:
+                plan = allocate(ranking, budget, Strategy.RANK_WEIGHTED, floor=floor)
+                expected = [floor + kit for kit in lcm_rank_weighted(n, budget - floor * n)]
+                assert [entry.kits for entry in plan.allocations] == expected, (n, budget, floor)
+
+
+@pytest.mark.parametrize("bits", [0, 1, 4])
+def test_rank_weighted_is_exact_at_any_screen_width(monkeypatch, bits):
+    # A narrow screen ties many remainders, so the exact resolution decides them.
+    monkeypatch.setattr(allocation, "_SCREEN_BITS", bits)
+    for n in range(1, 61):
+        ranking = ranking_from_scores({f"area {i:03d}": float(n - i) for i in range(n)})
+        for budget in SWEEP_BUDGETS:
+            plan = allocate(ranking, budget, Strategy.RANK_WEIGHTED)
+            assert [entry.kits for entry in plan.allocations] == lcm_rank_weighted(n, budget)
+
+
+def test_rank_weighted_memory_is_linear_in_n():
+    n = 20_000
+    ranking = ranking_from_scores({f"area {i:05d}": float(n - i) for i in range(n)})
+    tracemalloc.start()
+    try:
+        allocate(ranking, 10**12, Strategy.RANK_WEIGHTED)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Weights of lcm(1..n) // rank, about 1.44·n bits each, peaked near 150 MB here.
+    assert peak < 16_000_000

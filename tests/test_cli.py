@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import codecs
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import leadalloc
 from leadalloc import cli, resources
 from leadalloc.cli import ALIAS_ENV_VAR, main
 from leadalloc.ingest import parse_ranking
@@ -569,6 +572,48 @@ class TestInputBoundary:
         assert out == ""
         assert f"{path}: malformed JSON" in err
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("entry", "neighborhood", {"x": 1}, "'neighborhood' must be a JSON string"),
+            ("entry", "neighborhood", 7, "'neighborhood' must be a JSON string"),
+            ("document", "city", ["a"], "'city' must be a JSON string"),
+            ("weights", "normalized", "false", "'normalized' must be a JSON boolean"),
+            ("entry", "raw_score", str, "'raw_score' must be a JSON number"),
+            ("entry", "scaled_score", True, "'scaled_score' must be a JSON number"),
+            ("weights", "alpha", str, "'alpha' must be a JSON number"),
+        ],
+        ids=["name-object", "name-number", "city-list", "normalized-string", "score-string",
+             "score-boolean", "weight-string"],
+    )
+    def test_ranking_field_of_wrong_json_type_exits_2(
+        self, capsys, demo_ranking, section, key, value, message
+    ):
+        doc = json.loads(demo_ranking.read_text(encoding="utf-8"))
+        target = {"document": doc, "weights": doc["weights"], "entry": doc["entries"][-1]}[section]
+        target[key] = value(target[key]) if callable(value) else value
+        demo_ranking.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "allocate", "--ranking", str(demo_ranking), "--kits", "10")
+        assert code == 2
+        assert out == ""
+        assert f"{demo_ranking}: malformed ranking document: {message}" in err
+
+    def test_csv_row_error_names_the_file(self, capsys, write_file):
+        path = write_file(GOOD_HEADER + "\nAustin,1.0,2.0,3.0\nA,1,2,3,4,5\n", "wide.csv")
+        code, out, err = run_cli(capsys, "score", "--city", "chicago", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}: error [row 3]: row has 6 fields, header has 4" in err
+
+    def test_run_error_names_the_file(self, capsys, write_file, bundled_targets):
+        runs = write_file('{"runs": [{"mode": "chat", "cities": {}}]}', "runs.json")
+        code, out, err = run_cli(
+            capsys, "evaluate", "--runs", str(runs), "--targets", str(bundled_targets)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{runs}: error: runs[0]: missing model field" in err
+
     def test_alias_lists_must_hold_names(self, capsys, write_file, monkeypatch):
         monkeypatch.setenv(ALIAS_ENV_VAR, str(write_file('{"austin": 5}', "aliases.json")))
         code, out, err = run_cli(capsys, "evaluate")
@@ -590,11 +635,15 @@ class TestParserBasics:
         assert "leadalloc 0.1.0" in capsys.readouterr().out
 
     def test_module_invocation_subprocess(self, golden):
+        # The child imports the same leadalloc as this test, installed or not.
+        package_root = str(Path(leadalloc.__file__).resolve().parents[1])
+        search_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "leadalloc", "evaluate"],
             capture_output=True,
             text=True,
             timeout=60,
+            env={**os.environ, "PYTHONPATH": search_path},
         )
         assert result.returncode == 0
         assert result.stdout == golden("evaluate_table.txt")

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from leadalloc.errors import (
     DatasetValidationError,
@@ -12,6 +15,8 @@ from leadalloc.errors import (
     UnknownCityError,
 )
 from leadalloc.ingest import (
+    dump_plan,
+    dump_ranking,
     parse_city_dataset,
     parse_model_runs,
     parse_ranking,
@@ -21,8 +26,15 @@ from leadalloc.ingest import (
     write_city_dataset,
     write_ranking,
 )
-from leadalloc.model import AliasTable, UnitKind
-from leadalloc.scoring import score_city
+from leadalloc.model import (
+    AliasTable,
+    AllocationPlan,
+    PriorityRanking,
+    RankingEntry,
+    Strategy,
+    UnitKind,
+)
+from leadalloc.scoring import derive_weights, score_city
 
 GOOD_CSV = """
 neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct
@@ -454,6 +466,55 @@ class TestRankingRoundTrip:
     def test_malformed_document_rejected(self):
         with pytest.raises(DomainValidationError, match="malformed ranking"):
             ranking_from_dict({"city": "demo"})
+
+
+def json_dump_text(doc) -> str:
+    buffer = io.StringIO()
+    json.dump(doc, buffer, indent=2)
+    return buffer.getvalue() + "\n"
+
+
+def written_text(dump, value) -> str:
+    buffer = io.StringIO()
+    dump(value, buffer)
+    return buffer.getvalue()
+
+
+class TestStreamingWriters:
+    """The streaming writers print exactly what ``json.dump(..., indent=2)`` prints."""
+
+    @given(
+        st.text(),
+        st.lists(
+            st.tuples(st.text(), st.one_of(st.integers(0, 10**30), st.floats(0.0, 1e300))),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_ranking_matches_json_dump(self, city, scored):
+        scored.sort(key=lambda item: (-item[1], item[0]))
+        top = scored[0][1]
+        entries = [RankingEntry(name, raw, 10.0 * (raw / top) if top else 0.0) for name, raw in scored]
+        ranking = PriorityRanking(city=city, weights=derive_weights(0.6), entries=tuple(entries))
+        assert written_text(dump_ranking, ranking) == json_dump_text(ranking_to_dict(ranking))
+
+    @given(
+        st.text(),
+        st.lists(st.tuples(st.text(), st.integers(0, 10**30)), min_size=1, max_size=8),
+        st.sampled_from(list(Strategy)),
+    )
+    def test_plan_matches_json_dump(self, city, allocations, strategy):
+        total = sum(kits for _, kits in allocations)
+        assume(total > 0)
+        plan = AllocationPlan(city, total, tuple(allocations), strategy)
+        doc = {
+            "city": city,
+            "total_kits": total,
+            "strategy": strategy.value,
+            "apportionment": plan.apportionment,
+            "allocations": [{"neighborhood": name, "kits": kits} for name, kits in allocations],
+        }
+        assert written_text(dump_plan, plan) == json_dump_text(doc)
 
 
 class TestAliasLoading:
