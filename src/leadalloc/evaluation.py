@@ -8,19 +8,24 @@ rounded) to two decimals, so 6/9 renders as ``0.66``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
-from typing import AbstractSet, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DomainValidationError
-from .model import ModelRun, TargetSet
+from .model import ModelRun, TargetSet, validated
+
+if TYPE_CHECKING:
+    # Imported where used at run time: ``fractions`` loads ``decimal``, which
+    # no command needs before it evaluates accuracies.
+    from fractions import Fraction
 
 DEFAULT_K = 3
 
 
 def truncate_display(value: Fraction | int, places: int = 2) -> str:
     """Format a non-negative rational truncated toward zero."""
+    from fractions import Fraction
+
     value = Fraction(value)
     if value < 0:
         raise DomainValidationError(f"display truncation expects a non-negative value, got {value}")
@@ -40,8 +45,8 @@ def city_hits(recommended: Sequence[str], targets: AbstractSet[str], k: int = DE
     return len(set(recommended[:k]) & set(targets))
 
 
-@dataclass(frozen=True)
-class RunAccuracy:
+@validated
+class RunAccuracy(NamedTuple):
     model: str
     mode: str
     hits_per_city: Mapping[str, int]
@@ -50,12 +55,22 @@ class RunAccuracy:
     accuracy_exact: Fraction
     accuracy_display: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "hits_per_city", MappingProxyType(dict(self.hits_per_city)))
+    def __post_init__(self) -> RunAccuracy:
+        return tuple.__new__(
+            type(self),
+            (
+                self.model,
+                self.mode,
+                MappingProxyType(dict(self.hits_per_city)),
+                self.total_hits,
+                self.denominator,
+                self.accuracy_exact,
+                self.accuracy_display,
+            ),
+        )
 
 
-@dataclass(frozen=True)
-class AccuracyReport:
+class AccuracyReport(NamedTuple):
     """Per-run accuracies plus two overall statistics.
 
     ``overall_mean`` pools hits over the pooled denominator; ``run_mean``
@@ -75,6 +90,8 @@ class AccuracyReport:
 
 def build_report(runs: Sequence[ModelRun], targets: TargetSet, k: int = DEFAULT_K) -> AccuracyReport:
     """Evaluate runs in input order and summarize overall accuracy."""
+    from fractions import Fraction
+
     if not runs:
         raise DomainValidationError("cannot build a report from zero runs")
     denominator = targets.total_targets()
@@ -123,12 +140,11 @@ def table_lines(
     """
     table = (headers, *rows)
     widths = [max(len(cells[col]) for cells in table) for col in range(len(headers))]
+    template = "  ".join(
+        f"{{:{'<' if col in left else '>'}{width}}}" for col, width in enumerate(widths)
+    )
     for cells in table:
-        aligned = [
-            cell.ljust(width) if col in left else cell.rjust(width)
-            for col, (cell, width) in enumerate(zip(cells, widths))
-        ]
-        yield "  ".join(aligned).rstrip() + "\n"
+        yield template.format(*cells).rstrip() + "\n"
 
 
 def format_report_table(report: AccuracyReport) -> str:

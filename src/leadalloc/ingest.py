@@ -22,7 +22,6 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterator, NamedTuple, TextIO
@@ -62,13 +61,31 @@ class ValidationIssue(NamedTuple):
         return f"{self.severity}{location}: {self.message}"
 
 
-@dataclass
 class ValidationReport:
     """Accumulates issues during a single parse of ``source``; read-only afterwards."""
 
-    strict: bool = False
-    source: str | None = None
-    issues: list[ValidationIssue] = field(default_factory=list)
+    __slots__ = ("strict", "source", "issues")
+
+    def __init__(
+        self,
+        strict: bool = False,
+        source: str | None = None,
+        issues: list[ValidationIssue] | None = None,
+    ) -> None:
+        self.strict = strict
+        self.source = source
+        self.issues = [] if issues is None else issues
+
+    def __eq__(self, other):
+        if type(other) is not ValidationReport:
+            return NotImplemented
+        return (self.strict, self.source, self.issues) == (other.strict, other.source, other.issues)
+
+    def __repr__(self) -> str:
+        return (
+            f"ValidationReport(strict={self.strict!r}, source={self.source!r}, "
+            f"issues={self.issues!r})"
+        )
 
     def error(self, message: str, row: int | None = None) -> None:
         self.issues.append(ValidationIssue("error", row, message))

@@ -2,13 +2,18 @@
 
 Everything here is immutable after construction and validated on
 construction; downstream modules can rely on the invariants without
-re-checking them.
+re-checking them. Most types are ``NamedTuple``s whose construction runs
+``__post_init__`` (see :func:`validated`), so they also unpack, iterate and
+compare equal to plain tuples of their field values. The two types with a
+length of their own, :class:`AliasTable` and :class:`CityDataset`, are
+slotted :class:`Value` classes instead. Neither kind uses ``dataclasses``:
+importing it and building frozen dataclasses would cost more than the rest
+of the CLI's start-up.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from types import MappingProxyType
@@ -26,6 +31,60 @@ COL_PREVALENCE = "prevalence_per_1000"
 COL_UNTESTED = "untested_pct"
 COL_COVERAGE = "public_coverage_pct"
 CORE_COLUMNS = (COL_NEIGHBORHOOD, COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE)
+
+
+def validated(cls):
+    """Make every construction of the ``NamedTuple`` ``cls`` run its ``__post_init__``.
+
+    ``__post_init__`` raises on a broken invariant. It returns None, or an
+    instance with normalized fields (a tuple for any iterable, a read-only
+    view of a mapping's copy), which construction returns instead; it builds
+    that instance with ``tuple.__new__``, which runs no check. ``_make`` and
+    ``_replace`` construct through the same path, so no instance skips the
+    checks.
+    """
+    make_fields = cls.__new__
+
+    def __new__(klass, *args, **kwargs):
+        self = make_fields(klass, *args, **kwargs)
+        normalized = self.__post_init__()
+        return self if normalized is None else normalized
+
+    cls.__new__ = staticmethod(__new__)
+    cls._make = classmethod(lambda klass, values: klass(*values))
+    return cls
+
+
+class Value:
+    """Base of the immutable types that cannot be tuples because they have a length.
+
+    A subclass names its fields in ``__slots__`` and sets them in
+    ``__init__`` with ``object.__setattr__``; any later assignment raises
+    ``AttributeError``. Equality, hashing and ``repr`` go by field values.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 def is_zip_code(name: str) -> bool:
@@ -49,8 +108,7 @@ def canonicalize_name(raw: str, aliases: "AliasTable | None" = None) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class AliasTable:
+class AliasTable(Value):
     """Maps alternate neighborhood spellings onto their canonical name.
 
     Built from a ``{"canonical": ["alias", ...]}`` mapping; both sides are
@@ -58,11 +116,11 @@ class AliasTable:
     idempotent lookup.
     """
 
-    alias_to_canonical: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ("alias_to_canonical",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, alias_to_canonical: Mapping[str, str] = MappingProxyType({})) -> None:
         object.__setattr__(
-            self, "alias_to_canonical", MappingProxyType(dict(self.alias_to_canonical))
+            self, "alias_to_canonical", MappingProxyType(dict(alias_to_canonical))
         )
 
     @classmethod
@@ -126,8 +184,7 @@ class Strategy(Enum):
     RANK_WEIGHTED = "rank_weighted"
 
 
-@dataclass(frozen=True)
-class CityProfile:
+class CityProfile(NamedTuple):
     city: str
     unit_kind: UnitKind
     bll_threshold_ug_dl: float
@@ -170,8 +227,8 @@ def register_city(
     return profile
 
 
-@dataclass(frozen=True)
-class NeighborhoodRecord:
+@validated
+class NeighborhoodRecord(NamedTuple):
     """One neighborhood's raw metrics.
 
     ``name`` is expected in canonical form (see :func:`canonicalize_name`);
@@ -182,9 +239,9 @@ class NeighborhoodRecord:
     prevalence: float
     untested_pct: float
     public_coverage_pct: float
-    extra_factors: Mapping[str, float] = field(default_factory=dict)
+    extra_factors: Mapping[str, float] = MappingProxyType({})
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> NeighborhoodRecord:
         if not self.name.strip():
             raise InvalidNameError("neighborhood name must be non-empty")
         if not math.isfinite(self.prevalence) or self.prevalence < 0:
@@ -199,7 +256,16 @@ class NeighborhoodRecord:
                 raise DomainValidationError(
                     f"{self.name}: {label} out of range [0,100], got {value}"
                 )
-        object.__setattr__(self, "extra_factors", MappingProxyType(dict(self.extra_factors)))
+        return tuple.__new__(
+            type(self),
+            (
+                self.name,
+                self.prevalence,
+                self.untested_pct,
+                self.public_coverage_pct,
+                MappingProxyType(dict(self.extra_factors)),
+            ),
+        )
 
     def metric(self, factor: str) -> float | None:
         """Value of a named metric column, or None if absent on this record."""
@@ -212,17 +278,26 @@ class NeighborhoodRecord:
         return self.extra_factors.get(factor)
 
 
-@dataclass(frozen=True)
-class CityDataset:
+class CityDataset(Value):
     """Validated set of neighborhood records for one city."""
 
+    __slots__ = ("city", "records", "bll_threshold_ug_dl", "unit_kind")
     city: str
     records: tuple[NeighborhoodRecord, ...]
     bll_threshold_ug_dl: float
     unit_kind: UnitKind
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
+    def __init__(
+        self,
+        city: str,
+        records: Iterable[NeighborhoodRecord],
+        bll_threshold_ug_dl: float,
+        unit_kind: UnitKind,
+    ) -> None:
+        object.__setattr__(self, "city", city)
+        object.__setattr__(self, "records", tuple(records))
+        object.__setattr__(self, "bll_threshold_ug_dl", bll_threshold_ug_dl)
+        object.__setattr__(self, "unit_kind", unit_kind)
         if not self.records:
             raise DomainValidationError(f"{self.city}: dataset has no records")
         seen: set[str] = set()
@@ -260,8 +335,8 @@ def derived_beta_gamma(r: float, alpha: float, variant: WeightVariant) -> tuple[
     return (1 - alpha) * (1 - gamma), gamma
 
 
-@dataclass(frozen=True)
-class WeightConfig:
+@validated
+class WeightConfig(NamedTuple):
     """Priority-score weights plus the correlation they were derived from."""
 
     alpha: float
@@ -317,37 +392,44 @@ class RankingEntry(NamedTuple):
     scaled_score: float
 
 
-@dataclass(frozen=True)
-class PriorityRanking:
+@validated
+class PriorityRanking(NamedTuple):
     """Descending-ordered priority list for one city."""
 
     city: str
     weights: WeightConfig
     entries: tuple[RankingEntry, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(RankingEntry(*entry) for entry in self.entries)
+    def __post_init__(self) -> PriorityRanking:
+        entries = tuple(
+            entry if isinstance(entry, RankingEntry) else RankingEntry(*entry)
+            for entry in self.entries
         )
-        if not self.entries:
+        if not entries:
             raise DomainValidationError(f"{self.city}: ranking has no entries")
-        for entry in self.entries:
-            if not math.isfinite(entry.raw_score) or entry.raw_score < 0:
+        # One pass: each entry's range checks, and whether it sorts after the
+        # previous one by (-raw_score, name). Range errors take precedence.
+        in_order = True
+        previous_raw, previous_name = math.inf, ""
+        for name, raw, scaled in entries:
+            if not math.isfinite(raw) or raw < 0:
                 raise DomainValidationError(
-                    f"{self.city}: non-finite or negative raw score for {entry.name!r}"
+                    f"{self.city}: non-finite or negative raw score for {name!r}"
                 )
-            if not 0 <= entry.scaled_score <= 10:
+            if not 0 <= scaled <= 10:
                 raise DomainValidationError(
-                    f"{self.city}: scaled score out of [0, 10] for {entry.name!r}"
+                    f"{self.city}: scaled score out of [0, 10] for {name!r}"
                 )
-        ordered = sorted(self.entries, key=lambda e: (-e.raw_score, e.name))
-        if list(self.entries) != ordered:
+            if raw > previous_raw or (raw == previous_raw and name < previous_name):
+                in_order = False
+            previous_raw, previous_name = raw, name
+        if not in_order:
             raise DomainValidationError(
                 f"{self.city}: entries are not sorted by raw score descending "
                 "with canonical-name tie-break"
             )
-        max_raw = self.entries[0].raw_score
-        scaled = [entry.scaled_score for entry in self.entries]
+        max_raw = entries[0].raw_score
+        scaled = [entry.scaled_score for entry in entries]
         if max_raw > 0:
             if max(scaled) != 10.0:
                 raise DomainValidationError(
@@ -361,6 +443,7 @@ class PriorityRanking:
             raise DomainValidationError(
                 f"{self.city}: all-zero raw scores require all-zero scaled scores"
             )
+        return tuple.__new__(type(self), (self.city, self.weights, entries))
 
     def names(self) -> tuple[str, ...]:
         return tuple(entry.name for entry in self.entries)
@@ -371,8 +454,8 @@ class AllocationEntry(NamedTuple):
     kits: int
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
+@validated
+class AllocationPlan(NamedTuple):
     """Integer kit assignment mirroring the ranking it was derived from."""
 
     city: str
@@ -381,19 +464,26 @@ class AllocationPlan:
     strategy: Strategy
     apportionment: str = "largest_remainder"
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "allocations", tuple(AllocationEntry(*entry) for entry in self.allocations)
+    def __post_init__(self) -> AllocationPlan:
+        allocations = tuple(
+            entry if isinstance(entry, AllocationEntry) else AllocationEntry(*entry)
+            for entry in self.allocations
         )
         if self.total_kits < 1:
             raise DomainValidationError(f"total_kits must be >= 1, got {self.total_kits}")
-        if any(entry.kits < 0 for entry in self.allocations):
-            raise DomainValidationError("kit counts must be non-negative")
-        assigned = sum(entry.kits for entry in self.allocations)
+        assigned = 0
+        for _, kits in allocations:
+            if kits < 0:
+                raise DomainValidationError("kit counts must be non-negative")
+            assigned += kits
         if assigned != self.total_kits:
             raise DomainValidationError(
                 f"allocations sum to {assigned}, expected {self.total_kits}"
             )
+        return tuple.__new__(
+            type(self),
+            (self.city, self.total_kits, allocations, self.strategy, self.apportionment),
+        )
 
 
 class Recommendation(NamedTuple):
@@ -401,15 +491,15 @@ class Recommendation(NamedTuple):
     kits: int
 
 
-@dataclass(frozen=True)
-class ModelRun:
+@validated
+class ModelRun(NamedTuple):
     """One recorded allocation recommendation, in recommendation order."""
 
     model: str
     mode: str
     per_city: Mapping[str, tuple[Recommendation, ...]]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> ModelRun:
         frozen = {
             city: tuple(Recommendation(*rec) for rec in recs)
             for city, recs in self.per_city.items()
@@ -420,27 +510,27 @@ class ModelRun:
                     raise DomainValidationError(
                         f"{self.model} ({self.mode}), {city}: negative kits for {rec.name!r}"
                     )
-        object.__setattr__(self, "per_city", MappingProxyType(frozen))
+        return tuple.__new__(type(self), (self.model, self.mode, MappingProxyType(frozen)))
 
     @property
     def label(self) -> str:
         return f"{self.model} ({self.mode})"
 
 
-@dataclass(frozen=True)
-class TargetSet:
+@validated
+class TargetSet(NamedTuple):
     """Per-city sets of empirically highest-risk neighborhoods."""
 
     per_city: Mapping[str, frozenset[str]]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> TargetSet:
         frozen = {city: frozenset(names) for city, names in self.per_city.items()}
         if not frozen:
             raise DomainValidationError("target set lists no cities")
         for city, names in frozen.items():
             if not names:
                 raise DomainValidationError(f"target set for {city!r} is empty")
-        object.__setattr__(self, "per_city", MappingProxyType(frozen))
+        return tuple.__new__(type(self), (MappingProxyType(frozen),))
 
     def cities(self) -> tuple[str, ...]:
         return tuple(self.per_city)

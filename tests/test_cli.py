@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import codecs
+import gc
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ import pytest
 import leadalloc
 from leadalloc import cli, resources
 from leadalloc.cli import ALIAS_ENV_VAR, main
+from leadalloc.errors import LeadAllocError
 from leadalloc.ingest import parse_ranking
 
 
@@ -647,3 +649,42 @@ class TestParserBasics:
         )
         assert result.returncode == 0
         assert result.stdout == golden("evaluate_table.txt")
+
+    def test_import_loads_no_start_up_heavy_modules(self):
+        # dataclasses (with inspect, ast, dis and tokenize) and fractions (with
+        # decimal) cost about 20 ms of start-up that no command needs to begin.
+        heavy = ("dataclasses", "inspect", "fractions", "decimal")
+        package_root = str(Path(leadalloc.__file__).resolve().parents[1])
+        probe = f"import sys, leadalloc.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == []
+
+    @pytest.mark.parametrize("enabled_before", [True, False])
+    @pytest.mark.parametrize("outcome", [0, LeadAllocError("bad input"), ValueError("bug")])
+    def test_subcommand_runs_without_cyclic_gc_and_restores_it(
+        self, monkeypatch, capsys, enabled_before, outcome
+    ):
+        seen = []
+
+        def command(args):
+            seen.append(gc.isenabled())
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(cli, "cmd_evaluate", command)
+        (gc.enable if enabled_before else gc.disable)()
+        try:
+            code = main(["evaluate"])
+            assert gc.isenabled() is enabled_before
+        finally:
+            gc.enable()
+        assert seen == [False]
+        assert code == {int: 0, LeadAllocError: 2, ValueError: 1}[type(outcome)]

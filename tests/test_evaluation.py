@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leadalloc.errors import DomainValidationError
 from leadalloc.evaluation import (
@@ -12,6 +14,7 @@ from leadalloc.evaluation import (
     city_hits,
     format_report_table,
     report_to_dict,
+    table_lines,
     truncate_display,
 )
 from leadalloc.ingest import parse_model_runs, parse_targets
@@ -188,3 +191,28 @@ class TestRendering:
         assert doc["overall"]["pooled"]["display"] == "0.46"
         assert doc["overall"]["mean_of_runs"]["exact"] == "7/15"
         assert doc["overall"]["mean_of_runs"]["display"] == "0.46"
+
+
+@st.composite
+def _tables(draw):
+    columns = draw(st.integers(1, 4))
+    cell = st.text(alphabet="ab {}:<>é ", max_size=6)
+    row = st.tuples(*[cell] * columns)
+    left = draw(st.sets(st.integers(0, columns - 1)))
+    return draw(row), draw(st.lists(row, max_size=5)), left
+
+
+@given(_tables())
+def test_table_lines_pad_each_cell_like_ljust_and_rjust(table):
+    """The one-template layout gives the bytes that padding cell by cell gives."""
+    headers, rows, left = table
+    widths = [max(len(cells[col]) for cells in (headers, *rows)) for col in range(len(headers))]
+    expected = [
+        "  ".join(
+            cell.ljust(width) if col in left else cell.rjust(width)
+            for col, (cell, width) in enumerate(zip(cells, widths))
+        ).rstrip()
+        + "\n"
+        for cells in (headers, *rows)
+    ]
+    assert list(table_lines(headers, rows, left)) == expected

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,11 +15,14 @@ from leadalloc.errors import (
     InvalidNameError,
     UnknownCityError,
 )
+from leadalloc.evaluation import AccuracyReport, RunAccuracy
+from leadalloc.ingest import ValidationIssue, ValidationReport
 from leadalloc.model import (
     AliasTable,
     AllocationEntry,
     AllocationPlan,
     CityDataset,
+    CityProfile,
     ModelRun,
     NeighborhoodRecord,
     PriorityRanking,
@@ -315,3 +320,197 @@ class TestModelRunAndTargets:
     def test_empty_target_city_rejected(self):
         with pytest.raises(DomainValidationError, match="empty"):
             TargetSet(per_city={"chicago": frozenset()})
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["", "a", "ab", "b", "B"]),
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 2**-52, 3.0]) | st.floats(0, 4),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.booleans(),
+)
+def test_ranking_order_check_accepts_exactly_what_a_sort_leaves_unchanged(pairs, presort):
+    """The one-pass order check agrees with comparing the entries to their sorted copy."""
+    if presort:
+        pairs.sort(key=lambda pair: (-pair[1], pair[0]))
+    # Equal scaled scores keep the scaled-score checks out of the way.
+    top = 10.0 if max(raw for _, raw in pairs) > 0 else 0.0
+    entries = [RankingEntry(name, raw, top) for name, raw in pairs]
+    unchanged_by_sort = entries == sorted(entries, key=lambda e: (-e.raw_score, e.name))
+    try:
+        PriorityRanking(city="demo", weights=derive_weights(0.6), entries=entries)
+    except DomainValidationError as exc:
+        assert "not sorted" in str(exc)
+        assert not unchanged_by_sort
+    else:
+        assert unchanged_by_sort
+
+
+def _value_cases():
+    """(type, keyword fields, fields that make a different valid value) per immutable type."""
+    weights = dict(
+        alpha=0.5, beta=0.35, gamma=0.30, variant=WeightVariant.TEXT, source_correlation=0.6
+    )
+    records = (record("a", 1.0, 2.0, 3.0), record("b", 4.0, 5.0, 6.0))
+    entries = (RankingEntry("b", 2.0, 10.0), RankingEntry("a", 1.0, 5.0))
+    run_fields = dict(
+        model="m",
+        mode="d",
+        hits_per_city={"chicago": 1},
+        total_hits=1,
+        denominator=3,
+        accuracy_exact=Fraction(1, 3),
+        accuracy_display="0.33",
+    )
+    run = RunAccuracy(**run_fields)
+    return [
+        (
+            AliasTable,
+            dict(alias_to_canonical={"old town": "new town"}),
+            dict(alias_to_canonical={}),
+        ),
+        (
+            CityProfile,
+            dict(city="x", unit_kind=UnitKind.NAMED_AREA, bll_threshold_ug_dl=5.0),
+            dict(bll_threshold_ug_dl=3.5),
+        ),
+        (
+            NeighborhoodRecord,
+            dict(
+                name="a",
+                prevalence=1.0,
+                untested_pct=2.0,
+                public_coverage_pct=3.0,
+                extra_factors={"f": 1.0},
+            ),
+            dict(extra_factors={"f": 2.0}),
+        ),
+        (
+            CityDataset,
+            dict(
+                city="demo",
+                records=records,
+                bll_threshold_ug_dl=5.0,
+                unit_kind=UnitKind.NAMED_AREA,
+            ),
+            dict(records=records[:1]),
+        ),
+        (WeightConfig, weights, dict(variant=WeightVariant.ALGORITHM, beta=0.2, gamma=0.6)),
+        (
+            PriorityRanking,
+            dict(city="demo", weights=WeightConfig(**weights), entries=entries),
+            dict(entries=entries[:1]),
+        ),
+        (
+            AllocationPlan,
+            dict(
+                city="demo",
+                total_kits=3,
+                allocations=(AllocationEntry("b", 2), AllocationEntry("a", 1)),
+                strategy=Strategy.PROPORTIONAL,
+            ),
+            dict(apportionment="even_split"),
+        ),
+        (
+            ModelRun,
+            dict(model="m", mode="d", per_city={"chicago": (Recommendation("a", 1),)}),
+            dict(per_city={"chicago": (Recommendation("a", 2),)}),
+        ),
+        (TargetSet, dict(per_city={"chicago": frozenset({"a"})}), dict(per_city={"dc": {"20011"}})),
+        (RunAccuracy, run_fields, dict(hits_per_city={"chicago": 0})),
+        (
+            AccuracyReport,
+            dict(
+                k=3,
+                per_run=(run,),
+                pooled_hits=1,
+                pooled_denominator=3,
+                overall_mean_exact=Fraction(1, 3),
+                overall_mean_display="0.33",
+                run_mean_exact=Fraction(1, 3),
+                run_mean_display="0.33",
+            ),
+            dict(k=5),
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    ("cls", "fields", "changed"),
+    [pytest.param(*case, id=case[0].__name__) for case in _value_cases()],
+)
+class TestValueTypes:
+    def test_keyword_construction_keeps_field_values(self, cls, fields, changed):
+        value = cls(**fields)
+        for name, expected in fields.items():
+            actual = getattr(value, name)
+            assert (dict(actual) if isinstance(expected, dict) else actual) == expected
+
+    def test_fields_cannot_be_assigned(self, cls, fields, changed):
+        value = cls(**fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            value.unknown_field = 1
+
+    def test_mappings_are_read_only(self, cls, fields, changed):
+        value = cls(**fields)
+        for name, given_value in fields.items():
+            if isinstance(given_value, dict):
+                with pytest.raises(TypeError):
+                    getattr(value, name)["new key"] = 0
+
+    def test_equality_is_by_field_values(self, cls, fields, changed):
+        assert cls(**fields) == cls(**fields)
+        assert cls(**fields) != cls(**{**fields, **changed})
+
+    def test_repr_names_the_type(self, cls, fields, changed):
+        assert repr(cls(**fields)).startswith(f"{cls.__name__}(")
+
+
+def test_sized_types_keep_their_length():
+    assert len(dataset([("a", 1, 2, 3), ("b", 4, 5, 6)])) == 2
+    assert len(AliasTable({"old town": "new town"})) == 1
+    assert len(AliasTable()) == 0
+
+
+def test_construction_runs_post_init_which_tracing_can_replace(monkeypatch):
+    calls = []
+    original = PriorityRanking.__post_init__
+
+    def traced(self):
+        calls.append(self.city)
+        return original(self)
+
+    monkeypatch.setattr(PriorityRanking, "__post_init__", traced)
+    PriorityRanking(city="demo", weights=derive_weights(0.6), entries=[("a", 1.0, 10.0)])
+    assert calls == ["demo"]
+    assert isinstance(vars(AliasTable)["from_file"], classmethod)
+
+
+def test_replace_validates_like_construction():
+    ranking = PriorityRanking(
+        city="demo", weights=derive_weights(0.6), entries=[("a", 1.0, 10.0)]
+    )
+    assert type(ranking.entries[0]) is RankingEntry
+    with pytest.raises(DomainValidationError, match="no entries"):
+        ranking._replace(entries=())
+    plan = AllocationPlan("demo", 1, [("a", 1)], Strategy.PROPORTIONAL)
+    with pytest.raises(DomainValidationError, match="sum to"):
+        plan._replace(total_kits=2)
+
+
+def test_validation_report_is_a_mutable_record():
+    report = ValidationReport(strict=True, source="city.csv")
+    report.warning("row excluded", row=3)
+    assert report.issues == [ValidationIssue("error", 3, "row excluded")]
+    assert report == ValidationReport(True, "city.csv", list(report.issues))
+    assert report != ValidationReport(strict=True, source="other.csv", issues=report.issues)
+    assert repr(ValidationReport()) == "ValidationReport(strict=False, source=None, issues=[])"
+    report.source = "renamed.csv"
+    assert report.describe(report.issues[0]) == "renamed.csv: error [row 3]: row excluded"
