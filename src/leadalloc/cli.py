@@ -22,6 +22,9 @@ import json
 import os
 import sys
 import warnings
+from itertools import repeat
+from operator import attrgetter
+from typing import Iterator
 
 from . import __version__, resources
 from .allocation import DEFAULT_TOP_K, allocate
@@ -37,7 +40,7 @@ from .ingest import (
     parse_targets,
     write_ranking,
 )
-from .model import AliasTable, Strategy, WeightVariant
+from .model import AliasTable, CityDataset, PriorityRanking, Strategy, WeightVariant
 from .scoring import DEFAULT_ALPHA, score_city
 from .stats import correlate_factors
 
@@ -214,24 +217,37 @@ def cmd_score(args: argparse.Namespace) -> int:
     w = ranking.weights
     print(f"city: {ranking.city}  variant: {w.variant.value}  r: {w.source_correlation:g}")
     print(f"weights: alpha={w.alpha:g} beta={w.beta:g} gamma={w.gamma:g}")
-    by_name = {record.name: record for record in dataset.records}
-    rows = []
-    for position, entry in enumerate(ranking.entries, start=1):
-        record = by_name[entry.name]
-        rows.append(
-            (
-                str(position),
-                entry.name,
-                f"{entry.raw_score:.6f}",
-                f"{entry.scaled_score:.2f}",
-                f"{record.prevalence:g}",
-                f"{record.untested_pct:g}",
-                f"{record.public_coverage_pct:g}",
-            )
-        )
     headers = ("rank", "neighborhood", "raw_ps", "scaled_ps", "P", "U", "H")
-    sys.stdout.writelines(table_lines(headers, rows, left={1}))
+    sys.stdout.writelines(table_lines(headers, _ScoreRows(ranking, dataset), left={1}))
     return 0
+
+
+class _ScoreRows:
+    """The score table's rows, formatted afresh each time they are iterated.
+
+    A ranking has one row per neighborhood, so the table streams from this
+    view instead of from a list of every formatted row. Each column is a
+    ``map`` over the entries or their records, so no Python code runs per row.
+    """
+
+    __slots__ = ("entries", "records")
+
+    def __init__(self, ranking: PriorityRanking, dataset: CityDataset) -> None:
+        by_name = {record.name: record for record in dataset.records}
+        self.entries = ranking.entries
+        self.records = [by_name[entry.name] for entry in ranking.entries]
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        entries, records = self.entries, self.records
+        return zip(
+            map(str, range(1, len(entries) + 1)),
+            map(attrgetter("name"), entries),
+            map(format, map(attrgetter("raw_score"), entries), repeat(".6f")),
+            map(format, map(attrgetter("scaled_score"), entries), repeat(".2f")),
+            map(format, map(attrgetter("prevalence"), records), repeat("g")),
+            map(format, map(attrgetter("untested_pct"), records), repeat("g")),
+            map(format, map(attrgetter("public_coverage_pct"), records), repeat("g")),
+        )
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:

@@ -8,8 +8,17 @@ rounded) to two decimals, so 6/9 renders as ``0.66``.
 
 from __future__ import annotations
 
+from itertools import repeat
 from types import MappingProxyType
-from typing import TYPE_CHECKING, AbstractSet, Iterator, Mapping, NamedTuple, Sequence
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 from .errors import DomainValidationError
 from .model import ModelRun, TargetSet, validated
@@ -132,18 +141,25 @@ def build_report(runs: Sequence[ModelRun], targets: TargetSet, k: int = DEFAULT_
 
 
 def table_lines(
-    headers: Sequence[str], rows: Sequence[Sequence[str]], left: AbstractSet[int]
+    headers: Sequence[str], rows: Iterable[Sequence[str]], left: AbstractSet[int]
 ) -> Iterator[str]:
     """Fixed-width text table, one newline-terminated line at a time.
 
-    Columns in ``left`` are left-aligned, the others right-aligned.
+    Columns in ``left`` are left-aligned, the others right-aligned. ``rows``
+    is iterated twice, first for the column widths and then for the lines,
+    so it may be a view that makes each row as it is asked for instead of a
+    list that holds them all.
     """
-    table = (headers, *rows)
-    widths = [max(len(cells[col]) for cells in table) for col in range(len(headers))]
+    # The widths are the column maxima over each row's tuple of cell lengths;
+    # rows repeat few distinct tuples, so collecting them in a set is cheap.
+    shapes = {tuple(map(len, headers))}
+    shapes.update(map(tuple, map(map, repeat(len), rows)))
+    widths = [max(lengths) for lengths in zip(*shapes)]
     template = "  ".join(
         f"{{:{'<' if col in left else '>'}{width}}}" for col, width in enumerate(widths)
     )
-    for cells in table:
+    yield template.format(*headers).rstrip() + "\n"
+    for cells in rows:
         yield template.format(*cells).rstrip() + "\n"
 
 

@@ -19,12 +19,14 @@ given in [0, 1] and converts them to 0-100 on load.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from collections import Counter
+from operator import itemgetter
 from pathlib import Path
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterator, NamedTuple, TextIO
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import DatasetValidationError, DomainValidationError, InvalidNameError
 from .model import (
@@ -123,18 +125,20 @@ def parse_city_dataset(
     """Parse and validate one city's dataset CSV.
 
     Rows missing a core metric are excluded with a warning rather than
-    imputed; ``strict=True`` turns those warnings into errors.
+    imputed; ``strict=True`` turns those warnings into errors. Only ``\\r``,
+    ``\\n`` and ``\\r\\n`` end a line, so other line-break characters stay
+    inside their cell, and a quoted cell may span lines (RFC 4180).
     """
     profile = city_profile(city)
     report = ValidationReport(strict=strict, source=str(path))
-    lines = read_text(path).splitlines()
+    text = read_text(path)
+    lines = io.StringIO(text, newline="")
     unit, comment_count = _leading_directives(lines, report)
-    body = lines[comment_count:]
-    if not any(line.strip() for line in body):
+    if not text[lines.tell():].strip():
         report.error("empty file: no header row")
         report.raise_if_rejected()
 
-    rows = _csv_rows(body, comment_count, report)
+    rows = _csv_rows(lines, comment_count, report)
     header_line, cells = next(rows, (comment_count + 1, []))
     header = [name.strip() for name in cells]
     missing = [column for column in CORE_COLUMNS if column not in header]
@@ -145,14 +149,23 @@ def parse_city_dataset(
         report.error(f"duplicate column(s): {', '.join(duplicated)}", row=header_line)
     report.raise_if_rejected()
     extra_columns = [column for column in header if column not in CORE_COLUMNS and column]
+    name_index = header.index(COL_NEIGHBORHOOD)
+    value_columns = (COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE, *extra_columns)
+    value_cells = itemgetter(*map(header.index, value_columns))
 
     records: list[NeighborhoodRecord] = []
     seen_rows: dict[str, int] = {}
+    width = len(header)
+    zip_codes = profile.unit_kind is UnitKind.ZIP_CODE
     for line, cells in rows:
-        if len(cells) > len(header):
-            report.error(f"row has {len(cells)} fields, header has {len(header)}", row=line)
-            continue
-        record = _parse_row(dict(zip(header, cells)), line, unit, extra_columns, aliases, report)
+        if len(cells) != width:
+            if len(cells) > width:
+                report.error(f"row has {len(cells)} fields, header has {width}", row=line)
+                continue
+            cells += [""] * (width - len(cells))  # a short row's missing cells are blank
+        record = _parse_row(
+            cells, line, unit, name_index, value_columns, value_cells, aliases, report
+        )
         if record is None:
             continue
         if record.name in seen_rows:
@@ -162,7 +175,7 @@ def parse_city_dataset(
                 row=line,
             )
             continue
-        if profile.unit_kind is UnitKind.ZIP_CODE and not is_zip_code(record.name):
+        if zip_codes and not is_zip_code(record.name):
             report.error(f"{record.name!r} is not a 5-digit ZIP code", row=line)
             continue
         seen_rows[record.name] = line
@@ -180,13 +193,19 @@ def parse_city_dataset(
     return dataset, report
 
 
-def _leading_directives(lines: list[str], report: ValidationReport) -> tuple[str, int]:
-    """Consume leading ``#`` comment lines; return (unit, comment line count)."""
+def _leading_directives(lines: io.StringIO, report: ValidationReport) -> tuple[str, int]:
+    """Consume leading ``#`` comment lines; return (unit, comment line count).
+
+    ``lines`` is left at the start of the first line that is not a comment.
+    """
     unit = "percent"
     count = 0
-    for line in lines:
+    while True:
+        start = lines.tell()
+        line = lines.readline()
         if not line.lstrip().startswith("#"):
-            break
+            lines.seek(start)
+            return unit, count
         count += 1
         content = line.lstrip().lstrip("#").strip()
         if "=" in content:
@@ -197,10 +216,9 @@ def _leading_directives(lines: list[str], report: ValidationReport) -> tuple[str
                     report.error(f"unknown unit declaration {declared!r}", row=count)
                 else:
                     unit = declared
-    return unit, count
 
 
-def _csv_rows(lines: list[str], first_line: int, report: ValidationReport):
+def _csv_rows(lines: Iterable[str], first_line: int, report: ValidationReport):
     """Yield (row number, cells) for each non-blank row up to the first unreadable one."""
     reader = csv.reader(lines)
     try:
@@ -212,15 +230,21 @@ def _csv_rows(lines: list[str], first_line: int, report: ValidationReport):
 
 
 def _parse_row(
-    row: dict[str, str],
+    cells: list[str],
     line: int,
     unit: str,
-    extra_columns: list[str],
+    name_index: int,
+    value_columns: tuple[str, ...],
+    value_cells: itemgetter,
     aliases: AliasTable | None,
     report: ValidationReport,
 ) -> NeighborhoodRecord | None:
-    """Build one record, or report why the row is excluded and return None."""
-    raw_name = row.get(COL_NEIGHBORHOOD, "").strip()
+    """Build one record, or report why the row is excluded and return None.
+
+    ``value_cells`` picks the cells of ``value_columns`` (the three core
+    metrics, then the extra factors) from ``cells``.
+    """
+    raw_name = cells[name_index].strip()
     if not raw_name:
         report.warning("row excluded: missing neighborhood name", row=line)
         return None
@@ -230,10 +254,46 @@ def _parse_row(
         report.error(f"invalid neighborhood name {raw_name!r}", row=line)
         return None
 
+    # float() ignores the whitespace around a number, so a row of finite
+    # numbers needs no per-cell work; any other row goes cell by cell.
+    try:
+        values = list(map(float, value_cells(cells)))
+    except ValueError:
+        values = None
+    if values is None or not all(map(math.isfinite, values)):
+        values = _cell_values(value_columns, value_cells(cells), line, report)
+        if values is None:
+            return None
+
+    prevalence, untested, coverage, *extras = values
+    if prevalence < 0:
+        report.error(f"{COL_PREVALENCE} must be non-negative, got {prevalence}", row=line)
+        return None
+    upper = 1.0 if unit == "fraction" else 100.0
+    if not (0 <= untested <= upper and 0 <= coverage <= upper):
+        bounds_label = "[0,1] (unit=fraction)" if unit == "fraction" else "[0,100]"
+        for column, value in ((COL_UNTESTED, untested), (COL_COVERAGE, coverage)):
+            if not 0 <= value <= upper:
+                report.error(f"percentage out of range {bounds_label}: {column}", row=line)
+        return None
+    if unit == "fraction":
+        untested *= 100.0
+        coverage *= 100.0
+    extra_factors = {
+        column: value for column, value in zip(value_columns[3:], extras) if value is not None
+    }
+    return NeighborhoodRecord(name, prevalence, untested, coverage, extra_factors)
+
+
+def _cell_values(
+    columns: tuple[str, ...], cells: tuple[str, ...], line: int, report: ValidationReport
+) -> list[float | None] | None:
+    """Each cell's number, None for a blank cell; None if any cell excludes the row."""
     issues_before = len(report.issues)
-    values: dict[str, float] = {}
-    for column in (COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE, *extra_columns):
-        cell = row.get(column, "").strip()
+    values: list[float | None] = []
+    for column, cell in zip(columns, cells):
+        cell = cell.strip()
+        values.append(None)
         if not cell:
             if column in CORE_COLUMNS:
                 report.warning(f"row excluded: missing {column}", row=line)
@@ -246,39 +306,8 @@ def _parse_row(
         if not math.isfinite(value):
             report.error(f"non-finite value {cell!r} in column {column}", row=line)
             continue
-        values[column] = value
-    if len(report.issues) > issues_before:
-        return None
-
-    prevalence = values[COL_PREVALENCE]
-    untested = values[COL_UNTESTED]
-    coverage = values[COL_COVERAGE]
-    if prevalence < 0:
-        report.error(f"{COL_PREVALENCE} must be non-negative, got {prevalence}", row=line)
-        return None
-    if unit == "fraction":
-        bounds_label, upper = "[0,1] (unit=fraction)", 1.0
-    else:
-        bounds_label, upper = "[0,100]", 100.0
-    out_of_range = [
-        column
-        for column, value in ((COL_UNTESTED, untested), (COL_COVERAGE, coverage))
-        if not 0 <= value <= upper
-    ]
-    if out_of_range:
-        for column in out_of_range:
-            report.error(f"percentage out of range {bounds_label}: {column}", row=line)
-        return None
-    if unit == "fraction":
-        untested *= 100.0
-        coverage *= 100.0
-    return NeighborhoodRecord(
-        name=name,
-        prevalence=prevalence,
-        untested_pct=untested,
-        public_coverage_pct=coverage,
-        extra_factors={column: values[column] for column in extra_columns if column in values},
-    )
+        values[-1] = value
+    return None if len(report.issues) > issues_before else values
 
 
 def write_city_dataset(dataset: CityDataset, path: str | Path) -> None:
@@ -438,21 +467,6 @@ def _rejected(message: str) -> DatasetValidationError:
     return DatasetValidationError(report)
 
 
-def ranking_to_dict(ranking: PriorityRanking) -> dict:
-    return {
-        "city": ranking.city,
-        "weights": ranking.weights.as_dict(),
-        "entries": [
-            {
-                "neighborhood": entry.name,
-                "raw_score": entry.raw_score,
-                "scaled_score": entry.scaled_score,
-            }
-            for entry in ranking.entries
-        ],
-    }
-
-
 def ranking_from_dict(doc: dict) -> PriorityRanking:
     try:
         weights_doc = doc["weights"]
@@ -468,18 +482,27 @@ def ranking_from_dict(doc: dict) -> PriorityRanking:
                 else False
             ),
         )
-        entries = tuple(
-            RankingEntry(
-                _json_field(entry, "neighborhood", "string"),
-                float(_json_field(entry, "raw_score", "number")),
-                float(_json_field(entry, "scaled_score", "number")),
-            )
-            for entry in doc["entries"]
-        )
+        entries = tuple(map(_ranking_entry, doc["entries"]))
         city = _json_field(doc, "city", "string")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainValidationError(f"malformed ranking document: {exc}") from exc
     return PriorityRanking(city=city, weights=weights, entries=entries)
+
+
+def _ranking_entry(entry: dict) -> RankingEntry:
+    """One entry of a ranking document; what ``dump_ranking`` writes takes the first branch."""
+    if type(entry) is dict:
+        name = entry.get("neighborhood")
+        raw = entry.get("raw_score")
+        scaled = entry.get("scaled_score")
+        if type(name) is str and type(raw) is float and type(scaled) is float:
+            return RankingEntry(name, raw, scaled)
+    # Integral numbers are valid too; anything else raises the error that names the field.
+    return RankingEntry(
+        _json_field(entry, "neighborhood", "string"),
+        float(_json_field(entry, "raw_score", "number")),
+        float(_json_field(entry, "scaled_score", "number")),
+    )
 
 
 _JSON_TYPES = {"string": str, "number": (int, float), "boolean": bool}

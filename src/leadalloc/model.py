@@ -2,11 +2,13 @@
 
 Everything here is immutable after construction and validated on
 construction; downstream modules can rely on the invariants without
-re-checking them. Most types are ``NamedTuple``s whose construction runs
-``__post_init__`` (see :func:`validated`), so they also unpack, iterate and
-compare equal to plain tuples of their field values. The two types with a
-length of their own, :class:`AliasTable` and :class:`CityDataset`, are
-slotted :class:`Value` classes instead. Neither kind uses ``dataclasses``:
+re-checking them. Most types are ``NamedTuple``s, so they also unpack,
+iterate and compare equal to plain tuples of their field values. Their
+construction runs ``__post_init__`` (see :func:`validated`), except for
+:class:`NeighborhoodRecord`, built once per CSV row, whose own ``__new__``
+checks and normalizes the fields before it builds the tuple. The two types
+with a length of their own, :class:`AliasTable` and :class:`CityDataset`,
+are slotted :class:`Value` classes instead. Neither kind uses ``dataclasses``:
 importing it and building frozen dataclasses would cost more than the rest
 of the CLI's start-up.
 """
@@ -31,6 +33,7 @@ COL_PREVALENCE = "prevalence_per_1000"
 COL_UNTESTED = "untested_pct"
 COL_COVERAGE = "public_coverage_pct"
 CORE_COLUMNS = (COL_NEIGHBORHOOD, COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE)
+_NO_EXTRA_FACTORS: Mapping[str, float] = MappingProxyType({})
 
 
 def validated(cls):
@@ -41,7 +44,8 @@ def validated(cls):
     view of a mapping's copy), which construction returns instead; it builds
     that instance with ``tuple.__new__``, which runs no check. ``_make`` and
     ``_replace`` construct through the same path, so no instance skips the
-    checks.
+    checks. Construction builds the tuple twice, which is why
+    :class:`NeighborhoodRecord` has a ``__new__`` of its own instead.
     """
     make_fields = cls.__new__
 
@@ -92,15 +96,44 @@ def is_zip_code(name: str) -> bool:
     return len(name) == 5 and name.isdecimal()
 
 
+class _FoldTable(dict):
+    """``str.translate`` table of the name fold, filled as code points are first seen.
+
+    A code point maps to itself if it is alphanumeric and to a space if not.
+    At most ``_FOLD_TABLE_SIZE`` code points are kept, so names made of
+    ever new characters cannot grow the table without bound; the rest are
+    folded by the same rule on each lookup.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, code: int) -> str:
+        char = chr(code)
+        folded = char if char.isalnum() else " "
+        if len(self) < _FOLD_TABLE_SIZE:
+            self[code] = folded
+        return folded
+
+
+_FOLD_TABLE_SIZE = 4096
+_FOLD_TABLE = _FoldTable()
+
+
 def canonicalize_name(raw: str, aliases: "AliasTable | None" = None) -> str:
     """Normalize a neighborhood name to its canonical matching form.
 
     Lowercases, folds every punctuation or dash character (any Unicode
     variant) to a space, collapses whitespace, then applies the alias
-    table, if any. Idempotent: canonical forms map to themselves.
+    table, if any. Idempotent: canonical forms map to themselves. The fold
+    is one ``str.translate`` over the lowercased name through a table that
+    caches, per code point, whether ``str.isalnum`` keeps it; a name whose
+    words are all alphanumeric already, the usual case, needs no fold.
     """
-    folded = "".join(ch if ch.isalnum() else " " for ch in raw.lower())
-    name = " ".join(folded.split())
+    lowered = raw.lower()
+    words = lowered.split()
+    if not all(map(str.isalnum, words)):
+        words = lowered.translate(_FOLD_TABLE).split()
+    name = " ".join(words)
     if not name:
         raise InvalidNameError(f"name is empty after normalization: {raw!r}")
     if aliases is not None:
@@ -227,45 +260,64 @@ def register_city(
     return profile
 
 
-@validated
-class NeighborhoodRecord(NamedTuple):
-    """One neighborhood's raw metrics.
-
-    ``name`` is expected in canonical form (see :func:`canonicalize_name`);
-    ``extra_factors`` holds any additional named numeric columns.
-    """
-
+class _NeighborhoodFields(NamedTuple):
     name: str
     prevalence: float
     untested_pct: float
     public_coverage_pct: float
-    extra_factors: Mapping[str, float] = MappingProxyType({})
+    extra_factors: Mapping[str, float] = _NO_EXTRA_FACTORS
 
-    def __post_init__(self) -> NeighborhoodRecord:
-        if not self.name.strip():
+
+class NeighborhoodRecord(_NeighborhoodFields):
+    """One neighborhood's raw metrics.
+
+    ``name`` is expected in canonical form (see :func:`canonicalize_name`);
+    ``extra_factors`` holds any additional named numeric columns, kept as a
+    read-only copy. Ingest builds one record per CSV row, so construction
+    checks and normalizes the fields before building the tuple once.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        name: str,
+        prevalence: float,
+        untested_pct: float,
+        public_coverage_pct: float,
+        extra_factors: Mapping[str, float] = _NO_EXTRA_FACTORS,
+    ) -> NeighborhoodRecord:
+        if not name.strip():
             raise InvalidNameError("neighborhood name must be non-empty")
-        if not math.isfinite(self.prevalence) or self.prevalence < 0:
+        if not math.isfinite(prevalence) or prevalence < 0:
             raise DomainValidationError(
-                f"{self.name}: prevalence must be a non-negative real, got {self.prevalence}"
+                f"{name}: prevalence must be a non-negative real, got {prevalence}"
             )
-        for label, value in (
-            (COL_UNTESTED, self.untested_pct),
-            (COL_COVERAGE, self.public_coverage_pct),
-        ):
-            if not math.isfinite(value) or not 0 <= value <= 100:
-                raise DomainValidationError(
-                    f"{self.name}: {label} out of range [0,100], got {value}"
-                )
+        # Comparisons with NaN are false, so the range test also rejects non-finite values.
+        if not (0 <= untested_pct <= 100 and 0 <= public_coverage_pct <= 100):
+            for label, value in (
+                (COL_UNTESTED, untested_pct),
+                (COL_COVERAGE, public_coverage_pct),
+            ):
+                if not 0 <= value <= 100:
+                    raise DomainValidationError(
+                        f"{name}: {label} out of range [0,100], got {value}"
+                    )
         return tuple.__new__(
-            type(self),
+            cls,
             (
-                self.name,
-                self.prevalence,
-                self.untested_pct,
-                self.public_coverage_pct,
-                MappingProxyType(dict(self.extra_factors)),
+                name,
+                prevalence,
+                untested_pct,
+                public_coverage_pct,
+                MappingProxyType(dict(extra_factors)),
             ),
         )
+
+    @classmethod
+    def _make(cls, values: Iterable) -> NeighborhoodRecord:
+        # The namedtuple's own _make, which _replace calls, would skip __new__.
+        return cls(*values)
 
     def metric(self, factor: str) -> float | None:
         """Value of a named metric column, or None if absent on this record."""

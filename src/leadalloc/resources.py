@@ -7,12 +7,13 @@ the CLI without assembling real surveillance data.
 
 from __future__ import annotations
 
-from importlib.resources import files
 from pathlib import Path
+
+_DATA_DIR = Path(__file__).parent / "data"
 
 
 def bundled_path(name: str) -> Path:
-    path = Path(str(files("leadalloc").joinpath("data", name)))
+    path = _DATA_DIR / name
     if not path.is_file():
         raise FileNotFoundError(f"no bundled data file named {name!r}")
     return path

@@ -101,15 +101,18 @@ def score_city(
     r = r_override if r_override is not None else pearson(coverage, prevalence)
     weights = derive_weights(r, alpha, variant, normalize=normalize_weights)
 
-    p_norm = min_max_normalize(prevalence)
-    u_norm = min_max_normalize(untested)
-    h_norm = min_max_normalize(coverage)
     raw = [
         weights.alpha * p + weights.beta * u + weights.gamma * h
-        for p, u, h in zip(p_norm, u_norm, h_norm)
+        for p, u, h in zip(
+            min_max_normalize(prevalence), min_max_normalize(untested), min_max_normalize(coverage)
+        )
     ]
 
-    order = sorted(range(len(raw)), key=lambda i: (-raw[i], dataset.records[i].name))
+    # Raw score descending, ties by name: sorts are stable, even in reverse,
+    # so sort by name first. Neither pass builds a key object per record.
+    names = dataset.names()
+    order = sorted(range(len(raw)), key=names.__getitem__)
+    order.sort(key=raw.__getitem__, reverse=True)
     max_raw = raw[order[0]]
     if max_raw > 0:
         entries = [

@@ -45,3 +45,19 @@ def ranking_from_scores(scores, city="demo"):
         for name, raw in items
     )
     return PriorityRanking(city=city, weights=derive_weights(0.6), entries=entries)
+
+
+def ranking_to_dict(ranking):
+    """The ranking JSON document as a dict: the reference the streaming writer is checked against."""
+    return {
+        "city": ranking.city,
+        "weights": ranking.weights.as_dict(),
+        "entries": [
+            {
+                "neighborhood": entry.name,
+                "raw_score": entry.raw_score,
+                "scaled_score": entry.scaled_score,
+            }
+            for entry in ranking.entries
+        ],
+    }

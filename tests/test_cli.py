@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -544,6 +545,42 @@ class TestInputBoundary:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_cr_and_lf_end_a_csv_row(self, capsys, tmp_path, separator):
+        path = tmp_path / "city.csv"
+        text = f"{GOOD_HEADER}\nAlpha{separator}Beta,1,2,3\nGamma,4,5,6\n"
+        path.write_text(text, encoding="utf-8", newline="")
+        code, out, err = run_cli(capsys, "score", "--city", "chicago", "--input", str(path), "--json")
+        assert (code, err) == (0, "")
+        assert [entry["neighborhood"] for entry in json.loads(out)["entries"]] == [
+            "gamma",
+            "alpha beta",
+        ]
+
+    def test_row_numbers_count_only_cr_and_lf_lines(self, capsys, tmp_path):
+        path = tmp_path / "city.csv"
+        text = f"{GOOD_HEADER}\nDelta\u2028Park,7,8,9\nGamma,4,5,6\nBad,x,5,6\n"
+        path.write_text(text, encoding="utf-8", newline="")
+        code, out, err = run_cli(capsys, "score", "--city", "chicago", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert f"{path}: error [row 4]: non-numeric value 'x' in column prevalence_per_1000" in err
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
+    def test_quoted_name_may_span_lines(self, capsys, tmp_path, line_end):
+        path = tmp_path / "city.csv"
+        lines = [GOOD_HEADER, '"Hunts Point', 'Mott Haven",1,2,3', "Gamma,4,5,6", "Bad,x,5,6", ""]
+        path.write_text(line_end.join(lines), encoding="utf-8", newline="")
+        code, out, err = run_cli(capsys, "score", "--city", "nyc", "--input", str(path))
+        assert code == 2
+        assert f"{path}: error [row 5]: non-numeric value 'x'" in err
+        path.write_text(line_end.join(lines[:4] + [""]), encoding="utf-8", newline="")
+        code, out, err = run_cli(capsys, "score", "--city", "nyc", "--input", str(path), "--json")
+        assert (code, err) == (0, "")
+        names = [entry["neighborhood"] for entry in json.loads(out)["entries"]]
+        assert names == ["gamma", "hunts point mott haven"]
+
     def test_huge_integer_raw_score_exits_2(self, capsys, demo_ranking):
         doc = json.loads(demo_ranking.read_text(encoding="utf-8"))
         doc["entries"][0]["raw_score"] = 10**400
@@ -624,6 +661,25 @@ class TestInputBoundary:
         assert "expected a JSON object of name lists" in err
 
 
+def test_score_streams_its_table(tmp_path, monkeypatch):
+    # At 20,000 rows, holding every formatted table row at once as a list of
+    # string tuples peaks at about 18 MB under tracemalloc; the streamed
+    # table leaves the peak to parsing and scoring, at about 13 MB.
+    path = tmp_path / "city.csv"
+    rows = (f"area {i},{i % 41 / 2},{5 + i % 61},{min(100, i % 41 + i % 7)}\n" for i in range(20_000))
+    path.write_text(GOOD_HEADER + "\n" + "".join(rows), encoding="utf-8")
+    with open(os.devnull, "w", encoding="utf-8") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            code = main(["score", "--city", "chicago", "--input", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 15_000_000
+
+
 class TestParserBasics:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
@@ -651,9 +707,10 @@ class TestParserBasics:
         assert result.stdout == golden("evaluate_table.txt")
 
     def test_import_loads_no_start_up_heavy_modules(self):
-        # dataclasses (with inspect, ast, dis and tokenize) and fractions (with
-        # decimal) cost about 20 ms of start-up that no command needs to begin.
-        heavy = ("dataclasses", "inspect", "fractions", "decimal")
+        # dataclasses (with inspect, ast, dis and tokenize), fractions (with
+        # decimal) and importlib.resources cost about 30 ms of start-up that no
+        # command needs to begin.
+        heavy = ("dataclasses", "inspect", "fractions", "decimal", "importlib.resources")
         package_root = str(Path(leadalloc.__file__).resolve().parents[1])
         probe = f"import sys, leadalloc.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
         result = subprocess.run(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from helpers import ranking_to_dict
 from leadalloc.errors import (
     DatasetValidationError,
     DomainValidationError,
@@ -22,7 +23,6 @@ from leadalloc.ingest import (
     parse_ranking,
     parse_targets,
     ranking_from_dict,
-    ranking_to_dict,
     write_city_dataset,
     write_ranking,
 )
@@ -466,6 +466,13 @@ class TestRankingRoundTrip:
     def test_malformed_document_rejected(self):
         with pytest.raises(DomainValidationError, match="malformed ranking"):
             ranking_from_dict({"city": "demo"})
+
+    def test_integral_scores_read_as_floats(self, demo_csv):
+        doc = ranking_to_dict(score_city(parse_city_dataset(demo_csv, "demo")[0]))
+        doc["entries"][0].update(raw_score=1, scaled_score=10)
+        entry = ranking_from_dict(doc).entries[0]
+        assert entry == ("riverbend", 1.0, 10.0)
+        assert (type(entry.raw_score), type(entry.scaled_score)) == (float, float)
 
 
 def json_dump_text(doc) -> str:

@@ -41,6 +41,15 @@ from leadalloc.model import (
 from leadalloc.scoring import derive_weights
 
 
+def _fold_each_character(raw, aliases=None):
+    """The name fold one character at a time: the reference for the cached table."""
+    folded = "".join(ch if ch.isalnum() else " " for ch in raw.lower())
+    name = " ".join(folded.split())
+    if not name:
+        raise InvalidNameError(raw)
+    return name if aliases is None else aliases.resolve(name)
+
+
 class TestCanonicalizeName:
     @pytest.mark.parametrize(
         ("raw", "expected"),
@@ -55,10 +64,29 @@ class TestCanonicalizeName:
             ("O'Hare", "o hare"),
             ("20011", "20011"),
             ("St. Louis Park", "st louis park"),
+            ("Ｗｅｓｔ－Ｅｎｄ", "ｗｅｓｔ ｅｎｄ"),  # full-width letters and hyphen
+            ("Stra\u00dfe", "stra\u00dfe"),  # sharp s stays as it is
+            ("\u0130stanbul", "i stanbul"),  # lowercases to i and a combining dot above
+            ("Cafe\u0301 Bar", "cafe bar"),  # a combining acute accent is not alphanumeric
+            ("Caf\u00e9 Bar", "caf\u00e9 bar"),  # the precomposed letter is
         ],
     )
     def test_folds_case_punctuation_whitespace(self, raw, expected):
         assert canonicalize_name(raw) == expected
+
+    @given(
+        st.one_of(st.text(), st.text(alphabet="Bb Cc-.\u2013\u00df\u0130\u0301\uff21")),
+        st.booleans(),
+    )
+    def test_matches_the_per_character_fold(self, raw, with_aliases):
+        aliases = AliasTable.from_mapping({"b": ["c", "b c"]}) if with_aliases else None
+        try:
+            expected = _fold_each_character(raw, aliases)
+        except InvalidNameError:
+            with pytest.raises(InvalidNameError):
+                canonicalize_name(raw, aliases)
+        else:
+            assert canonicalize_name(raw, aliases) == expected
 
     def test_empty_after_normalization_rejected(self):
         with pytest.raises(InvalidNameError):
@@ -503,6 +531,14 @@ def test_replace_validates_like_construction():
     plan = AllocationPlan("demo", 1, [("a", 1)], Strategy.PROPORTIONAL)
     with pytest.raises(DomainValidationError, match="sum to"):
         plan._replace(total_kits=2)
+    neighborhood = record("a", 1.0, 2.0, 3.0, f=1.0)
+    assert type(neighborhood._replace(prevalence=2.0).extra_factors) is type(
+        neighborhood.extra_factors
+    )
+    with pytest.raises(DomainValidationError, match="prevalence"):
+        neighborhood._replace(prevalence=-1.0)
+    with pytest.raises(DomainValidationError, match="out of range"):
+        NeighborhoodRecord._make(("a", 1.0, 2.0, 101.0, {}))
 
 
 def test_validation_report_is_a_mutable_record():
