@@ -22,9 +22,9 @@ import json
 import os
 import sys
 import warnings
-from itertools import repeat
-from operator import attrgetter
-from typing import Iterator
+from itertools import accumulate, repeat
+from operator import attrgetter, truediv
+from typing import Callable, Iterator, Sequence
 
 from . import __version__, resources
 from .allocation import DEFAULT_TOP_K, allocate
@@ -40,7 +40,7 @@ from .ingest import (
     parse_targets,
     write_ranking,
 )
-from .model import AliasTable, CityDataset, PriorityRanking, Strategy, WeightVariant
+from .model import AliasTable, Strategy, WeightVariant
 from .scoring import DEFAULT_ALPHA, score_city
 from .stats import correlate_factors
 
@@ -192,8 +192,8 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc, indent=2))
         return 0
-    rows = [(res.factor, f"{res.r:.2f}", str(res.n)) for res in results]
-    sys.stdout.writelines(table_lines(("factor", "r", "n"), rows, left={0}))
+    columns = list(zip(*results))  # factor, r, n
+    sys.stdout.writelines(table_lines(("factor", "r", "n"), columns, ("", ".2f", "d"), left={0}))
     return 0
 
 
@@ -217,37 +217,44 @@ def cmd_score(args: argparse.Namespace) -> int:
     w = ranking.weights
     print(f"city: {ranking.city}  variant: {w.variant.value}  r: {w.source_correlation:g}")
     print(f"weights: alpha={w.alpha:g} beta={w.beta:g} gamma={w.gamma:g}")
+    entries = ranking.entries
+    by_name = {record.name: record for record in dataset.records}
+    records = [by_name[entry.name] for entry in entries]
+    del by_name
     headers = ("rank", "neighborhood", "raw_ps", "scaled_ps", "P", "U", "H")
-    sys.stdout.writelines(table_lines(headers, _ScoreRows(ranking, dataset), left={1}))
+    columns = (
+        range(1, len(entries) + 1),
+        *(_attribute(name, entries) for name in ("name", "raw_score", "scaled_score")),
+        *(
+            _attribute(name, records)
+            for name in ("prevalence", "untested_pct", "public_coverage_pct")
+        ),
+    )
+    formats = ("d", "", ".6f", ".2f", "g", "g", "g")
+    sys.stdout.writelines(table_lines(headers, columns, formats, left={1}))
     return 0
 
 
-class _ScoreRows:
-    """The score table's rows, formatted afresh each time they are iterated.
+class _Column:
+    """A table column that holds no values: ``make()`` maps them afresh each time it is iterated.
 
-    A ranking has one row per neighborhood, so the table streams from this
-    view instead of from a list of every formatted row. Each column is a
-    ``map`` over the entries or their records, so no Python code runs per row.
+    Tables have one row per neighborhood, so their columns are views of the
+    ranking or plan instead of lists.
     """
 
-    __slots__ = ("entries", "records")
+    __slots__ = ("make",)
 
-    def __init__(self, ranking: PriorityRanking, dataset: CityDataset) -> None:
-        by_name = {record.name: record for record in dataset.records}
-        self.entries = ranking.entries
-        self.records = [by_name[entry.name] for entry in ranking.entries]
+    def __init__(self, make: Callable[[], Iterator]) -> None:
+        self.make = make
 
-    def __iter__(self) -> Iterator[tuple[str, ...]]:
-        entries, records = self.entries, self.records
-        return zip(
-            map(str, range(1, len(entries) + 1)),
-            map(attrgetter("name"), entries),
-            map(format, map(attrgetter("raw_score"), entries), repeat(".6f")),
-            map(format, map(attrgetter("scaled_score"), entries), repeat(".2f")),
-            map(format, map(attrgetter("prevalence"), records), repeat("g")),
-            map(format, map(attrgetter("untested_pct"), records), repeat("g")),
-            map(format, map(attrgetter("public_coverage_pct"), records), repeat("g")),
-        )
+    def __iter__(self) -> Iterator:
+        return self.make()
+
+
+def _attribute(name: str, items: Sequence) -> _Column:
+    """The column of each item's attribute ``name``."""
+    get = attrgetter(name)
+    return _Column(lambda: map(get, items))
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
@@ -256,12 +263,11 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     if args.json:
         dump_plan(plan, sys.stdout)
         return 0
-    rows = []
-    running = 0
-    for entry in plan.allocations:
-        running += entry.kits
-        rows.append((entry.name, str(entry.kits), f"{running / plan.total_kits:.4f}"))
-    sys.stdout.writelines(table_lines(("neighborhood", "kits", "cumulative_share"), rows, left={0}))
+    kits = _attribute("kits", plan.allocations)
+    shares = _Column(lambda: map(truediv, accumulate(kits), repeat(plan.total_kits)))
+    columns = (_attribute("name", plan.allocations), kits, shares)
+    headers = ("neighborhood", "kits", "cumulative_share")
+    sys.stdout.writelines(table_lines(headers, columns, ("", "d", ".4f"), left={0}))
     print(f"total: {plan.total_kits}")
     return 0
 

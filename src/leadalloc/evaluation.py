@@ -8,7 +8,8 @@ rounded) to two decimals, so 6/9 renders as ``0.66``.
 
 from __future__ import annotations
 
-from itertools import repeat
+import math
+from itertools import chain, filterfalse, repeat, tee
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
@@ -141,26 +142,54 @@ def build_report(runs: Sequence[ModelRun], targets: TargetSet, k: int = DEFAULT_
 
 
 def table_lines(
-    headers: Sequence[str], rows: Iterable[Sequence[str]], left: AbstractSet[int]
+    headers: Sequence[str],
+    columns: Sequence[Iterable],
+    formats: Sequence[str],
+    left: AbstractSet[int],
 ) -> Iterator[str]:
     """Fixed-width text table, one newline-terminated line at a time.
 
-    Columns in ``left`` are left-aligned, the others right-aligned. ``rows``
-    is iterated twice, first for the column widths and then for the lines,
-    so it may be a view that makes each row as it is asked for instead of a
-    list that holds them all.
+    Column ``i`` lists ``columns[i]``, each value formatted with the spec
+    ``formats[i]``: a precision and type only, such as ``".2f"``, ``"d"``,
+    or ``""`` for strings. Columns in ``left`` are left-aligned, the others
+    right-aligned. Each column is iterated twice, first for its width and
+    then for the lines, so it may be a view that makes its values as they
+    are asked for instead of a list that holds them all.
+
+    A width comes from formatting each distinct value of the column once,
+    which assumes values that compare equal format alike, as they do in a
+    column of one type; the one exception, the float zeros 0.0 and -0.0,
+    is handled (see :func:`_distinct`). The lines come from one template
+    through ``map``, so no Python code runs per row.
     """
-    # The widths are the column maxima over each row's tuple of cell lengths;
-    # rows repeat few distinct tuples, so collecting them in a set is cheap.
-    shapes = {tuple(map(len, headers))}
-    shapes.update(map(tuple, map(map, repeat(len), rows)))
-    widths = [max(lengths) for lengths in zip(*shapes)]
-    template = "  ".join(
-        f"{{:{'<' if col in left else '>'}{width}}}" for col, width in enumerate(widths)
-    )
-    yield template.format(*headers).rstrip() + "\n"
-    for cells in rows:
-        yield template.format(*cells).rstrip() + "\n"
+    widths = [
+        max(map(len, map(format, _distinct(column, spec), repeat(spec))), default=0)
+        for column, spec in zip(columns, formats)
+    ]
+    widths = list(map(max, map(len, headers), widths))
+    aligns = ["<" if col in left else ">" for col in range(len(headers))]
+    head = "  ".join(map(format, headers, map("{}{}".format, aligns, widths))).rstrip() + "\n"
+    template = "  ".join(map("{{:{}{}{}}}".format, aligns, widths, formats))
+    rows = map(str.rstrip, map(template.format, *columns))
+    return chain((head,), map(str.__add__, rows, repeat("\n")))
+
+
+def _distinct(column: Iterable, spec: str) -> Iterable:
+    """The distinct values of ``column``, keeping a float zero of each sign it holds.
+
+    A set of every value would only cost memory where formatting is cheap
+    (``""`` formats a string as itself) or every value is distinct (a
+    ``range``); such a column is returned as it is.
+    """
+    if not spec or type(column) is range:
+        return column
+    values = set(column)
+    if 0.0 not in values or spec.endswith("d"):  # an integer column has one zero
+        return values
+    # 0.0 == -0.0, so the set kept one of them; the column's zeros tell which signs occur.
+    zeros, signed = tee(filterfalse(None, column))
+    by_sign = dict(zip(map(math.copysign, repeat(1.0), signed), zeros))
+    return [*values, *by_sign.values()]
 
 
 def format_report_table(report: AccuracyReport) -> str:
@@ -172,7 +201,8 @@ def format_report_table(report: AccuracyReport) -> str:
     pooled = f"{report.pooled_hits}/{report.pooled_denominator}"
     rows.append(("overall (pooled)", "", pooled, report.overall_mean_display))
     rows.append(("overall (mean of runs)", "", "", report.run_mean_display))
-    return "".join(table_lines(("model", "mode", "hits", "accuracy"), rows, left={0, 1}))
+    headers = ("model", "mode", "hits", "accuracy")
+    return "".join(table_lines(headers, list(zip(*rows)), ("",) * 4, left={0, 1}))
 
 
 def report_to_dict(report: AccuracyReport) -> dict:

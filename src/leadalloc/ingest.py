@@ -19,10 +19,10 @@ given in [0, 1] and converts them to 0-100 on load.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from collections import Counter
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from json.encoder import encode_basestring_ascii as _json_string
@@ -38,6 +38,7 @@ from .model import (
     COL_PREVALENCE,
     COL_UNTESTED,
     CORE_COLUMNS,
+    ExtraFactors,
     ModelRun,
     NeighborhoodRecord,
     PriorityRanking,
@@ -115,6 +116,9 @@ class ValidationReport:
             raise DatasetValidationError(self)
 
 
+_VALUE_COLUMNS = (COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE)
+
+
 def parse_city_dataset(
     path: str | Path,
     city: str,
@@ -125,20 +129,37 @@ def parse_city_dataset(
     """Parse and validate one city's dataset CSV.
 
     Rows missing a core metric are excluded with a warning rather than
-    imputed; ``strict=True`` turns those warnings into errors. Only ``\\r``,
-    ``\\n`` and ``\\r\\n`` end a line, so other line-break characters stay
-    inside their cell, and a quoted cell may span lines (RFC 4180).
+    imputed; ``strict=True`` turns those warnings into errors. The file is
+    read as a stream of rows, never held whole. Only ``\\r``, ``\\n`` and
+    ``\\r\\n`` end a line, so other line-break characters stay inside their
+    cell, and a quoted cell may span lines (RFC 4180).
     """
     profile = city_profile(city)
     report = ValidationReport(strict=strict, source=str(path))
-    text = read_text(path)
-    lines = io.StringIO(text, newline="")
-    unit, comment_count = _leading_directives(lines, report)
-    if not text[lines.tell():].strip():
-        report.error("empty file: no header row")
-        report.raise_if_rejected()
+    # newline="" is how the csv module reads a file: it splits lines itself.
+    with open(path, encoding="utf-8-sig", newline="") as lines:
+        try:
+            records = _parse_records(lines, profile.unit_kind, aliases, report)
+        except UnicodeDecodeError:
+            # The stream's decoder counts offsets from the chunk it was
+            # decoding; read_text rejects the file naming the file's offset.
+            read_text(path)
+            raise
+    dataset = CityDataset(
+        city=profile.city,
+        records=records,
+        bll_threshold_ug_dl=profile.bll_threshold_ug_dl,
+        unit_kind=profile.unit_kind,
+    )
+    return dataset, report
 
-    rows = _csv_rows(lines, comment_count, report)
+
+def _parse_records(
+    lines: TextIO, unit_kind: UnitKind, aliases: AliasTable | None, report: ValidationReport
+) -> tuple[NeighborhoodRecord, ...]:
+    """The records of a city dataset read from ``lines``; raises if ``report`` rejects it."""
+    unit, comment_count, blank_lines = _leading_directives(lines, report)
+    rows = _csv_rows(chain(blank_lines, lines), comment_count, report)
     header_line, cells = next(rows, (comment_count + 1, []))
     header = [name.strip() for name in cells]
     missing = [column for column in CORE_COLUMNS if column not in header]
@@ -148,15 +169,16 @@ def parse_city_dataset(
     if duplicated:
         report.error(f"duplicate column(s): {', '.join(duplicated)}", row=header_line)
     report.raise_if_rejected()
-    extra_columns = [column for column in header if column not in CORE_COLUMNS and column]
+    extra_columns = tuple(column for column in header if column not in CORE_COLUMNS and column)
     name_index = header.index(COL_NEIGHBORHOOD)
-    value_columns = (COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE, *extra_columns)
-    value_cells = itemgetter(*map(header.index, value_columns))
+    value_cells = itemgetter(*map(header.index, (*_VALUE_COLUMNS, *extra_columns)))
+    # Rows with blank extra cells share one tuple of names per set of the others.
+    factor_names: dict[tuple[str, ...], tuple[str, ...]] = {}
 
     records: list[NeighborhoodRecord] = []
     seen_rows: dict[str, int] = {}
     width = len(header)
-    zip_codes = profile.unit_kind is UnitKind.ZIP_CODE
+    zip_codes = unit_kind is UnitKind.ZIP_CODE
     for line, cells in rows:
         if len(cells) != width:
             if len(cells) > width:
@@ -164,7 +186,8 @@ def parse_city_dataset(
                 continue
             cells += [""] * (width - len(cells))  # a short row's missing cells are blank
         record = _parse_row(
-            cells, line, unit, name_index, value_columns, value_cells, aliases, report
+            cells, line, unit, name_index, value_cells, extra_columns, factor_names, aliases,
+            report,
         )
         if record is None:
             continue
@@ -184,28 +207,20 @@ def parse_city_dataset(
     if not records and report.accepted:
         report.error("no usable data rows")
     report.raise_if_rejected()
-    dataset = CityDataset(
-        city=profile.city,
-        records=tuple(records),
-        bll_threshold_ug_dl=profile.bll_threshold_ug_dl,
-        unit_kind=profile.unit_kind,
-    )
-    return dataset, report
+    return tuple(records)
 
 
-def _leading_directives(lines: io.StringIO, report: ValidationReport) -> tuple[str, int]:
-    """Consume leading ``#`` comment lines; return (unit, comment line count).
+def _leading_directives(lines: TextIO, report: ValidationReport) -> tuple[str, int, list[str]]:
+    """Consume leading ``#`` comment lines; return (unit, comment line count, blank lines).
 
-    ``lines`` is left at the start of the first line that is not a comment.
+    The blank lines are those read after the comments up to and including
+    the first line with content; the rest of the file is left unread. A
+    file with no such line has no header row, which rejects it.
     """
     unit = "percent"
     count = 0
-    while True:
-        start = lines.tell()
-        line = lines.readline()
-        if not line.lstrip().startswith("#"):
-            lines.seek(start)
-            return unit, count
+    line = lines.readline()
+    while line.lstrip().startswith("#"):
         count += 1
         content = line.lstrip().lstrip("#").strip()
         if "=" in content:
@@ -216,6 +231,15 @@ def _leading_directives(lines: io.StringIO, report: ValidationReport) -> tuple[s
                     report.error(f"unknown unit declaration {declared!r}", row=count)
                 else:
                     unit = declared
+        line = lines.readline()
+    blank_lines = [line]
+    while line and not line.strip():
+        line = lines.readline()
+        blank_lines.append(line)
+    if not line:
+        report.error("empty file: no header row")
+        report.raise_if_rejected()
+    return unit, count, blank_lines
 
 
 def _csv_rows(lines: Iterable[str], first_line: int, report: ValidationReport):
@@ -234,15 +258,17 @@ def _parse_row(
     line: int,
     unit: str,
     name_index: int,
-    value_columns: tuple[str, ...],
     value_cells: itemgetter,
+    extra_columns: tuple[str, ...],
+    factor_names: dict[tuple[str, ...], tuple[str, ...]],
     aliases: AliasTable | None,
     report: ValidationReport,
 ) -> NeighborhoodRecord | None:
     """Build one record, or report why the row is excluded and return None.
 
-    ``value_cells`` picks the cells of ``value_columns`` (the three core
-    metrics, then the extra factors) from ``cells``.
+    ``value_cells`` picks the cells of the three core metrics, then of
+    ``extra_columns``, from ``cells``. Records share ``extra_columns``, or
+    the copy in ``factor_names`` of the tuple of their non-blank ones.
     """
     raw_name = cells[name_index].strip()
     if not raw_name:
@@ -261,7 +287,8 @@ def _parse_row(
     except ValueError:
         values = None
     if values is None or not all(map(math.isfinite, values)):
-        values = _cell_values(value_columns, value_cells(cells), line, report)
+        columns = (*_VALUE_COLUMNS, *extra_columns)
+        values = _cell_values(columns, value_cells(cells), line, report)
         if values is None:
             return None
 
@@ -279,10 +306,14 @@ def _parse_row(
     if unit == "fraction":
         untested *= 100.0
         coverage *= 100.0
-    extra_factors = {
-        column: value for column, value in zip(value_columns[3:], extras) if value is not None
-    }
-    return NeighborhoodRecord(name, prevalence, untested, coverage, extra_factors)
+    names = extra_columns
+    if None in extras:  # blank extra cells: the record keeps only the other factors
+        present = tuple(column for column, value in zip(names, extras) if value is not None)
+        names = factor_names.setdefault(present, present)
+        extras = [value for value in extras if value is not None]
+    if not extras:
+        return NeighborhoodRecord(name, prevalence, untested, coverage)
+    return NeighborhoodRecord(name, prevalence, untested, coverage, ExtraFactors(names, extras))
 
 
 def _cell_values(
@@ -312,8 +343,8 @@ def _cell_values(
 
 def write_city_dataset(dataset: CityDataset, path: str | Path) -> None:
     """Serialize a dataset back to the canonical CSV schema."""
-    extras = sorted({name for record in dataset.records for name in record.extra_factors})
-    header = list(CORE_COLUMNS) + extras
+    extras = dataset.factor_names()[2:]
+    header = [*CORE_COLUMNS, *extras]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -16,10 +16,14 @@ of the CLI's start-up.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from enum import Enum
+from itertools import islice, repeat
+from operator import attrgetter, ge
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     DomainValidationError,
@@ -33,7 +37,6 @@ COL_PREVALENCE = "prevalence_per_1000"
 COL_UNTESTED = "untested_pct"
 COL_COVERAGE = "public_coverage_pct"
 CORE_COLUMNS = (COL_NEIGHBORHOOD, COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE)
-_NO_EXTRA_FACTORS: Mapping[str, float] = MappingProxyType({})
 
 
 def validated(cls):
@@ -260,6 +263,45 @@ def register_city(
     return profile
 
 
+class ExtraFactors(Mapping):
+    """Read-only mapping of a record's extra factor names to its values.
+
+    The names are a tuple that many records share: ingest gives every record
+    of a parse with the same non-blank extra columns the same tuple, so a
+    record holds only its values. It compares equal to any mapping with the
+    same items.
+    """
+
+    __slots__ = ("_names", "_values")
+
+    def __init__(self, names: tuple[str, ...], values: Iterable[float]) -> None:
+        self._names = names
+        self._values = tuple(values)
+        if len(self._values) != len(names):
+            raise ValueError(f"{len(names)} extra factor names for {len(self._values)} values")
+
+    def __getitem__(self, name: str) -> float:
+        if name in self._names:
+            return self._values[self._names.index(name)]
+        raise KeyError(name)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+_NO_EXTRA_FACTORS = ExtraFactors((), ())
+_FACTOR_NAMES_OF = attrgetter("extra_factors._names")
+
+
 class _NeighborhoodFields(NamedTuple):
     name: str
     prevalence: float
@@ -272,9 +314,10 @@ class NeighborhoodRecord(_NeighborhoodFields):
     """One neighborhood's raw metrics.
 
     ``name`` is expected in canonical form (see :func:`canonicalize_name`);
-    ``extra_factors`` holds any additional named numeric columns, kept as a
-    read-only copy. Ingest builds one record per CSV row, so construction
-    checks and normalizes the fields before building the tuple once.
+    ``extra_factors`` holds any additional named numeric columns as an
+    :class:`ExtraFactors`, which any other mapping given is copied into.
+    Ingest builds one record per CSV row, so construction checks and
+    normalizes the fields before building the tuple once.
     """
 
     __slots__ = ()
@@ -303,15 +346,13 @@ class NeighborhoodRecord(_NeighborhoodFields):
                     raise DomainValidationError(
                         f"{name}: {label} out of range [0,100], got {value}"
                     )
+        if type(extra_factors) is not ExtraFactors:
+            copied = dict(extra_factors)
+            extra_factors = (
+                ExtraFactors(tuple(copied), copied.values()) if copied else _NO_EXTRA_FACTORS
+            )
         return tuple.__new__(
-            cls,
-            (
-                name,
-                prevalence,
-                untested_pct,
-                public_coverage_pct,
-                MappingProxyType(dict(extra_factors)),
-            ),
+            cls, (name, prevalence, untested_pct, public_coverage_pct, extra_factors)
         )
 
     @classmethod
@@ -327,7 +368,11 @@ class NeighborhoodRecord(_NeighborhoodFields):
             return self.untested_pct
         if factor == COL_COVERAGE:
             return self.public_coverage_pct
-        return self.extra_factors.get(factor)
+        # ExtraFactors.get, inlined: this runs once per record per factor correlated.
+        extras = self.extra_factors
+        if factor in extras._names:
+            return extras._values[extras._names.index(factor)]
+        return None
 
 
 class CityDataset(Value):
@@ -372,8 +417,9 @@ class CityDataset(Value):
 
     def factor_names(self) -> tuple[str, ...]:
         """Core metric columns plus all extra factors seen on any record."""
-        extras = sorted({name for record in self.records for name in record.extra_factors})
-        return (COL_UNTESTED, COL_COVERAGE, *extras)
+        # Records share their tuples of factor names, so the set holds few.
+        shapes = set(map(_FACTOR_NAMES_OF, self.records))
+        return (COL_UNTESTED, COL_COVERAGE, *sorted(set().union(*shapes)))
 
 
 def derived_beta_gamma(r: float, alpha: float, variant: WeightVariant) -> tuple[float, float]:
@@ -444,6 +490,10 @@ class RankingEntry(NamedTuple):
     scaled_score: float
 
 
+_NAME_OF = attrgetter("name")
+_SCALED_OF = attrgetter("scaled_score")
+
+
 @validated
 class PriorityRanking(NamedTuple):
     """Descending-ordered priority list for one city."""
@@ -453,10 +503,12 @@ class PriorityRanking(NamedTuple):
     entries: tuple[RankingEntry, ...]
 
     def __post_init__(self) -> PriorityRanking:
-        entries = tuple(
-            entry if isinstance(entry, RankingEntry) else RankingEntry(*entry)
-            for entry in self.entries
-        )
+        entries = self.entries
+        if type(entries) is not tuple or not all(map(isinstance, entries, repeat(RankingEntry))):
+            entries = tuple(
+                entry if isinstance(entry, RankingEntry) else RankingEntry(*entry)
+                for entry in entries
+            )
         if not entries:
             raise DomainValidationError(f"{self.city}: ranking has no entries")
         # One pass: each entry's range checks, and whether it sorts after the
@@ -480,18 +532,23 @@ class PriorityRanking(NamedTuple):
                 f"{self.city}: entries are not sorted by raw score descending "
                 "with canonical-name tie-break"
             )
+        # A dict, not a set: at 20,000 names a set's table takes 2 MB, a dict 0.4 MB.
+        if len(dict.fromkeys(map(_NAME_OF, entries))) != len(entries):
+            ((name, _),) = Counter(map(_NAME_OF, entries)).most_common(1)
+            raise DomainValidationError(f"{self.city}: duplicate neighborhood {name!r}")
         max_raw = entries[0].raw_score
-        scaled = [entry.scaled_score for entry in entries]
         if max_raw > 0:
-            if max(scaled) != 10.0:
+            top = max(map(_SCALED_OF, entries))
+            if top != 10.0:
                 raise DomainValidationError(
-                    f"{self.city}: top scaled score must be exactly 10.0, got {max(scaled)}"
+                    f"{self.city}: top scaled score must be exactly 10.0, got {top}"
                 )
-            if scaled != sorted(scaled, reverse=True):
+            following = map(_SCALED_OF, islice(entries, 1, None))
+            if not all(map(ge, map(_SCALED_OF, entries), following)):
                 raise DomainValidationError(
                     f"{self.city}: scaled ordering disagrees with raw ordering"
                 )
-        elif any(scaled):
+        elif any(map(_SCALED_OF, entries)):
             raise DomainValidationError(
                 f"{self.city}: all-zero raw scores require all-zero scaled scores"
             )

@@ -107,6 +107,8 @@ def score_city(
             min_max_normalize(prevalence), min_max_normalize(untested), min_max_normalize(coverage)
         )
     ]
+    # Lists with an item per record are freed once used, not held to the end.
+    del prevalence, untested, coverage
 
     # Raw score descending, ties by name: sorts are stable, even in reverse,
     # so sort by name first. Neither pass builds a key object per record.
@@ -115,18 +117,18 @@ def score_city(
     order.sort(key=raw.__getitem__, reverse=True)
     max_raw = raw[order[0]]
     if max_raw > 0:
-        entries = [
-            RankingEntry(dataset.records[i].name, raw[i], 10.0 * (raw[i] / max_raw))
-            for i in order
-        ]
+        entries = tuple(
+            RankingEntry(names[i], raw[i], 10.0 * (raw[i] / max_raw)) for i in order
+        )
     else:
         warnings.warn(
             f"{dataset.city}: all raw priority scores are zero; scaled scores set to 0",
             DataQualityWarning,
             stacklevel=2,
         )
-        entries = [RankingEntry(dataset.records[i].name, 0.0, 0.0) for i in order]
-    return PriorityRanking(city=dataset.city, weights=weights, entries=tuple(entries))
+        entries = tuple(RankingEntry(names[i], 0.0, 0.0) for i in order)
+    del names, order, raw  # before the ranking's checks, which build lists of their own
+    return PriorityRanking(city=dataset.city, weights=weights, entries=entries)
 
 
 def top_k(ranking: PriorityRanking, k: int) -> list[str]:

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import leadalloc
+from helpers import ranking_from_scores
 from leadalloc import cli, resources
 from leadalloc.cli import ALIAS_ENV_VAR, main
 from leadalloc.errors import LeadAllocError
@@ -446,6 +447,34 @@ class TestAllocate:
         assert out == ""
         assert "non-finite or negative raw score" in err
 
+    def test_duplicate_neighborhood_in_ranking_exits_2_naming_it(self, capsys, tmp_path):
+        path = tmp_path / "dup.json"
+        doc = json.loads(DEMO_WEIGHTS_DOC)
+        doc["entries"] = [
+            {"neighborhood": "a", "raw_score": 1.0, "scaled_score": 10.0},
+            {"neighborhood": "a", "raw_score": 0.5, "scaled_score": 5.0},
+        ]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "allocate", "--ranking", str(path), "--kits", "10")
+        assert code == 2
+        assert out == ""
+        assert f"{path}: demo: duplicate neighborhood 'a'" in err
+
+
+DEMO_WEIGHTS_DOC = json.dumps(
+    {
+        "city": "demo",
+        "weights": {
+            "alpha": 0.5,
+            "beta": 0.4,
+            "gamma": 0.2,
+            "variant": "text",
+            "source_correlation": 0.4,
+            "normalized": False,
+        },
+    }
+)
+
 
 LATIN1_CSV = (
     "neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct\n"
@@ -678,6 +707,27 @@ def test_score_streams_its_table(tmp_path, monkeypatch):
             tracemalloc.stop()
     assert code == 0
     assert peak < 15_000_000
+
+
+def test_allocate_streams_its_table(monkeypatch):
+    # The ranking is built before tracing starts, so the peak is the plan
+    # and the table. At 20,000 entries, holding every formatted table row at
+    # once as a list of string tuples peaks at about 5.4 MB under tracemalloc;
+    # the columns are views of the plan, and the peak is about 1.9 MB.
+    ranking = ranking_from_scores({f"area {i:05d}": 1 - i / 20_000 for i in range(20_000)})
+    monkeypatch.setattr(cli, "parse_ranking", lambda path: ranking)
+    argv = ["allocate", "--ranking", "ranking.json", "--kits", "50000", "--strategy",
+            "top_k_equal", "--k", "2000"]
+    with open(os.devnull, "w", encoding="utf-8") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 3_000_000
 
 
 class TestParserBasics:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -202,10 +203,8 @@ def _tables(draw):
     return draw(row), draw(st.lists(row, max_size=5)), left
 
 
-@given(_tables())
-def test_table_lines_pad_each_cell_like_ljust_and_rjust(table):
-    """The one-template layout gives the bytes that padding cell by cell gives."""
-    headers, rows, left = table
+def _padded_cell_by_cell(headers, rows, left):
+    """The reference layout: each cell padded on its own with ljust or rjust."""
     widths = [max(len(cells[col]) for cells in (headers, *rows)) for col in range(len(headers))]
     expected = [
         "  ".join(
@@ -215,4 +214,56 @@ def test_table_lines_pad_each_cell_like_ljust_and_rjust(table):
         + "\n"
         for cells in (headers, *rows)
     ]
-    assert list(table_lines(headers, rows, left)) == expected
+    return expected
+
+
+@given(_tables())
+def test_table_lines_pad_each_cell_like_ljust_and_rjust(table):
+    """The one-template layout gives the bytes that padding cell by cell gives."""
+    headers, rows, left = table
+    columns = [[cells[col] for cells in rows] for col in range(len(headers))]
+    formats = [""] * len(headers)
+    assert list(table_lines(headers, columns, formats, left)) == _padded_cell_by_cell(
+        headers, rows, left
+    )
+
+
+# Values that format to lengths their neighbours do not: signed zeros,
+# rounding up to a new digit, 17 digits, and the non-finite floats.
+_EDGE_FLOATS = [0.0, -0.0, 9.9999996, -9.9999996, 1e16, -1e16, 0.5, 2.5, math.inf, -math.inf]
+_TYPED_COLUMNS = {
+    "": st.text(alphabet="ab {}:<>é ", max_size=6),
+    "d": st.sampled_from([0, -1, 7, 10, 99999]) | st.integers(-(10**20), 10**20),
+    **dict.fromkeys(
+        (".6f", ".2f", ".4f", "g"),
+        st.sampled_from(_EDGE_FLOATS)
+        | st.floats(min_value=-1e17, max_value=1e17)
+        | st.just(math.nan),
+    ),
+}
+
+
+@st.composite
+def _typed_tables(draw):
+    formats = draw(st.lists(st.sampled_from(sorted(_TYPED_COLUMNS)), min_size=1, max_size=5))
+    count = draw(st.integers(0, 6))
+    # Few distinct values per column, so equal values (and 0.0 beside -0.0) recur.
+    columns = []
+    for spec in formats:
+        pool = draw(st.lists(_TYPED_COLUMNS[spec], min_size=1, max_size=3))
+        columns.append(draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count)))
+    headers = draw(st.tuples(*[st.text(alphabet="ab ", max_size=12)] * len(formats)))
+    left = draw(st.sets(st.integers(0, len(formats) - 1)))
+    return headers, columns, formats, left
+
+
+@given(_typed_tables())
+def test_table_lines_format_typed_columns_like_the_cell_by_cell_reference(table):
+    """Widths from each distinct value, and one template per row, match formatting every cell."""
+    headers, columns, formats, left = table
+    rows = [
+        tuple(map(format, values, formats)) for values in zip(*columns)
+    ]
+    assert list(table_lines(headers, columns, formats, left)) == _padded_cell_by_cell(
+        headers, rows, left
+    )

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -172,6 +174,29 @@ class TestNeighborhoodRecord:
         rec = record("austin", 1.0, 2.0, 3.0, f=1.0)
         with pytest.raises(TypeError):
             rec.extra_factors["f"] = 2.0
+
+    def test_extras_are_a_mapping_equal_to_the_dict_given(self):
+        given_factors = {"f": 1.0, "g": -2.5}
+        extras = record("austin", 1.0, 2.0, 3.0, **given_factors).extra_factors
+        assert isinstance(extras, Mapping)
+        assert extras == given_factors and given_factors == extras
+        assert extras == MappingProxyType(given_factors)
+        assert not extras != given_factors
+        assert extras != {"f": 1.0} and extras != {"f": 1.0, "g": 2.5}
+        assert (len(extras), list(extras), list(extras.values())) == (2, ["f", "g"], [1.0, -2.5])
+        assert ("g" in extras, "h" in extras, extras.get("h")) == (True, False, None)
+        with pytest.raises(KeyError):
+            extras["h"]
+        with pytest.raises(TypeError):
+            hash(extras)
+        with pytest.raises(TypeError):
+            extras < extras
+        assert repr(extras) == "ExtraFactors({'f': 1.0, 'g': -2.5})"
+
+    def test_records_without_extras_share_one_empty_mapping(self):
+        first = record("austin", 1.0, 2.0, 3.0).extra_factors
+        assert first == {} and len(first) == 0
+        assert record("englewood", 1.0, 2.0, 3.0).extra_factors is first
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
     def test_prevalence_must_be_non_negative_real(self, bad):
@@ -362,20 +387,27 @@ class TestModelRunAndTargets:
     st.booleans(),
 )
 def test_ranking_order_check_accepts_exactly_what_a_sort_leaves_unchanged(pairs, presort):
-    """The one-pass order check agrees with comparing the entries to their sorted copy."""
+    """The one-pass order check agrees with comparing the entries to their sorted copy.
+
+    A sorted ranking that repeats a name is rejected for the repeat.
+    """
     if presort:
         pairs.sort(key=lambda pair: (-pair[1], pair[0]))
     # Equal scaled scores keep the scaled-score checks out of the way.
     top = 10.0 if max(raw for _, raw in pairs) > 0 else 0.0
     entries = [RankingEntry(name, raw, top) for name, raw in pairs]
     unchanged_by_sort = entries == sorted(entries, key=lambda e: (-e.raw_score, e.name))
+    names_repeat = len({name for name, _ in pairs}) < len(pairs)
     try:
         PriorityRanking(city="demo", weights=derive_weights(0.6), entries=entries)
     except DomainValidationError as exc:
-        assert "not sorted" in str(exc)
-        assert not unchanged_by_sort
+        if "duplicate neighborhood" in str(exc):
+            assert unchanged_by_sort and names_repeat
+        else:
+            assert "not sorted" in str(exc)
+            assert not unchanged_by_sort
     else:
-        assert unchanged_by_sort
+        assert unchanged_by_sort and not names_repeat
 
 
 def _value_cases():
