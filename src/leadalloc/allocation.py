@@ -140,6 +140,7 @@ def allocate(
             )
         scale = max(denominator for _, denominator in ratios)
         weights = [numerator * (scale // denominator) for numerator, denominator in ratios]
+        del ratios  # n pairs of ints, freed before apportioning builds lists of its own
         kits = largest_remainder(weights, remaining)
     elif strategy is Strategy.RANK_WEIGHTED:
         kits = _rank_weighted_kits(n, remaining)

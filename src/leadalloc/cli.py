@@ -218,16 +218,16 @@ def cmd_score(args: argparse.Namespace) -> int:
     print(f"city: {ranking.city}  variant: {w.variant.value}  r: {w.source_correlation:g}")
     print(f"weights: alpha={w.alpha:g} beta={w.beta:g} gamma={w.gamma:g}")
     entries = ranking.entries
-    by_name = {record.name: record for record in dataset.records}
-    records = [by_name[entry.name] for entry in entries]
-    del by_name
+    position = dict(zip(dataset.names(), range(len(dataset))))
+    order = list(map(position.__getitem__, map(attrgetter("name"), entries)))
+    del position
     headers = ("rank", "neighborhood", "raw_ps", "scaled_ps", "P", "U", "H")
     columns = (
         range(1, len(entries) + 1),
         *(_attribute(name, entries) for name in ("name", "raw_score", "scaled_score")),
         *(
-            _attribute(name, records)
-            for name in ("prevalence", "untested_pct", "public_coverage_pct")
+            _picked(values, order)
+            for values in (dataset.prevalence, dataset.untested_pct, dataset.public_coverage_pct)
         ),
     )
     formats = ("d", "", ".6f", ".2f", "g", "g", "g")
@@ -255,6 +255,11 @@ def _attribute(name: str, items: Sequence) -> _Column:
     """The column of each item's attribute ``name``."""
     get = attrgetter(name)
     return _Column(lambda: map(get, items))
+
+
+def _picked(values: Sequence, order: Sequence[int]) -> _Column:
+    """The column of ``values[i]`` for each position ``i`` in ``order``."""
+    return _Column(lambda: map(values.__getitem__, order))
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:

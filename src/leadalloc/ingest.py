@@ -26,7 +26,7 @@ from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import DatasetValidationError, DomainValidationError, InvalidNameError
 from .model import (
@@ -38,9 +38,7 @@ from .model import (
     COL_PREVALENCE,
     COL_UNTESTED,
     CORE_COLUMNS,
-    ExtraFactors,
     ModelRun,
-    NeighborhoodRecord,
     PriorityRanking,
     RankingEntry,
     Recommendation,
@@ -52,6 +50,9 @@ from .model import (
     city_profile,
     is_zip_code,
 )
+
+if TYPE_CHECKING:
+    from array import array
 
 
 class ValidationIssue(NamedTuple):
@@ -139,15 +140,17 @@ def parse_city_dataset(
     # newline="" is how the csv module reads a file: it splits lines itself.
     with open(path, encoding="utf-8-sig", newline="") as lines:
         try:
-            records = _parse_records(lines, profile.unit_kind, aliases, report)
+            names, columns = _parse_records(lines, profile.unit_kind, aliases, report)
         except UnicodeDecodeError:
             # The stream's decoder counts offsets from the chunk it was
             # decoding; read_text rejects the file naming the file's offset.
             read_text(path)
             raise
-    dataset = CityDataset(
-        city=profile.city,
-        records=records,
+    dataset = CityDataset.from_columns(
+        profile.city,
+        names,
+        *map(columns.pop, _VALUE_COLUMNS),
+        columns,
         bll_threshold_ug_dl=profile.bll_threshold_ug_dl,
         unit_kind=profile.unit_kind,
     )
@@ -156,8 +159,15 @@ def parse_city_dataset(
 
 def _parse_records(
     lines: TextIO, unit_kind: UnitKind, aliases: AliasTable | None, report: ValidationReport
-) -> tuple[NeighborhoodRecord, ...]:
-    """The records of a city dataset read from ``lines``; raises if ``report`` rejects it."""
+) -> tuple[list[str], dict[str, array]]:
+    """The names and value columns of a city dataset read from ``lines``.
+
+    Each accepted row appends its name, and its value to the column of each
+    core metric and extra factor, NaN for a blank extra cell. Raises if
+    ``report`` rejects the dataset.
+    """
+    from array import array  # deferred: only a parse builds columns
+
     unit, comment_count, blank_lines = _leading_directives(lines, report)
     rows = _csv_rows(chain(blank_lines, lines), comment_count, report)
     header_line, cells = next(rows, (comment_count + 1, []))
@@ -169,13 +179,15 @@ def _parse_records(
     if duplicated:
         report.error(f"duplicate column(s): {', '.join(duplicated)}", row=header_line)
     report.raise_if_rejected()
-    extra_columns = tuple(column for column in header if column not in CORE_COLUMNS and column)
+    value_columns = (
+        *_VALUE_COLUMNS,
+        *(column for column in header if column not in CORE_COLUMNS and column),
+    )
     name_index = header.index(COL_NEIGHBORHOOD)
-    value_cells = itemgetter(*map(header.index, (*_VALUE_COLUMNS, *extra_columns)))
-    # Rows with blank extra cells share one tuple of names per set of the others.
-    factor_names: dict[tuple[str, ...], tuple[str, ...]] = {}
+    value_cells = itemgetter(*map(header.index, value_columns))
+    columns = [array("d") for _ in value_columns]
 
-    records: list[NeighborhoodRecord] = []
+    names: list[str] = []
     seen_rows: dict[str, int] = {}
     width = len(header)
     zip_codes = unit_kind is UnitKind.ZIP_CODE
@@ -185,29 +197,30 @@ def _parse_records(
                 report.error(f"row has {len(cells)} fields, header has {width}", row=line)
                 continue
             cells += [""] * (width - len(cells))  # a short row's missing cells are blank
-        record = _parse_row(
-            cells, line, unit, name_index, value_cells, extra_columns, factor_names, aliases,
-            report,
+        parsed = _parse_row(
+            cells, line, unit, name_index, value_cells, value_columns, aliases, report
         )
-        if record is None:
+        if parsed is None:
             continue
-        if record.name in seen_rows:
+        name, values = parsed
+        if name in seen_rows:
             report.error(
-                f"duplicate neighborhood {record.name!r} "
-                f"(first seen at row {seen_rows[record.name]})",
+                f"duplicate neighborhood {name!r} (first seen at row {seen_rows[name]})",
                 row=line,
             )
             continue
-        if zip_codes and not is_zip_code(record.name):
-            report.error(f"{record.name!r} is not a 5-digit ZIP code", row=line)
+        if zip_codes and not is_zip_code(name):
+            report.error(f"{name!r} is not a 5-digit ZIP code", row=line)
             continue
-        seen_rows[record.name] = line
-        records.append(record)
+        seen_rows[name] = line
+        names.append(name)
+        for column, value in zip(columns, values):
+            column.append(value)
 
-    if not records and report.accepted:
+    if not names and report.accepted:
         report.error("no usable data rows")
     report.raise_if_rejected()
-    return tuple(records)
+    return names, dict(zip(value_columns, columns))
 
 
 def _leading_directives(lines: TextIO, report: ValidationReport) -> tuple[str, int, list[str]]:
@@ -259,16 +272,15 @@ def _parse_row(
     unit: str,
     name_index: int,
     value_cells: itemgetter,
-    extra_columns: tuple[str, ...],
-    factor_names: dict[tuple[str, ...], tuple[str, ...]],
+    value_columns: tuple[str, ...],
     aliases: AliasTable | None,
     report: ValidationReport,
-) -> NeighborhoodRecord | None:
-    """Build one record, or report why the row is excluded and return None.
+) -> tuple[str, list[float]] | None:
+    """One row's name and values, or None after reporting why the row is excluded.
 
-    ``value_cells`` picks the cells of the three core metrics, then of
-    ``extra_columns``, from ``cells``. Records share ``extra_columns``, or
-    the copy in ``factor_names`` of the tuple of their non-blank ones.
+    ``value_cells`` picks the cells of ``value_columns`` from ``cells``: the
+    three core metrics, then the extra factors. A blank extra cell's value
+    is NaN.
     """
     raw_name = cells[name_index].strip()
     if not raw_name:
@@ -287,12 +299,11 @@ def _parse_row(
     except ValueError:
         values = None
     if values is None or not all(map(math.isfinite, values)):
-        columns = (*_VALUE_COLUMNS, *extra_columns)
-        values = _cell_values(columns, value_cells(cells), line, report)
+        values = _cell_values(value_columns, value_cells(cells), line, report)
         if values is None:
             return None
 
-    prevalence, untested, coverage, *extras = values
+    prevalence, untested, coverage = values[:3]
     if prevalence < 0:
         report.error(f"{COL_PREVALENCE} must be non-negative, got {prevalence}", row=line)
         return None
@@ -304,27 +315,20 @@ def _parse_row(
                 report.error(f"percentage out of range {bounds_label}: {column}", row=line)
         return None
     if unit == "fraction":
-        untested *= 100.0
-        coverage *= 100.0
-    names = extra_columns
-    if None in extras:  # blank extra cells: the record keeps only the other factors
-        present = tuple(column for column, value in zip(names, extras) if value is not None)
-        names = factor_names.setdefault(present, present)
-        extras = [value for value in extras if value is not None]
-    if not extras:
-        return NeighborhoodRecord(name, prevalence, untested, coverage)
-    return NeighborhoodRecord(name, prevalence, untested, coverage, ExtraFactors(names, extras))
+        values[1] = untested * 100.0
+        values[2] = coverage * 100.0
+    return name, values
 
 
 def _cell_values(
     columns: tuple[str, ...], cells: tuple[str, ...], line: int, report: ValidationReport
-) -> list[float | None] | None:
-    """Each cell's number, None for a blank cell; None if any cell excludes the row."""
+) -> list[float] | None:
+    """Each cell's number, NaN for a blank cell; None if any cell excludes the row."""
     issues_before = len(report.issues)
-    values: list[float | None] = []
+    values: list[float] = []
     for column, cell in zip(columns, cells):
         cell = cell.strip()
-        values.append(None)
+        values.append(math.nan)
         if not cell:
             if column in CORE_COLUMNS:
                 report.warning(f"row excluded: missing {column}", row=line)
@@ -342,24 +346,19 @@ def _cell_values(
 
 
 def write_city_dataset(dataset: CityDataset, path: str | Path) -> None:
-    """Serialize a dataset back to the canonical CSV schema."""
+    """Serialize a dataset back to the canonical CSV schema; a blank extra cell stays blank."""
     extras = dataset.factor_names()[2:]
-    header = [*CORE_COLUMNS, *extras]
+    columns = [
+        dataset.prevalence,
+        dataset.untested_pct,
+        dataset.public_coverage_pct,
+        *map(dataset.extra_columns.__getitem__, extras),
+    ]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for record in dataset.records:
-            row = [
-                record.name,
-                repr(record.prevalence),
-                repr(record.untested_pct),
-                repr(record.public_coverage_pct),
-            ]
-            row.extend(
-                repr(record.extra_factors[name]) if name in record.extra_factors else ""
-                for name in extras
-            )
-            writer.writerow(row)
+        writer.writerow([*CORE_COLUMNS, *extras])
+        for name, *values in zip(dataset.names(), *columns):
+            writer.writerow([name, *("" if math.isnan(value) else repr(value) for value in values)])
 
 
 def parse_model_runs(
@@ -483,11 +482,15 @@ def read_text(path: str | Path) -> str:
         raise _rejected(message) from None
 
 
-def load_json(path: str | Path):
-    """The parsed JSON document in an input file; malformed JSON rejects the file."""
+def load_json(path: str | Path, object_hook: Callable[[dict], object] | None = None):
+    """The parsed JSON document in an input file; malformed JSON rejects the file.
+
+    ``object_hook``, if given, replaces each JSON object with what it
+    returns for the object's dict, as the decoder makes the object.
+    """
     text = read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=object_hook)
     except (ValueError, RecursionError) as exc:
         raise _rejected(f"{path}: malformed JSON: {exc}") from None
 
@@ -520,14 +523,12 @@ def ranking_from_dict(doc: dict) -> PriorityRanking:
     return PriorityRanking(city=city, weights=weights, entries=entries)
 
 
-def _ranking_entry(entry: dict) -> RankingEntry:
-    """One entry of a ranking document; what ``dump_ranking`` writes takes the first branch."""
+def _ranking_entry(entry: dict | RankingEntry) -> RankingEntry:
+    """One entry of a ranking document, which ``_entry_object`` may have made already."""
     if type(entry) is dict:
-        name = entry.get("neighborhood")
-        raw = entry.get("raw_score")
-        scaled = entry.get("scaled_score")
-        if type(name) is str and type(raw) is float and type(scaled) is float:
-            return RankingEntry(name, raw, scaled)
+        entry = _entry_object(entry)
+    if type(entry) is RankingEntry:
+        return entry
     # Integral numbers are valid too; anything else raises the error that names the field.
     return RankingEntry(
         _json_field(entry, "neighborhood", "string"),
@@ -595,8 +596,26 @@ def _dump_document(head: dict, key: str, items: Iterator[str], fh: TextIO) -> No
     fh.write("\n  ]\n}\n")
 
 
+def _entry_object(obj: dict) -> dict | RankingEntry:
+    """A JSON object as ``dump_ranking`` writes an entry, as a ``RankingEntry``; any other as is.
+
+    ``parse_ranking`` decodes with this as the object hook, so each entry's
+    dict is dropped as soon as the decoder has made it, and the document's
+    entries are never all held as dicts. An object of exactly these three
+    well-typed fields cannot be a ranking document or its weights, so
+    nothing else the document holds is replaced.
+    """
+    if len(obj) == 3:
+        name = obj.get("neighborhood")
+        raw = obj.get("raw_score")
+        scaled = obj.get("scaled_score")
+        if type(name) is str and type(raw) is float and type(scaled) is float:
+            return RankingEntry(name, raw, scaled)
+    return obj
+
+
 def parse_ranking(path: str | Path) -> PriorityRanking:
-    doc = load_json(path)
+    doc = load_json(path, _entry_object)
     try:
         return ranking_from_dict(doc if isinstance(doc, dict) else {})
     except DomainValidationError as exc:

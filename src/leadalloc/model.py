@@ -5,19 +5,20 @@ construction; downstream modules can rely on the invariants without
 re-checking them. Most types are ``NamedTuple``s, so they also unpack,
 iterate and compare equal to plain tuples of their field values. Their
 construction runs ``__post_init__`` (see :func:`validated`), except for
-:class:`NeighborhoodRecord`, built once per CSV row, whose own ``__new__``
-checks and normalizes the fields before it builds the tuple. The two types
-with a length of their own, :class:`AliasTable` and :class:`CityDataset`,
-are slotted :class:`Value` classes instead. Neither kind uses ``dataclasses``:
-importing it and building frozen dataclasses would cost more than the rest
-of the CLI's start-up.
+:class:`NeighborhoodRecord`, whose own ``__new__`` checks and normalizes
+the fields before it builds the tuple. The two types with a length of their
+own, :class:`AliasTable` and :class:`CityDataset`, are slotted
+:class:`Value` classes instead; a dataset holds its neighborhoods as
+columns, not as records. Neither kind uses ``dataclasses``: importing it
+and building frozen dataclasses would cost more than the rest of the CLI's
+start-up.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from itertools import islice, repeat
 from operator import attrgetter, ge
@@ -65,15 +66,17 @@ def validated(cls):
 class Value:
     """Base of the immutable types that cannot be tuples because they have a length.
 
-    A subclass names its fields in ``__slots__`` and sets them in
-    ``__init__`` with ``object.__setattr__``; any later assignment raises
-    ``AttributeError``. Equality, hashing and ``repr`` go by field values.
+    A subclass names its fields in ``_fields`` and its storage in
+    ``__slots__``, which it sets in ``__init__`` with ``object.__setattr__``;
+    any later assignment raises ``AttributeError``. Equality, hashing and
+    ``repr`` go by the values of the fields, which may be properties.
     """
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -90,7 +93,7 @@ class Value:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
 
@@ -152,7 +155,7 @@ class AliasTable(Value):
     idempotent lookup.
     """
 
-    __slots__ = ("alias_to_canonical",)
+    __slots__ = _fields = ("alias_to_canonical",)
 
     def __init__(self, alias_to_canonical: Mapping[str, str] = MappingProxyType({})) -> None:
         object.__setattr__(
@@ -266,10 +269,8 @@ def register_city(
 class ExtraFactors(Mapping):
     """Read-only mapping of a record's extra factor names to its values.
 
-    The names are a tuple that many records share: ingest gives every record
-    of a parse with the same non-blank extra columns the same tuple, so a
-    record holds only its values. It compares equal to any mapping with the
-    same items.
+    It holds a tuple of names and a tuple of values, and compares equal to
+    any mapping with the same items.
     """
 
     __slots__ = ("_names", "_values")
@@ -299,7 +300,7 @@ class ExtraFactors(Mapping):
 
 
 _NO_EXTRA_FACTORS = ExtraFactors((), ())
-_FACTOR_NAMES_OF = attrgetter("extra_factors._names")
+_NAME_OF = attrgetter("name")
 
 
 class _NeighborhoodFields(NamedTuple):
@@ -316,8 +317,8 @@ class NeighborhoodRecord(_NeighborhoodFields):
     ``name`` is expected in canonical form (see :func:`canonicalize_name`);
     ``extra_factors`` holds any additional named numeric columns as an
     :class:`ExtraFactors`, which any other mapping given is copied into.
-    Ingest builds one record per CSV row, so construction checks and
-    normalizes the fields before building the tuple once.
+    Every value must be finite. Construction checks and normalizes the
+    fields before building the tuple once.
     """
 
     __slots__ = ()
@@ -351,6 +352,14 @@ class NeighborhoodRecord(_NeighborhoodFields):
             extra_factors = (
                 ExtraFactors(tuple(copied), copied.values()) if copied else _NO_EXTRA_FACTORS
             )
+        if not all(map(math.isfinite, extra_factors._values)):
+            factor, value = next(
+                (factor, value) for factor, value in extra_factors.items()
+                if not math.isfinite(value)
+            )
+            raise DomainValidationError(
+                f"{name}: extra factor {factor!r} must be finite, got {value}"
+            )
         return tuple.__new__(
             cls, (name, prevalence, untested_pct, public_coverage_pct, extra_factors)
         )
@@ -368,21 +377,46 @@ class NeighborhoodRecord(_NeighborhoodFields):
             return self.untested_pct
         if factor == COL_COVERAGE:
             return self.public_coverage_pct
-        # ExtraFactors.get, inlined: this runs once per record per factor correlated.
-        extras = self.extra_factors
-        if factor in extras._names:
-            return extras._values[extras._names.index(factor)]
-        return None
+        return self.extra_factors.get(factor)
 
 
 class CityDataset(Value):
-    """Validated set of neighborhood records for one city."""
+    """Validated neighborhoods of one city, held as columns.
 
-    __slots__ = ("city", "records", "bll_threshold_ug_dl", "unit_kind")
+    ``names()`` gives the canonical names in dataset order. ``prevalence``,
+    ``untested_pct`` and ``public_coverage_pct`` hold the core metrics, and
+    ``extra_columns`` maps each extra factor to its values, NaN where a
+    neighborhood lacks the factor. Each column is a read-only view of an
+    ``array('d')`` with one value per name, so a value costs 8 bytes, not a
+    float object. The columns hold floats, so integral values given come
+    back as floats.
+
+    Build a dataset from records, ``CityDataset(city, records, ...)``, or
+    from columns with :meth:`from_columns`. Either way its invariants are
+    checked once, over the columns (see :meth:`_check`). ``records`` builds
+    the records afresh on every access, in O(n): it is for callers that
+    want rows, not for hot paths. Equality goes by the records too, so it
+    treats a blank extra cell as absent, not as a NaN.
+    """
+
+    __slots__ = (
+        "city",
+        "bll_threshold_ug_dl",
+        "unit_kind",
+        "_names",
+        "prevalence",
+        "untested_pct",
+        "public_coverage_pct",
+        "extra_columns",
+    )
+    _fields = ("city", "records", "bll_threshold_ug_dl", "unit_kind")
     city: str
-    records: tuple[NeighborhoodRecord, ...]
     bll_threshold_ug_dl: float
     unit_kind: UnitKind
+    prevalence: Sequence[float]
+    untested_pct: Sequence[float]
+    public_coverage_pct: Sequence[float]
+    extra_columns: Mapping[str, Sequence[float]]
 
     def __init__(
         self,
@@ -391,35 +425,157 @@ class CityDataset(Value):
         bll_threshold_ug_dl: float,
         unit_kind: UnitKind,
     ) -> None:
-        object.__setattr__(self, "city", city)
-        object.__setattr__(self, "records", tuple(records))
-        object.__setattr__(self, "bll_threshold_ug_dl", bll_threshold_ug_dl)
-        object.__setattr__(self, "unit_kind", unit_kind)
-        if not self.records:
+        records = tuple(records)
+        extras: dict[str, list[float]] = {}
+        for row, record in enumerate(records):
+            for factor, value in record.extra_factors.items():
+                if factor not in extras:
+                    extras[factor] = [math.nan] * len(records)
+                extras[factor][row] = value
+        self._set_columns(
+            city,
+            bll_threshold_ug_dl,
+            unit_kind,
+            map(_NAME_OF, records),
+            (
+                [record.prevalence for record in records],
+                [record.untested_pct for record in records],
+                [record.public_coverage_pct for record in records],
+            ),
+            extras,
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        city: str,
+        names: Iterable[str],
+        prevalence: Iterable[float],
+        untested_pct: Iterable[float],
+        public_coverage_pct: Iterable[float],
+        extra_columns: Mapping[str, Iterable[float]] = MappingProxyType({}),
+        *,
+        bll_threshold_ug_dl: float,
+        unit_kind: UnitKind,
+    ) -> CityDataset:
+        """A dataset of the given columns, copied; NaN in an extra column marks a blank cell."""
+        dataset = object.__new__(cls)
+        dataset._set_columns(
+            city,
+            bll_threshold_ug_dl,
+            unit_kind,
+            names,
+            (prevalence, untested_pct, public_coverage_pct),
+            extra_columns,
+        )
+        return dataset
+
+    def _set_columns(
+        self,
+        city: str,
+        bll_threshold_ug_dl: float,
+        unit_kind: UnitKind,
+        names: Iterable[str],
+        core: tuple[Iterable[float], Iterable[float], Iterable[float]],
+        extras: Mapping[str, Iterable[float]],
+    ) -> None:
+        from array import array  # deferred: only building columns needs it
+
+        def frozen(values: Iterable[float]) -> memoryview:
+            return memoryview(array("d", values)).toreadonly()
+
+        extra_columns = {factor: frozen(values) for factor, values in extras.items()}
+        fields = (
+            city,
+            bll_threshold_ug_dl,
+            unit_kind,
+            tuple(names),
+            *map(frozen, core),
+            # A factor no neighborhood has is no column, as it is no record's factor.
+            MappingProxyType(
+                {
+                    factor: values
+                    for factor, values in extra_columns.items()
+                    if not all(map(math.isnan, values))
+                }
+            ),
+        )
+        for slot, value in zip(self.__slots__, fields):  # fields are in slot order
+            object.__setattr__(self, slot, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise on a broken invariant; the common, valid case takes C-level passes only."""
+        names = self._names
+        if not names:
             raise DomainValidationError(f"{self.city}: dataset has no records")
-        seen: set[str] = set()
-        for record in self.records:
-            if record.name in seen:
-                raise DomainValidationError(
-                    f"{self.city}: duplicate neighborhood {record.name!r}"
+        columns = (self.prevalence, self.untested_pct, self.public_coverage_pct)
+        if any(len(values) != len(names) for values in (*columns, *self.extra_columns.values())):
+            raise DomainValidationError(f"{self.city}: every column needs one value per name")
+        # A dict, not a set: at 20,000 names a set's table takes 2 MB, a dict 0.4 MB.
+        if len(dict.fromkeys(names)) != len(names):
+            seen: set[str] = set()
+            for name in names:
+                if name in seen:
+                    raise DomainValidationError(f"{self.city}: duplicate neighborhood {name!r}")
+                seen.add(name)
+        if self.unit_kind is UnitKind.ZIP_CODE and not all(map(is_zip_code, names)):
+            name = next(name for name in names if not is_zip_code(name))
+            raise DomainValidationError(f"{self.city}: {name!r} is not a 5-digit ZIP code")
+        for label, values, upper in zip(CORE_COLUMNS[1:], columns, (math.inf, 100, 100)):
+            if not all(map(math.isfinite, values)) or min(values) < 0 or max(values) > upper:
+                row = next(
+                    i for i, value in enumerate(values)
+                    if not (math.isfinite(value) and 0 <= value <= upper)
                 )
-            seen.add(record.name)
-            if self.unit_kind is UnitKind.ZIP_CODE and not is_zip_code(record.name):
-                raise DomainValidationError(
-                    f"{self.city}: {record.name!r} is not a 5-digit ZIP code"
-                )
+                self._reject(row, f"{label} out of range [0, {upper}], got {values[row]}")
+        for factor, values in self.extra_columns.items():
+            if any(map(math.isinf, values)):
+                row = next(i for i, value in enumerate(values) if math.isinf(value))
+                self._reject(row, f"extra factor {factor!r} must be finite, got {values[row]}")
+
+    def _reject(self, row: int, problem: str) -> None:
+        raise DomainValidationError(f"{self.city}: {self._names[row]}: {problem}")
+
+    @property
+    def records(self) -> tuple[NeighborhoodRecord, ...]:
+        """The neighborhoods as records, built afresh on each access in O(n)."""
+        factors = tuple(self.extra_columns)
+        return tuple(
+            NeighborhoodRecord(
+                name,
+                prevalence,
+                untested,
+                coverage,
+                {factor: value for factor, value in zip(factors, values) if not math.isnan(value)},
+            )
+            for name, prevalence, untested, coverage, *values in zip(
+                self._names,
+                self.prevalence,
+                self.untested_pct,
+                self.public_coverage_pct,
+                *self.extra_columns.values(),
+            )
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._names)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(record.name for record in self.records)
+        return self._names
+
+    def column(self, factor: str) -> Sequence[float]:
+        """The values of a core metric or extra factor, NaN where a neighborhood lacks it."""
+        core = {
+            COL_PREVALENCE: self.prevalence,
+            COL_UNTESTED: self.untested_pct,
+            COL_COVERAGE: self.public_coverage_pct,
+        }
+        return core[factor] if factor in core else self.extra_columns[factor]
 
     def factor_names(self) -> tuple[str, ...]:
-        """Core metric columns plus all extra factors seen on any record."""
-        # Records share their tuples of factor names, so the set holds few.
-        shapes = set(map(_FACTOR_NAMES_OF, self.records))
-        return (COL_UNTESTED, COL_COVERAGE, *sorted(set().union(*shapes)))
+        """Core metric columns plus every extra factor, sorted."""
+        return (COL_UNTESTED, COL_COVERAGE, *sorted(self.extra_columns))
 
 
 def derived_beta_gamma(r: float, alpha: float, variant: WeightVariant) -> tuple[float, float]:
@@ -490,7 +646,6 @@ class RankingEntry(NamedTuple):
     scaled_score: float
 
 
-_NAME_OF = attrgetter("name")
 _SCALED_OF = attrgetter("scaled_score")
 
 

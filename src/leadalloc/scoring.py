@@ -94,9 +94,8 @@ def score_city(
         raise DomainValidationError(
             f"{dataset.city}: scoring needs at least 2 records, got {len(dataset)}"
         )
-    prevalence = [record.prevalence for record in dataset.records]
-    untested = [record.untested_pct for record in dataset.records]
-    coverage = [record.public_coverage_pct for record in dataset.records]
+    prevalence = dataset.prevalence
+    coverage = dataset.public_coverage_pct
 
     r = r_override if r_override is not None else pearson(coverage, prevalence)
     weights = derive_weights(r, alpha, variant, normalize=normalize_weights)
@@ -104,11 +103,11 @@ def score_city(
     raw = [
         weights.alpha * p + weights.beta * u + weights.gamma * h
         for p, u, h in zip(
-            min_max_normalize(prevalence), min_max_normalize(untested), min_max_normalize(coverage)
+            min_max_normalize(prevalence),
+            min_max_normalize(dataset.untested_pct),
+            min_max_normalize(coverage),
         )
     ]
-    # Lists with an item per record are freed once used, not held to the end.
-    del prevalence, untested, coverage
 
     # Raw score descending, ties by name: sorts are stable, even in reverse,
     # so sort by name first. Neither pass builds a key object per record.
@@ -127,7 +126,7 @@ def score_city(
             stacklevel=2,
         )
         entries = tuple(RankingEntry(names[i], 0.0, 0.0) for i in order)
-    del names, order, raw  # before the ranking's checks, which build lists of their own
+    del order, raw  # before the ranking's checks, which build lists of their own
     return PriorityRanking(city=dataset.city, weights=weights, entries=entries)
 
 

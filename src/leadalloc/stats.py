@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from .errors import DataQualityWarning, DomainValidationError, UndefinedCorrelationError
@@ -24,10 +25,13 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation coefficient of two equal-length sequences.
 
     Raises :class:`UndefinedCorrelationError` when fewer than two points
-    are given or either input has zero variance; never returns a default.
+    are given or either input has zero variance, and
+    :class:`DomainValidationError` on a value that is not finite; never
+    returns a default.
     """
     if len(x) != len(y):
         raise DomainValidationError(f"length mismatch: {len(x)} vs {len(y)}")
+    _require_finite(x, y)
     n = len(x)
     if n < 2:
         raise UndefinedCorrelationError(f"need at least 2 points, got {n}")
@@ -45,9 +49,16 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Spearman rank correlation (Pearson on average-tied ranks).
 
-    Diagnostic alternative to :func:`pearson`; not used by scoring.
+    Diagnostic alternative to :func:`pearson`; not used by scoring. Like
+    it, rejects a value that is not finite, which has no rank.
     """
+    _require_finite(x, y)
     return pearson(_average_ranks(x), _average_ranks(y))
+
+
+def _require_finite(x: Sequence[float], y: Sequence[float]) -> None:
+    if not (all(map(math.isfinite, x)) and all(map(math.isfinite, y))):
+        raise DomainValidationError("correlation needs finite values")
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
@@ -78,7 +89,7 @@ def correlate_factors(
 
     Each factor is computed over the rows where both the factor and
     prevalence are present, so sparsely populated extra columns are
-    handled without imputation.
+    handled without imputation: a blank (NaN) cell drops its row.
     """
     try:
         corr = _ESTIMATORS[estimator]
@@ -87,6 +98,7 @@ def correlate_factors(
             f"unknown estimator {estimator!r}; choose from {sorted(_ESTIMATORS)}"
         ) from None
     known = set(dataset.factor_names())
+    prevalence = dataset.prevalence.tolist()
     results = []
     for factor in factors:
         if factor == COL_PREVALENCE:
@@ -95,17 +107,16 @@ def correlate_factors(
             raise DomainValidationError(
                 f"unknown factor {factor!r}; available: {', '.join(dataset.factor_names())}"
             )
-        pairs = [
-            (value, record.prevalence)
-            for record in dataset.records
-            if (value := record.metric(factor)) is not None
-        ]
-        if len(pairs) < 2:
+        xs = dataset.column(factor).tolist()
+        ys = prevalence
+        if factor in dataset.extra_columns:
+            present = list(map(math.isfinite, xs))
+            xs, ys = list(compress(xs, present)), list(compress(ys, present))
+        if len(xs) < 2:
             raise UndefinedCorrelationError(
-                f"factor {factor!r} overlaps prevalence on only {len(pairs)} row(s)"
+                f"factor {factor!r} overlaps prevalence on only {len(xs)} row(s)"
             )
-        xs, ys = zip(*pairs)
-        results.append(CorrelationResult(factor, corr(xs, ys), len(pairs)))
+        results.append(CorrelationResult(factor, corr(xs, ys), len(xs)))
     return results
 
 

@@ -25,6 +25,7 @@ from leadalloc.model import (
     AllocationPlan,
     CityDataset,
     CityProfile,
+    ExtraFactors,
     ModelRun,
     NeighborhoodRecord,
     PriorityRanking,
@@ -213,6 +214,13 @@ class TestNeighborhoodRecord:
     def test_empty_name_rejected(self):
         with pytest.raises(InvalidNameError):
             record("  ", 1.0, 2.0, 3.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_extras_must_be_finite(self, bad):
+        with pytest.raises(DomainValidationError, match="austin: extra factor 'g' must be finite"):
+            record("austin", 1.0, 2.0, 3.0, f=1.0, g=bad)
+        with pytest.raises(DomainValidationError, match="extra factor 'g'"):
+            NeighborhoodRecord("austin", 1.0, 2.0, 3.0, ExtraFactors(("g",), (bad,)))
 
 
 class TestCityDataset:

@@ -14,7 +14,14 @@ from leadalloc.errors import (
     DomainValidationError,
     UndefinedCorrelationError,
 )
-from leadalloc.stats import correlate_factors, min_max_normalize, pearson, spearman
+from leadalloc.ingest import parse_city_dataset
+from leadalloc.stats import (
+    CorrelationResult,
+    correlate_factors,
+    min_max_normalize,
+    pearson,
+    spearman,
+)
 
 
 class TestPearson:
@@ -52,6 +59,15 @@ class TestPearson:
     def test_fewer_than_two_points(self):
         with pytest.raises(UndefinedCorrelationError, match="at least 2"):
             pearson([1.0], [2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("estimator", [pearson, spearman])
+    def test_non_finite_values_are_rejected(self, bad, estimator):
+        # A NaN once gave r = -1.0 and an infinity a bare ValueError from fsum.
+        with pytest.raises(DomainValidationError, match="finite"):
+            estimator([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(DomainValidationError, match="finite"):
+            estimator([1.0, 2.0, 3.0], [1.0, 2.0, bad])
 
     def test_zero_variance_is_undefined_not_defaulted(self):
         with pytest.raises(UndefinedCorrelationError, match="zero variance"):
@@ -163,6 +179,17 @@ class TestCorrelateFactors:
         (result,) = correlate_factors(ds, ["sparse"])
         assert result.n == 3
         assert result.r == 1.0
+
+    def test_blank_cells_of_a_parsed_column_are_left_out(self, tmp_path):
+        path = tmp_path / "city.csv"
+        path.write_text(
+            "neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct,sparse\n"
+            "a,1.0,1,1,2.0\nb,2.0,1,1,\nc,3.0,1,1,6.0\nd,4.0,1,1,8.0\n",
+            encoding="utf-8",
+        )
+        ds, _ = parse_city_dataset(path, "demo")
+        assert str(list(ds.column("sparse"))) == "[2.0, nan, 6.0, 8.0]"
+        assert correlate_factors(ds, ["sparse"]) == [CorrelationResult("sparse", 1.0, 3)]
 
     def test_single_overlapping_row_is_undefined(self):
         ds = dataset(
