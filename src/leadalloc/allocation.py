@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from itertools import compress, repeat
+from operator import add, floordiv, itemgetter, methodcaller, mod, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataQualityWarning, DomainValidationError
@@ -33,9 +35,13 @@ def largest_remainder(weights: Sequence[int], total: int) -> list[int]:
     weight_sum = sum(weights)
     if weight_sum <= 0 or min(weights) < 0:
         raise DomainValidationError("weights must be non-negative with a positive sum")
-    kits = [total * weight // weight_sum for weight in weights]
-    remainders = [total * weight % weight_sum for weight in weights]
-    _award_leftover(kits, remainders, range(len(weights)), total - sum(kits))
+    # Each share total·weight is made twice rather than held: it is wider than either result.
+    kits = list(map(floordiv, map(mul, repeat(total), weights), repeat(weight_sum)))
+    remainders = list(map(mod, map(mul, repeat(total), weights), repeat(weight_sum)))
+    # The remainders sum to weight_sum·leftover and each is below weight_sum,
+    # so more than ``leftover`` are nonzero: only those can win a unit.
+    candidates = compress(range(len(weights)), remainders)
+    _award_leftover(kits, remainders, candidates, total - sum(kits))
     return kits
 
 
@@ -123,7 +129,7 @@ def allocate(
         raise DomainValidationError(f"total_kits must be >= 1, got {total_kits}")
     if floor < 0:
         raise DomainValidationError(f"floor must be non-negative, got {floor}")
-    n = len(ranking.entries)
+    n = len(ranking)
     if floor * n > total_kits:
         raise DomainValidationError(
             f"floor of {floor} kits across {n} neighborhoods exceeds budget {total_kits}"
@@ -133,14 +139,17 @@ def allocate(
     if strategy is Strategy.PROPORTIONAL:
         # Raw scores are floats, so each is an exact ratio with a power-of-two
         # denominator; scaling to the largest one makes every weight integral.
-        ratios = [entry.raw_score.as_integer_ratio() for entry in ranking.entries]
-        if not any(numerator for numerator, _ in ratios):
+        ratios = list(map(methodcaller("as_integer_ratio"), ranking.raw_scores))
+        scale = max(map(itemgetter(1), ratios))
+        multipliers = map(floordiv, repeat(scale), map(itemgetter(1), ratios))
+        weights = list(map(mul, map(itemgetter(0), ratios), multipliers))
+        # n pairs of ints, freed before apportioning builds lists of its own; map
+        # stops at its first exhausted input, so ``multipliers`` still holds them.
+        del ratios, multipliers
+        if not any(weights):
             raise DomainValidationError(
                 f"{ranking.city}: proportional allocation needs a positive raw score"
             )
-        scale = max(denominator for _, denominator in ratios)
-        weights = [numerator * (scale // denominator) for numerator, denominator in ratios]
-        del ratios  # n pairs of ints, freed before apportioning builds lists of its own
         kits = largest_remainder(weights, remaining)
     elif strategy is Strategy.RANK_WEIGHTED:
         kits = _rank_weighted_kits(n, remaining)
@@ -157,11 +166,11 @@ def allocate(
         kits = largest_remainder([1] * k + [0] * (n - k), remaining)
 
     apportionment = "even_split" if strategy is Strategy.TOP_K_EQUAL else "largest_remainder"
-    return AllocationPlan(
-        city=ranking.city,
-        total_kits=total_kits,
-        # The plan builds its entries from these pairs, so n entries are held once.
-        allocations=((entry.name, floor + kit) for entry, kit in zip(ranking.entries, kits)),
-        strategy=strategy,
-        apportionment=apportionment,
+    return AllocationPlan.from_columns(
+        ranking.city,
+        total_kits,
+        ranking.names(),
+        map(add, kits, repeat(floor)) if floor else kits,
+        strategy,
+        apportionment,
     )

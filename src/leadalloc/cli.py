@@ -23,7 +23,7 @@ import os
 import sys
 import warnings
 from itertools import accumulate, repeat
-from operator import attrgetter, truediv
+from operator import truediv
 from typing import Callable, Iterator, Sequence
 
 from . import __version__, resources
@@ -217,14 +217,16 @@ def cmd_score(args: argparse.Namespace) -> int:
     w = ranking.weights
     print(f"city: {ranking.city}  variant: {w.variant.value}  r: {w.source_correlation:g}")
     print(f"weights: alpha={w.alpha:g} beta={w.beta:g} gamma={w.gamma:g}")
-    entries = ranking.entries
+    names = ranking.names()
     position = dict(zip(dataset.names(), range(len(dataset))))
-    order = list(map(position.__getitem__, map(attrgetter("name"), entries)))
+    order = list(map(position.__getitem__, names))
     del position
     headers = ("rank", "neighborhood", "raw_ps", "scaled_ps", "P", "U", "H")
     columns = (
-        range(1, len(entries) + 1),
-        *(_attribute(name, entries) for name in ("name", "raw_score", "scaled_score")),
+        range(1, len(names) + 1),
+        names,
+        ranking.raw_scores,
+        ranking.scaled_scores,
         *(
             _picked(values, order)
             for values in (dataset.prevalence, dataset.untested_pct, dataset.public_coverage_pct)
@@ -238,8 +240,8 @@ def cmd_score(args: argparse.Namespace) -> int:
 class _Column:
     """A table column that holds no values: ``make()`` maps them afresh each time it is iterated.
 
-    Tables have one row per neighborhood, so their columns are views of the
-    ranking or plan instead of lists.
+    Tables have one row per neighborhood, so a column derived from the
+    ranking, the plan or the dataset is a view of them instead of a list.
     """
 
     __slots__ = ("make",)
@@ -249,12 +251,6 @@ class _Column:
 
     def __iter__(self) -> Iterator:
         return self.make()
-
-
-def _attribute(name: str, items: Sequence) -> _Column:
-    """The column of each item's attribute ``name``."""
-    get = attrgetter(name)
-    return _Column(lambda: map(get, items))
 
 
 def _picked(values: Sequence, order: Sequence[int]) -> _Column:
@@ -268,9 +264,9 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     if args.json:
         dump_plan(plan, sys.stdout)
         return 0
-    kits = _attribute("kits", plan.allocations)
+    kits = plan.kits
     shares = _Column(lambda: map(truediv, accumulate(kits), repeat(plan.total_kits)))
-    columns = (_attribute("name", plan.allocations), kits, shares)
+    columns = (plan.names(), kits, shares)
     headers = ("neighborhood", "kits", "cumulative_share")
     sys.stdout.writelines(table_lines(headers, columns, ("", "d", ".4f"), left={0}))
     print(f"total: {plan.total_kits}")

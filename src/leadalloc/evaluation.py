@@ -157,8 +157,10 @@ def table_lines(
     as they are asked for instead of a list that holds them all.
 
     A width comes from formatting only the values that can be the widest
-    (see :func:`_widest`). The lines come from one template through
-    ``map``, so no Python code runs per row.
+    (see :func:`_widest`). The lines come from one printf-style template,
+    applied through ``map`` to each row of ``zip(*columns)``, so no Python
+    code runs per row. Each spec means the same as a ``%`` conversion:
+    ``"%.2f" % x == format(x, ".2f")``, and ``""`` becomes ``%s``.
     """
     widths = [
         max(map(len, map(format, _widest(column, spec), repeat(spec))), default=0)
@@ -167,8 +169,9 @@ def table_lines(
     widths = list(map(max, map(len, headers), widths))
     aligns = ["<" if col in left else ">" for col in range(len(headers))]
     head = "  ".join(map(format, headers, map("{}{}".format, aligns, widths))).rstrip() + "\n"
-    template = "  ".join(map("{{:{}{}{}}}".format, aligns, widths, formats))
-    rows = map(str.rstrip, map(template.format, *columns))
+    flags = ["-" if align == "<" else "" for align in aligns]
+    template = "  ".join(map("%{}{}{}".format, flags, widths, [spec or "s" for spec in formats]))
+    rows = map(str.rstrip, map(template.__mod__, zip(*columns)))
     return chain((head,), map(str.__add__, rows, repeat("\n")))
 
 

@@ -392,8 +392,7 @@ def parse_model_runs(
             report.error(f"{location}: missing cities object")
             continue
         per_city: dict[str, tuple[Recommendation, ...]] = {}
-        for city_raw, recommendations in cities.items():
-            city = str(city_raw).strip().lower()
+        for city, recommendations in _cities(cities, f"{location}.cities", report):
             recs = _parse_recommendations(
                 recommendations, f"{location}.cities.{city}", aliases, report
             )
@@ -449,8 +448,7 @@ def parse_targets(
         report.error("malformed document: expected a non-empty object of city lists")
         report.raise_if_rejected()
     per_city: dict[str, frozenset[str]] = {}
-    for city_raw, names in doc.items():
-        city = str(city_raw).strip().lower()
+    for city, names in _cities(doc, "targets", report):
         if not isinstance(names, list) or not names:
             report.error(f"targets for {city!r} must be a non-empty list")
             continue
@@ -471,6 +469,20 @@ def parse_targets(
         per_city[city] = frozenset(canonical)
     report.raise_if_rejected()
     return TargetSet(per_city=per_city), report
+
+
+def _cities(doc: dict, location: str, report: ValidationReport) -> Iterator[tuple[str, object]]:
+    """``doc``'s keys as cities, with values; a key naming an earlier key's city is an error."""
+    raw_keys: dict[str, str] = {}
+    for raw_key, value in doc.items():
+        city = str(raw_key).strip().lower()
+        if city in raw_keys:
+            report.error(
+                f"{location}: keys {raw_keys[city]!r} and {raw_key!r} both name city {city!r}"
+            )
+            continue
+        raw_keys[city] = raw_key
+        yield city, value
 
 
 def read_text(path: str | Path) -> str:
@@ -501,7 +513,11 @@ def _rejected(message: str) -> DatasetValidationError:
     return DatasetValidationError(report)
 
 
-def ranking_from_dict(doc: dict) -> PriorityRanking:
+_COLLECTED = object()  # what the object hook of parse_ranking leaves of an entry it collected
+
+
+def ranking_from_dict(doc: dict, *, collected: tuple[list, ...] | None = None) -> PriorityRanking:
+    """The ranking of a decoded document; ``collected`` is for ``parse_ranking`` alone."""
     try:
         weights_doc = doc["weights"]
         weights = WeightConfig(
@@ -516,20 +532,16 @@ def ranking_from_dict(doc: dict) -> PriorityRanking:
                 else False
             ),
         )
-        entries = tuple(map(_ranking_entry, doc["entries"]))
+        if collected is None:
+            collected = tuple(zip(*map(_ranking_entry, doc["entries"]))) or ((), (), ())
         city = _json_field(doc, "city", "string")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainValidationError(f"malformed ranking document: {exc}") from exc
-    return PriorityRanking(city=city, weights=weights, entries=entries)
+    return PriorityRanking.from_columns(city, weights, *collected)
 
 
-def _ranking_entry(entry: dict | RankingEntry) -> RankingEntry:
-    """One entry of a ranking document, which ``_entry_object`` may have made already."""
-    if type(entry) is dict:
-        entry = _entry_object(entry)
-    if type(entry) is RankingEntry:
-        return entry
-    # Integral numbers are valid too; anything else raises the error that names the field.
+def _ranking_entry(entry: dict) -> RankingEntry:
+    """One entry object of a ranking document; integral scores are read as floats."""
     return RankingEntry(
         _json_field(entry, "neighborhood", "string"),
         float(_json_field(entry, "raw_score", "number")),
@@ -557,10 +569,10 @@ def dump_ranking(ranking: PriorityRanking, fh: TextIO) -> None:
     """Stream the ranking JSON document, as ``score --out`` and ``score --json`` write it."""
     head = {"city": ranking.city, "weights": ranking.weights.as_dict()}
     entries = (
-        f'{{\n      "neighborhood": {_json_string(entry.name)},'
-        f'\n      "raw_score": {entry.raw_score!r},'
-        f'\n      "scaled_score": {entry.scaled_score!r}\n    }}'
-        for entry in ranking.entries
+        f'{{\n      "neighborhood": {_json_string(name)},'
+        f'\n      "raw_score": {raw!r},'
+        f'\n      "scaled_score": {scaled!r}\n    }}'
+        for name, raw, scaled in zip(ranking.names(), ranking.raw_scores, ranking.scaled_scores)
     )
     _dump_document(head, "entries", entries, fh)
 
@@ -574,8 +586,8 @@ def dump_plan(plan: AllocationPlan, fh: TextIO) -> None:
         "apportionment": plan.apportionment,
     }
     allocations = (
-        f'{{\n      "neighborhood": {_json_string(entry.name)},\n      "kits": {entry.kits!r}\n    }}'
-        for entry in plan.allocations
+        f'{{\n      "neighborhood": {_json_string(name)},\n      "kits": {kits!r}\n    }}'
+        for name, kits in zip(plan.names(), plan.kits)
     )
     _dump_document(head, "allocations", allocations, fh)
 
@@ -596,27 +608,41 @@ def _dump_document(head: dict, key: str, items: Iterator[str], fh: TextIO) -> No
     fh.write("\n  ]\n}\n")
 
 
-def _entry_object(obj: dict) -> dict | RankingEntry:
-    """A JSON object as ``dump_ranking`` writes an entry, as a ``RankingEntry``; any other as is.
+def _entry_collector() -> tuple[Callable[[dict], object], tuple[list, list, list]]:
+    """An object hook for :func:`load_json`, and the name and score columns it fills.
 
-    ``parse_ranking`` decodes with this as the object hook, so each entry's
-    dict is dropped as soon as the decoder has made it, and the document's
-    entries are never all held as dicts. An object of exactly these three
-    well-typed fields cannot be a ranking document or its weights, so
-    nothing else the document holds is replaced.
+    The hook appends each object of exactly the three well-typed fields
+    ``dump_ranking`` writes for an entry to the columns and returns
+    ``_COLLECTED`` in its place, so no entry is held as a dict or an object.
     """
-    if len(obj) == 3:
-        name = obj.get("neighborhood")
-        raw = obj.get("raw_score")
-        scaled = obj.get("scaled_score")
-        if type(name) is str and type(raw) is float and type(scaled) is float:
-            return RankingEntry(name, raw, scaled)
-    return obj
+    columns = names, raw_scores, scaled_scores = [], [], []
+    add_name, add_raw, add_scaled = names.append, raw_scores.append, scaled_scores.append
+
+    def collect(obj: dict) -> object:
+        if len(obj) == 3:
+            name = obj.get("neighborhood")
+            raw = obj.get("raw_score")
+            scaled = obj.get("scaled_score")
+            if type(name) is str and type(raw) is float and type(scaled) is float:
+                add_name(name)
+                add_raw(raw)
+                add_scaled(scaled)
+                return _COLLECTED
+        return obj
+
+    return collect, columns
 
 
 def parse_ranking(path: str | Path) -> PriorityRanking:
-    doc = load_json(path, _entry_object)
+    collect, collected = _entry_collector()
+    doc = load_json(path, collect)
+    entries = doc.get("entries") if isinstance(doc, dict) else None
+    collected_all = type(entries) is list and entries.count(_COLLECTED) == len(entries)
+    if not (collected_all and len(entries) == len(collected[0])):
+        # An entry with integral scores or other fields, or an entry-shaped
+        # object elsewhere: decode again, keeping every object a dict.
+        doc, collected = load_json(path), None
     try:
-        return ranking_from_dict(doc if isinstance(doc, dict) else {})
+        return ranking_from_dict(doc if isinstance(doc, dict) else {}, collected=collected)
     except DomainValidationError as exc:
         raise _rejected(f"{path}: {exc}") from None

@@ -6,12 +6,12 @@ re-checking them. Most types are ``NamedTuple``s, so they also unpack,
 iterate and compare equal to plain tuples of their field values. Their
 construction runs ``__post_init__`` (see :func:`validated`), except for
 :class:`NeighborhoodRecord`, whose own ``__new__`` checks and normalizes
-the fields before it builds the tuple. The two types with a length of their
-own, :class:`AliasTable` and :class:`CityDataset`, are slotted
-:class:`Value` classes instead; a dataset holds its neighborhoods as
-columns, not as records. Neither kind uses ``dataclasses``: importing it
-and building frozen dataclasses would cost more than the rest of the CLI's
-start-up.
+the fields before it builds the tuple. The types with a length of their
+own, :class:`AliasTable`, :class:`CityDataset`, :class:`PriorityRanking`
+and :class:`AllocationPlan`, are slotted :class:`Value` classes instead;
+the last three hold their neighborhoods as columns, not as records. Neither
+kind uses ``dataclasses``: importing it and building frozen dataclasses
+would cost more than the rest of the CLI's start-up.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from enum import Enum
-from itertools import islice, repeat
-from operator import attrgetter, ge
+from itertools import compress, islice, repeat
+from operator import attrgetter, eq, ge, le
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -78,6 +78,16 @@ class Value:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
 
+    def _init(self, *values) -> None:
+        """Set the slots, in ``__slots__`` order, then check the value with ``__post_init__``."""
+        for slot, value in zip(self.__slots__, values):
+            object.__setattr__(self, slot, value)
+        self.__post_init__()
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, built and checked as a new value is."""
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -95,6 +105,19 @@ class Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
+
+
+class _Columnar(Value):
+    """A value that holds one entry per neighborhood as columns; ``len()`` counts them."""
+
+    __slots__ = ()
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def names(self) -> tuple[str, ...]:
+        """The canonical names, one per entry, in the value's order."""
+        return self._names
 
 
 def is_zip_code(name: str) -> bool:
@@ -303,6 +326,14 @@ _NO_EXTRA_FACTORS = ExtraFactors((), ())
 _NAME_OF = attrgetter("name")
 
 
+def _columns(rows: Iterable, row_type: type) -> tuple[tuple, ...]:
+    """The columns of ``rows``, each a ``row_type`` or a sequence of its fields."""
+    rows = tuple(rows)
+    if not all(map(isinstance, rows, repeat(row_type))):
+        rows = tuple(map(row_type._make, rows))
+    return tuple(zip(*rows)) or ((),) * len(row_type._fields)
+
+
 class _NeighborhoodFields(NamedTuple):
     name: str
     prevalence: float
@@ -380,7 +411,7 @@ class NeighborhoodRecord(_NeighborhoodFields):
         return self.extra_factors.get(factor)
 
 
-class CityDataset(Value):
+class CityDataset(_Columnar):
     """Validated neighborhoods of one city, held as columns.
 
     ``names()`` gives the canonical names in dataset order. ``prevalence``,
@@ -558,12 +589,6 @@ class CityDataset(Value):
             )
         )
 
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def names(self) -> tuple[str, ...]:
-        return self._names
-
     def column(self, factor: str) -> Sequence[float]:
         """The values of a core metric or extra factor, NaN where a neighborhood lacks it."""
         core = {
@@ -646,71 +671,85 @@ class RankingEntry(NamedTuple):
     scaled_score: float
 
 
-_SCALED_OF = attrgetter("scaled_score")
+class PriorityRanking(_Columnar):
+    """Descending-ordered priority list for one city, held as columns.
 
+    ``names()``, ``raw_scores`` and ``scaled_scores`` are tuples in ranking
+    order. Build a ranking from entries or with :meth:`from_columns`; either
+    way :meth:`__post_init__` checks it once, over the columns. ``entries``
+    builds the ``RankingEntry`` tuples on every access, in O(n): it is not
+    for hot paths. ``len()`` is the number of entries.
+    """
 
-@validated
-class PriorityRanking(NamedTuple):
-    """Descending-ordered priority list for one city."""
+    __slots__ = ("city", "weights", "_names", "raw_scores", "scaled_scores")
+    _fields = ("city", "weights", "entries")
 
-    city: str
-    weights: WeightConfig
-    entries: tuple[RankingEntry, ...]
+    def __init__(self, city: str, weights: WeightConfig, entries: Iterable[Sequence]) -> None:
+        self._init(city, weights, *_columns(entries, RankingEntry))
 
-    def __post_init__(self) -> PriorityRanking:
-        entries = self.entries
-        if type(entries) is not tuple or not all(map(isinstance, entries, repeat(RankingEntry))):
-            entries = tuple(
-                entry if isinstance(entry, RankingEntry) else RankingEntry(*entry)
-                for entry in entries
-            )
-        if not entries:
+    @classmethod
+    def from_columns(
+        cls, city: str, weights: WeightConfig, names: Iterable, raw_scores: Iterable,
+        scaled_scores: Iterable,
+    ) -> PriorityRanking:
+        """A ranking of the given columns; a tuple given is held, not copied."""
+        ranking = object.__new__(cls)
+        ranking._init(city, weights, tuple(names), tuple(raw_scores), tuple(scaled_scores))
+        return ranking
+
+    def __post_init__(self) -> None:
+        """Raise on a broken invariant, as checking entry by entry would, in C-level passes."""
+        names, raw, scaled = self._names, self.raw_scores, self.scaled_scores
+        if not names:
             raise DomainValidationError(f"{self.city}: ranking has no entries")
-        # One pass: each entry's range checks, and whether it sorts after the
-        # previous one by (-raw_score, name). Range errors take precedence.
-        in_order = True
-        previous_raw, previous_name = math.inf, ""
-        for name, raw, scaled in entries:
-            if not math.isfinite(raw) or raw < 0:
-                raise DomainValidationError(
-                    f"{self.city}: non-finite or negative raw score for {name!r}"
-                )
-            if not 0 <= scaled <= 10:
-                raise DomainValidationError(
-                    f"{self.city}: scaled score out of [0, 10] for {name!r}"
-                )
-            if raw > previous_raw or (raw == previous_raw and name < previous_name):
-                in_order = False
-            previous_raw, previous_name = raw, name
-        if not in_order:
+        if not len(raw) == len(scaled) == len(names):
+            raise DomainValidationError(f"{self.city}: every column needs one score per name")
+        # min and max cannot order NaN, so NaN scaled scores are looked for first.
+        if not all(map(math.isfinite, raw)) or min(raw) < 0 or any(map(math.isnan, scaled)) or not (
+            0 <= min(scaled) and max(scaled) <= 10
+        ):
+            for name, raw_score, scaled_score in zip(names, raw, scaled):
+                if not math.isfinite(raw_score) or raw_score < 0:
+                    raise DomainValidationError(
+                        f"{self.city}: non-finite or negative raw score for {name!r}"
+                    )
+                if not 0 <= scaled_score <= 10:
+                    raise DomainValidationError(
+                        f"{self.city}: scaled score out of [0, 10] for {name!r}"
+                    )
+        # Raw scores descending, and names ascending within each run of equal raw scores.
+        tied = list(map(eq, raw, islice(raw, 1, None)))
+        if not (
+            all(map(ge, raw, islice(raw, 1, None)))
+            and all(map(le, compress(names, tied), compress(islice(names, 1, None), tied)))
+        ):
             raise DomainValidationError(
                 f"{self.city}: entries are not sorted by raw score descending "
                 "with canonical-name tie-break"
             )
+        del tied
         # A dict, not a set: at 20,000 names a set's table takes 2 MB, a dict 0.4 MB.
-        if len(dict.fromkeys(map(_NAME_OF, entries))) != len(entries):
-            ((name, _),) = Counter(map(_NAME_OF, entries)).most_common(1)
+        if len(dict.fromkeys(names)) != len(names):
+            ((name, _),) = Counter(names).most_common(1)
             raise DomainValidationError(f"{self.city}: duplicate neighborhood {name!r}")
-        max_raw = entries[0].raw_score
-        if max_raw > 0:
-            top = max(map(_SCALED_OF, entries))
+        if raw[0] > 0:
+            top = max(scaled)
             if top != 10.0:
                 raise DomainValidationError(
                     f"{self.city}: top scaled score must be exactly 10.0, got {top}"
                 )
-            following = map(_SCALED_OF, islice(entries, 1, None))
-            if not all(map(ge, map(_SCALED_OF, entries), following)):
+            if not all(map(ge, scaled, islice(scaled, 1, None))):
                 raise DomainValidationError(
                     f"{self.city}: scaled ordering disagrees with raw ordering"
                 )
-        elif any(map(_SCALED_OF, entries)):
+        elif any(scaled):
             raise DomainValidationError(
                 f"{self.city}: all-zero raw scores require all-zero scaled scores"
             )
-        return tuple.__new__(type(self), (self.city, self.weights, entries))
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(entry.name for entry in self.entries)
+    @property
+    def entries(self) -> tuple[RankingEntry, ...]:
+        return tuple(map(RankingEntry, self._names, self.raw_scores, self.scaled_scores))
 
 
 class AllocationEntry(NamedTuple):
@@ -718,36 +757,52 @@ class AllocationEntry(NamedTuple):
     kits: int
 
 
-@validated
-class AllocationPlan(NamedTuple):
-    """Integer kit assignment mirroring the ranking it was derived from."""
+class AllocationPlan(_Columnar):
+    """Integer kit assignment mirroring the ranking it was derived from, held as columns.
 
-    city: str
-    total_kits: int
-    allocations: tuple[AllocationEntry, ...]
-    strategy: Strategy
-    apportionment: str = "largest_remainder"
+    ``names()`` is the ranking's own tuple of names, shared, and ``kits``
+    a tuple of their kit counts. ``allocations`` builds the
+    ``AllocationEntry`` tuples on every access, in O(n). ``len()`` is the
+    number of entries.
+    """
 
-    def __post_init__(self) -> AllocationPlan:
-        allocations = tuple(
-            entry if isinstance(entry, AllocationEntry) else AllocationEntry(*entry)
-            for entry in self.allocations
-        )
+    __slots__ = ("city", "total_kits", "_names", "kits", "strategy", "apportionment")
+    _fields = ("city", "total_kits", "allocations", "strategy", "apportionment")
+
+    def __init__(
+        self, city: str, total_kits: int, allocations: Iterable[Sequence], strategy: Strategy,
+        apportionment: str = "largest_remainder",
+    ) -> None:
+        names, kits = _columns(allocations, AllocationEntry)
+        self._init(city, total_kits, names, kits, strategy, apportionment)
+
+    @classmethod
+    def from_columns(
+        cls, city: str, total_kits: int, names: Iterable, kits: Iterable, strategy: Strategy,
+        apportionment: str = "largest_remainder",
+    ) -> AllocationPlan:
+        """A plan of the given columns; a tuple given is held, not copied."""
+        plan = object.__new__(cls)
+        plan._init(city, total_kits, tuple(names), tuple(kits), strategy, apportionment)
+        return plan
+
+    def __post_init__(self) -> None:
+        """Raise on a broken invariant, in two C-level passes over the kits."""
         if self.total_kits < 1:
             raise DomainValidationError(f"total_kits must be >= 1, got {self.total_kits}")
-        assigned = 0
-        for _, kits in allocations:
-            if kits < 0:
-                raise DomainValidationError("kit counts must be non-negative")
-            assigned += kits
+        if len(self.kits) != len(self._names):
+            raise DomainValidationError(f"{self.city}: every name needs one kit count")
+        if min(self.kits, default=0) < 0:
+            raise DomainValidationError("kit counts must be non-negative")
+        assigned = sum(self.kits)
         if assigned != self.total_kits:
             raise DomainValidationError(
                 f"allocations sum to {assigned}, expected {self.total_kits}"
             )
-        return tuple.__new__(
-            type(self),
-            (self.city, self.total_kits, allocations, self.strategy, self.apportionment),
-        )
+
+    @property
+    def allocations(self) -> tuple[AllocationEntry, ...]:
+        return tuple(map(AllocationEntry, self._names, self.kits))
 
 
 class Recommendation(NamedTuple):

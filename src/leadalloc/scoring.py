@@ -16,12 +16,13 @@ is wanted (ranking order is unaffected either way).
 from __future__ import annotations
 
 import warnings
+from itertools import repeat
+from operator import add, itemgetter, mul, truediv
 
 from .errors import DataQualityWarning, DomainValidationError
 from .model import (
     CityDataset,
     PriorityRanking,
-    RankingEntry,
     WeightConfig,
     WeightVariant,
     derived_beta_gamma,
@@ -100,38 +101,35 @@ def score_city(
     r = r_override if r_override is not None else pearson(coverage, prevalence)
     weights = derive_weights(r, alpha, variant, normalize=normalize_weights)
 
-    raw = [
-        weights.alpha * p + weights.beta * u + weights.gamma * h
-        for p, u, h in zip(
-            min_max_normalize(prevalence),
-            min_max_normalize(dataset.untested_pct),
-            min_max_normalize(coverage),
-        )
-    ]
+    # Each score is alpha·P + beta·U + gamma·H, summed in that order.
+    columns = (prevalence, dataset.untested_pct, coverage)
+    p, u, h = (map(mul, repeat(w), min_max_normalize(c)) for w, c in zip(weights[:3], columns))
+    raw = list(map(add, map(add, p, u), h))
+    del p, u, h  # map stops at its first exhausted input, so u and h still hold their lists
 
     # Raw score descending, ties by name: sorts are stable, even in reverse,
     # so sort by name first. Neither pass builds a key object per record.
     names = dataset.names()
     order = sorted(range(len(raw)), key=names.__getitem__)
     order.sort(key=raw.__getitem__, reverse=True)
-    max_raw = raw[order[0]]
+    pick = itemgetter(*order)  # at least 2 positions, so it picks tuples
+    names, raw = pick(names), pick(raw)
+    del order, pick  # n index ints, freed before the ranking's checks build a list
+    max_raw = raw[0]
     if max_raw > 0:
-        entries = tuple(
-            RankingEntry(names[i], raw[i], 10.0 * (raw[i] / max_raw)) for i in order
-        )
+        scaled = tuple(map(mul, repeat(10.0), map(truediv, raw, repeat(max_raw))))
     else:
         warnings.warn(
             f"{dataset.city}: all raw priority scores are zero; scaled scores set to 0",
             DataQualityWarning,
             stacklevel=2,
         )
-        entries = tuple(RankingEntry(names[i], 0.0, 0.0) for i in order)
-    del order, raw  # before the ranking's checks, which build lists of their own
-    return PriorityRanking(city=dataset.city, weights=weights, entries=entries)
+        raw = scaled = (0.0,) * len(raw)
+    return PriorityRanking.from_columns(dataset.city, weights, names, raw, scaled)
 
 
 def top_k(ranking: PriorityRanking, k: int) -> list[str]:
     """First ``min(k, len)`` neighborhood names in ranking order."""
     if k < 1:
         raise DomainValidationError(f"k must be >= 1, got {k}")
-    return [entry.name for entry in ranking.entries[:k]]
+    return list(ranking.names()[:k])

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import compress
+from itertools import compress, repeat
+from operator import mul, sub, truediv
 from typing import NamedTuple, Sequence
 
 from .errors import DataQualityWarning, DomainValidationError, UndefinedCorrelationError
@@ -37,11 +38,13 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise UndefinedCorrelationError(f"need at least 2 points, got {n}")
     mean_x = math.fsum(x) / n
     mean_y = math.fsum(y) / n
-    sxx = math.fsum((xi - mean_x) ** 2 for xi in x)
-    syy = math.fsum((yi - mean_y) ** 2 for yi in y)
+    dx = list(map(sub, x, repeat(mean_x)))
+    dy = list(map(sub, y, repeat(mean_y)))
+    sxx = math.fsum(map(pow, dx, repeat(2)))
+    syy = math.fsum(map(pow, dy, repeat(2)))
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("zero variance makes correlation undefined")
-    sxy = math.fsum((xi - mean_x) * (yi - mean_y) for xi, yi in zip(x, y))
+    sxy = math.fsum(map(mul, dx, dy))
     r = sxy / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
 
@@ -138,5 +141,4 @@ def min_max_normalize(values: Sequence[float]) -> list[float]:
             stacklevel=2,
         )
         return [0.0] * len(values)
-    span = hi - lo
-    return [(v - lo) / span for v in values]
+    return list(map(truediv, map(sub, values, repeat(lo)), repeat(hi - lo)))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
+from leadalloc.errors import DomainValidationError
 from leadalloc.model import (
     CityDataset,
     NeighborhoodRecord,
@@ -61,3 +65,44 @@ def ranking_to_dict(ranking):
             for entry in ranking.entries
         ],
     }
+
+
+def check_ranking_entry_by_entry(city, entries):
+    """The ranking check as it was before rankings were held as columns, for comparison.
+
+    It walks ``(name, raw_score, scaled_score)`` entries one at a time and
+    raises ``DomainValidationError`` with the messages the columnar check
+    must keep, in the same order of precedence.
+    """
+    if not entries:
+        raise DomainValidationError(f"{city}: ranking has no entries")
+    in_order = True
+    previous_raw, previous_name = math.inf, ""
+    for name, raw, scaled in entries:
+        if not math.isfinite(raw) or raw < 0:
+            raise DomainValidationError(f"{city}: non-finite or negative raw score for {name!r}")
+        if not 0 <= scaled <= 10:
+            raise DomainValidationError(f"{city}: scaled score out of [0, 10] for {name!r}")
+        if raw > previous_raw or (raw == previous_raw and name < previous_name):
+            in_order = False
+        previous_raw, previous_name = raw, name
+    if not in_order:
+        raise DomainValidationError(
+            f"{city}: entries are not sorted by raw score descending "
+            "with canonical-name tie-break"
+        )
+    names = [name for name, _, _ in entries]
+    if len(set(names)) != len(names):
+        ((name, _),) = Counter(names).most_common(1)
+        raise DomainValidationError(f"{city}: duplicate neighborhood {name!r}")
+    scaled_scores = [scaled for _, _, scaled in entries]
+    if entries[0][1] > 0:
+        top = max(scaled_scores)
+        if top != 10.0:
+            raise DomainValidationError(f"{city}: top scaled score must be exactly 10.0, got {top}")
+        if not all(a >= b for a, b in zip(scaled_scores, scaled_scores[1:])):
+            raise DomainValidationError(f"{city}: scaled ordering disagrees with raw ordering")
+    elif any(scaled_scores):
+        raise DomainValidationError(
+            f"{city}: all-zero raw scores require all-zero scaled scores"
+        )

@@ -81,6 +81,16 @@ class TestEvaluate:
         assert out == ""
         assert "error:" in err
 
+    def test_target_city_keys_naming_one_city_exit_2(self, capsys, write_file):
+        path = write_file(
+            json.dumps({"chicago": ["west englewood", "englewood"], "Chicago": ["austin"]}),
+            "targets.json",
+        )
+        code, out, err = run_cli(capsys, "evaluate", "--targets", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{path}: error: targets: keys 'chicago' and 'Chicago' both name city" in err
+
     def test_malformed_runs_file_exits_2(self, capsys, write_file):
         path = write_file("{broken", "runs.json")
         code, _, err = run_cli(capsys, "evaluate", "--runs", str(path))

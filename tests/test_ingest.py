@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -477,6 +479,17 @@ class TestParseModelRuns:
         runs, _ = parse_model_runs(path, aliases=aliases)
         assert runs[0].per_city["nyc"][0].name == "hunts point mott haven"
 
+    def test_city_keys_naming_one_city_are_rejected(self, write_file):
+        recs = [{"neighborhood": "Austin", "kits": 1}]
+        run = {"model": "m", "mode": "d", "cities": {"chicago": recs, " Chicago": recs}}
+        path = write_file(json.dumps({"runs": [run]}))
+        with pytest.raises(DatasetValidationError) as excinfo:
+            parse_model_runs(path)
+        assert (
+            f"{path}: error: runs[0].cities: keys 'chicago' and ' Chicago' both name city 'chicago'"
+            in str(excinfo.value)
+        )
+
 
 class TestParseTargets:
     def test_bundled_targets(self, bundled_targets):
@@ -511,6 +524,17 @@ class TestParseTargets:
         path = write_file(json.dumps({}))
         with pytest.raises(DatasetValidationError, match="non-empty object"):
             parse_targets(path)
+
+    def test_city_keys_naming_one_city_are_rejected(self, write_file):
+        path = write_file(
+            json.dumps({"chicago": ["west englewood", "englewood"], "Chicago": ["austin"]})
+        )
+        with pytest.raises(DatasetValidationError) as excinfo:
+            parse_targets(path)
+        assert (
+            f"{path}: error: targets: keys 'chicago' and 'Chicago' both name city 'chicago'"
+            in str(excinfo.value)
+        )
 
 
 class TestRankingRoundTrip:
@@ -569,6 +593,38 @@ class TestRankingRoundTrip:
         entry = ranking_from_dict(doc).entries[0]
         assert entry == ("riverbend", 1.0, 10.0)
         assert (type(entry.raw_score), type(entry.scaled_score)) == (float, float)
+
+    @given(
+        st.lists(
+            st.tuples(st.text(), st.floats(0.0, 1e300) | st.sampled_from([0.0, 0.5, 1.0])),
+            min_size=1,
+            max_size=8,
+            unique_by=lambda item: item[0],
+        )
+    )
+    def test_parse_reads_back_what_write_wrote(self, scored):
+        scored.sort(key=lambda item: (-item[1], item[0]))
+        top = scored[0][1]
+        ranking = PriorityRanking(
+            "demo",
+            derive_weights(0.6),
+            [(name, raw, 10.0 * (raw / top) if top else 0.0) for name, raw in scored],
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "ranking.json"
+            write_ranking(ranking, path)
+            assert parse_ranking(path) == ranking
+
+    def test_entry_shaped_objects_outside_the_entries_are_ignored(self, tmp_path):
+        ranking = ranking_from_scores({"a": 2.0, "b": 1.0, "c": 0.5})
+        for place in ("first", "last"):
+            doc = ranking_to_dict(ranking)
+            extra = {"neighborhood": "z", "raw_score": 9.0, "scaled_score": 10.0}
+            doc = {"note": extra, **doc} if place == "first" else {**doc, "note": extra}
+            doc["entries"][1]["note"] = dict(extra)  # an entry that holds one, too
+            path = tmp_path / f"{place}.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            assert parse_ranking(path) == ranking
 
 
 def json_dump_text(doc) -> str:

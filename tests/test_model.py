@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from fractions import Fraction
 from types import MappingProxyType
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import dataset, record
+from helpers import check_ranking_entry_by_entry, dataset, record
 from leadalloc.errors import (
     DatasetValidationError,
     DomainValidationError,
@@ -416,6 +417,67 @@ def test_ranking_order_check_accepts_exactly_what_a_sort_leaves_unchanged(pairs,
             assert not unchanged_by_sort
     else:
         assert unchanged_by_sort and not names_repeat
+
+
+_SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.nan, math.inf, -1.0]) | st.floats(0, 4)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(["", "a", "ab", "b", "B"]), _SCORES), max_size=8),
+    st.booleans(),
+    st.one_of(
+        st.none(),
+        st.lists(st.sampled_from([0.0, -0.0, 5.0, 9.99, 10.0, 10.5, math.nan]) | st.floats(0, 10)),
+    ),
+)
+def test_columnar_check_agrees_with_the_entry_by_entry_check(pairs, presort, scaled):
+    """Both checks accept the same rankings and reject the others with the same message.
+
+    The cases cover ties, -0.0, NaN, repeated names, unsorted entries and
+    top scaled scores other than 10.0; without ``scaled`` given, scaled
+    scores follow the raw scores as ``score_city`` makes them.
+    """
+    if presort:
+        pairs.sort(key=lambda pair: (-pair[1], pair[0]))
+    if scaled is None:
+        top = max((raw for _, raw in pairs), default=0.0)
+        scaled = [10.0 * (raw / top) if top > 0 else 0.0 for _, raw in pairs]
+    entries = [(name, raw, scaled_score) for (name, raw), scaled_score in zip(pairs, scaled)]
+
+    def outcome(check):
+        try:
+            check()
+        except DomainValidationError as exc:
+            return str(exc)
+        return None
+
+    expected = outcome(lambda: check_ranking_entry_by_entry("demo", entries))
+    weights = derive_weights(0.6)
+    assert outcome(lambda: PriorityRanking("demo", weights, entries)) == expected
+    columns = [[entry[field] for entry in entries] for field in range(3)]
+    assert outcome(lambda: PriorityRanking.from_columns("demo", weights, *columns)) == expected
+
+
+def test_ranking_and_plan_hold_columns():
+    weights = derive_weights(0.6)
+    ranking = PriorityRanking.from_columns("demo", weights, ["b", "a"], [2.0, 1.0], [10.0, 5.0])
+    assert ranking.names() == ("b", "a")
+    assert (ranking.raw_scores, ranking.scaled_scores) == ((2.0, 1.0), (10.0, 5.0))
+    assert ranking.entries == (RankingEntry("b", 2.0, 10.0), RankingEntry("a", 1.0, 5.0))
+    assert ranking == PriorityRanking("demo", weights, ranking.entries)
+    assert len(ranking) == 2 and not isinstance(ranking, tuple)
+    names = ranking.names()
+    plan = AllocationPlan.from_columns("demo", 3, names, [2, 1], Strategy.PROPORTIONAL)
+    assert plan.names() is names
+    assert plan.kits == (2, 1)
+    assert plan.allocations == (AllocationEntry("b", 2), AllocationEntry("a", 1))
+    assert len(plan) == 2 and not isinstance(plan, tuple)
+    with pytest.raises(DomainValidationError, match="one score per name"):
+        PriorityRanking.from_columns("demo", weights, ["b", "a"], [2.0], [10.0, 5.0])
+    with pytest.raises(DomainValidationError, match="one kit count"):
+        AllocationPlan.from_columns("demo", 3, names, [3], Strategy.PROPORTIONAL)
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        plan._replace(kits=(3, 0))
 
 
 def _value_cases():
