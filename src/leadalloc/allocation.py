@@ -165,12 +165,10 @@ def allocate(
             k = n
         kits = largest_remainder([1] * k + [0] * (n - k), remaining)
 
-    apportionment = "even_split" if strategy is Strategy.TOP_K_EQUAL else "largest_remainder"
     return AllocationPlan.from_columns(
         ranking.city,
         total_kits,
         ranking.names(),
         map(add, kits, repeat(floor)) if floor else kits,
         strategy,
-        apportionment,
     )

@@ -3,25 +3,25 @@
 Everything here is immutable after construction and validated on
 construction; downstream modules can rely on the invariants without
 re-checking them. Most types are ``NamedTuple``s, so they also unpack,
-iterate and compare equal to plain tuples of their field values. Their
-construction runs ``__post_init__`` (see :func:`validated`), except for
-:class:`NeighborhoodRecord`, whose own ``__new__`` checks and normalizes
-the fields before it builds the tuple. The types with a length of their
-own, :class:`AliasTable`, :class:`CityDataset`, :class:`PriorityRanking`
-and :class:`AllocationPlan`, are slotted :class:`Value` classes instead;
-the last three hold their neighborhoods as columns, not as records. Neither
-kind uses ``dataclasses``: importing it and building frozen dataclasses
-would cost more than the rest of the CLI's start-up.
+iterate and compare equal to plain tuples of their field values. The types
+with a length of their own, :class:`AliasTable`, :class:`CityDataset`,
+:class:`PriorityRanking` and :class:`AllocationPlan`, are slotted
+:class:`Value` classes instead; the last three hold their neighborhoods as
+columns, not as records. A checked type of either kind has one way to be
+built: a ``NamedTuple`` under :func:`validated`, a :class:`Value` through
+:meth:`Value._init`, and both run its ``__post_init__``. Neither kind uses
+``dataclasses``: importing it and building frozen dataclasses would cost
+more than the rest of the CLI's start-up.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from itertools import compress, islice, repeat
-from operator import attrgetter, eq, ge, le
+from operator import eq, ge, le
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -29,6 +29,7 @@ from typing import NamedTuple
 from .errors import (
     DomainValidationError,
     InvalidNameError,
+    LeadAllocError,
     UnknownCityError,
 )
 
@@ -48,8 +49,8 @@ def validated(cls):
     view of a mapping's copy), which construction returns instead; it builds
     that instance with ``tuple.__new__``, which runs no check. ``_make`` and
     ``_replace`` construct through the same path, so no instance skips the
-    checks. Construction builds the tuple twice, which is why
-    :class:`NeighborhoodRecord` has a ``__new__`` of its own instead.
+    checks. A construction that normalizes builds the tuple twice, which
+    is cheap for the few values the CLI builds this way.
     """
     make_fields = cls.__new__
 
@@ -67,9 +68,10 @@ class Value:
     """Base of the immutable types that cannot be tuples because they have a length.
 
     A subclass names its fields in ``_fields`` and its storage in
-    ``__slots__``, which it sets in ``__init__`` with ``object.__setattr__``;
-    any later assignment raises ``AttributeError``. Equality, hashing and
-    ``repr`` go by the values of the fields, which may be properties.
+    ``__slots__``, which it sets with :meth:`_init` if it has invariants to
+    check, and with ``object.__setattr__`` if not; any later assignment
+    raises ``AttributeError``. Equality, hashing and ``repr`` go by the
+    values of the fields, which may be properties.
     """
 
     __slots__ = ()
@@ -219,7 +221,10 @@ class AliasTable(Value):
             for names in mapping.values()
         ):
             raise DomainValidationError(f"alias file {path}: expected a JSON object of name lists")
-        return cls.from_mapping(mapping)
+        try:
+            return cls.from_mapping(mapping)
+        except LeadAllocError as exc:
+            raise DomainValidationError(f"alias file {path}: {exc}") from None
 
     def resolve(self, normalized_name: str) -> str:
         return self.alias_to_canonical.get(normalized_name, normalized_name)
@@ -289,43 +294,6 @@ def register_city(
     return profile
 
 
-class ExtraFactors(Mapping):
-    """Read-only mapping of a record's extra factor names to its values.
-
-    It holds a tuple of names and a tuple of values, and compares equal to
-    any mapping with the same items.
-    """
-
-    __slots__ = ("_names", "_values")
-
-    def __init__(self, names: tuple[str, ...], values: Iterable[float]) -> None:
-        self._names = names
-        self._values = tuple(values)
-        if len(self._values) != len(names):
-            raise ValueError(f"{len(names)} extra factor names for {len(self._values)} values")
-
-    def __getitem__(self, name: str) -> float:
-        if name in self._names:
-            return self._values[self._names.index(name)]
-        raise KeyError(name)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._names
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-_NO_EXTRA_FACTORS = ExtraFactors((), ())
-_NAME_OF = attrgetter("name")
-
-
 def _columns(rows: Iterable, row_type: type) -> tuple[tuple, ...]:
     """The columns of ``rows``, each a ``row_type`` or a sequence of its fields."""
     rows = tuple(rows)
@@ -334,34 +302,23 @@ def _columns(rows: Iterable, row_type: type) -> tuple[tuple, ...]:
     return tuple(zip(*rows)) or ((),) * len(row_type._fields)
 
 
-class _NeighborhoodFields(NamedTuple):
+@validated
+class NeighborhoodRecord(NamedTuple):
+    """One neighborhood's raw metrics.
+
+    ``name`` is expected in canonical form (see :func:`canonicalize_name`);
+    ``extra_factors`` holds any additional named numeric columns, kept as a
+    read-only copy. Every value must be finite.
+    """
+
     name: str
     prevalence: float
     untested_pct: float
     public_coverage_pct: float
-    extra_factors: Mapping[str, float] = _NO_EXTRA_FACTORS
+    extra_factors: Mapping[str, float] = MappingProxyType({})
 
-
-class NeighborhoodRecord(_NeighborhoodFields):
-    """One neighborhood's raw metrics.
-
-    ``name`` is expected in canonical form (see :func:`canonicalize_name`);
-    ``extra_factors`` holds any additional named numeric columns as an
-    :class:`ExtraFactors`, which any other mapping given is copied into.
-    Every value must be finite. Construction checks and normalizes the
-    fields before building the tuple once.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        name: str,
-        prevalence: float,
-        untested_pct: float,
-        public_coverage_pct: float,
-        extra_factors: Mapping[str, float] = _NO_EXTRA_FACTORS,
-    ) -> NeighborhoodRecord:
+    def __post_init__(self) -> NeighborhoodRecord:
+        name, prevalence, untested_pct, public_coverage_pct, extra_factors = self
         if not name.strip():
             raise InvalidNameError("neighborhood name must be non-empty")
         if not math.isfinite(prevalence) or prevalence < 0:
@@ -369,36 +326,16 @@ class NeighborhoodRecord(_NeighborhoodFields):
                 f"{name}: prevalence must be a non-negative real, got {prevalence}"
             )
         # Comparisons with NaN are false, so the range test also rejects non-finite values.
-        if not (0 <= untested_pct <= 100 and 0 <= public_coverage_pct <= 100):
-            for label, value in (
-                (COL_UNTESTED, untested_pct),
-                (COL_COVERAGE, public_coverage_pct),
-            ):
-                if not 0 <= value <= 100:
-                    raise DomainValidationError(
-                        f"{name}: {label} out of range [0,100], got {value}"
-                    )
-        if type(extra_factors) is not ExtraFactors:
-            copied = dict(extra_factors)
-            extra_factors = (
-                ExtraFactors(tuple(copied), copied.values()) if copied else _NO_EXTRA_FACTORS
-            )
-        if not all(map(math.isfinite, extra_factors._values)):
-            factor, value = next(
-                (factor, value) for factor, value in extra_factors.items()
-                if not math.isfinite(value)
-            )
-            raise DomainValidationError(
-                f"{name}: extra factor {factor!r} must be finite, got {value}"
-            )
-        return tuple.__new__(
-            cls, (name, prevalence, untested_pct, public_coverage_pct, extra_factors)
-        )
-
-    @classmethod
-    def _make(cls, values: Iterable) -> NeighborhoodRecord:
-        # The namedtuple's own _make, which _replace calls, would skip __new__.
-        return cls(*values)
+        for label, value in ((COL_UNTESTED, untested_pct), (COL_COVERAGE, public_coverage_pct)):
+            if not 0 <= value <= 100:
+                raise DomainValidationError(f"{name}: {label} out of range [0,100], got {value}")
+        extra_factors = dict(extra_factors)
+        for factor, value in extra_factors.items():
+            if not math.isfinite(value):
+                raise DomainValidationError(
+                    f"{name}: extra factor {factor!r} must be finite, got {value}"
+                )
+        return tuple.__new__(type(self), (*self[:4], MappingProxyType(extra_factors)))
 
     def metric(self, factor: str) -> float | None:
         """Value of a named metric column, or None if absent on this record."""
@@ -424,9 +361,9 @@ class CityDataset(_Columnar):
 
     Build a dataset from records, ``CityDataset(city, records, ...)``, or
     from columns with :meth:`from_columns`. Either way its invariants are
-    checked once, over the columns (see :meth:`_check`). ``records`` builds
-    the records afresh on every access, in O(n): it is for callers that
-    want rows, not for hot paths. Equality goes by the records too, so it
+    checked once, over the columns (see :meth:`__post_init__`). ``records``
+    builds the records afresh on every access, in O(n): it is for callers
+    that want rows, not for hot paths. Equality goes by the records too, so it
     treats a blank extra cell as absent, not as a NaN.
     """
 
@@ -467,7 +404,7 @@ class CityDataset(_Columnar):
             city,
             bll_threshold_ug_dl,
             unit_kind,
-            map(_NAME_OF, records),
+            [record.name for record in records],
             (
                 [record.prevalence for record in records],
                 [record.untested_pct for record in records],
@@ -531,11 +468,9 @@ class CityDataset(_Columnar):
                 }
             ),
         )
-        for slot, value in zip(self.__slots__, fields):  # fields are in slot order
-            object.__setattr__(self, slot, value)
-        self._check()
+        self._init(*fields)
 
-    def _check(self) -> None:
+    def __post_init__(self) -> None:
         """Raise on a broken invariant; the common, valid case takes C-level passes only."""
         names = self._names
         if not names:
@@ -766,24 +701,21 @@ class AllocationPlan(_Columnar):
     number of entries.
     """
 
-    __slots__ = ("city", "total_kits", "_names", "kits", "strategy", "apportionment")
-    _fields = ("city", "total_kits", "allocations", "strategy", "apportionment")
+    __slots__ = ("city", "total_kits", "_names", "kits", "strategy")
+    _fields = ("city", "total_kits", "allocations", "strategy")
 
     def __init__(
-        self, city: str, total_kits: int, allocations: Iterable[Sequence], strategy: Strategy,
-        apportionment: str = "largest_remainder",
+        self, city: str, total_kits: int, allocations: Iterable[Sequence], strategy: Strategy
     ) -> None:
-        names, kits = _columns(allocations, AllocationEntry)
-        self._init(city, total_kits, names, kits, strategy, apportionment)
+        self._init(city, total_kits, *_columns(allocations, AllocationEntry), strategy)
 
     @classmethod
     def from_columns(
-        cls, city: str, total_kits: int, names: Iterable, kits: Iterable, strategy: Strategy,
-        apportionment: str = "largest_remainder",
+        cls, city: str, total_kits: int, names: Iterable, kits: Iterable, strategy: Strategy
     ) -> AllocationPlan:
         """A plan of the given columns; a tuple given is held, not copied."""
         plan = object.__new__(cls)
-        plan._init(city, total_kits, tuple(names), tuple(kits), strategy, apportionment)
+        plan._init(city, total_kits, tuple(names), tuple(kits), strategy)
         return plan
 
     def __post_init__(self) -> None:
@@ -803,6 +735,11 @@ class AllocationPlan(_Columnar):
     @property
     def allocations(self) -> tuple[AllocationEntry, ...]:
         return tuple(map(AllocationEntry, self._names, self.kits))
+
+    @property
+    def apportionment(self) -> str:
+        """How the kits were apportioned, which follows from ``strategy``."""
+        return "even_split" if self.strategy is Strategy.TOP_K_EQUAL else "largest_remainder"
 
 
 class Recommendation(NamedTuple):

@@ -699,6 +699,19 @@ class TestInputBoundary:
         assert out == ""
         assert "expected a JSON object of name lists" in err
 
+    @pytest.mark.parametrize(
+        "aliases",
+        [{"": ["x"]}, {"a": ["b"], "c": ["b"]}, {"old town": ["new town"], "new town": ["x"]}],
+        ids=["empty-name", "alias-of-two-names", "chained"],
+    )
+    def test_rejected_alias_table_names_the_file(self, capsys, write_file, monkeypatch, aliases):
+        path = write_file(json.dumps(aliases), "aliases.json")
+        monkeypatch.setenv(ALIAS_ENV_VAR, str(path))
+        code, out, err = run_cli(capsys, "evaluate")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: alias file {path}: ")
+
 
 def test_score_streams_its_table(tmp_path, monkeypatch):
     # At 20,000 rows, holding every formatted table row at once as a list of

@@ -26,7 +26,6 @@ from leadalloc.model import (
     AllocationPlan,
     CityDataset,
     CityProfile,
-    ExtraFactors,
     ModelRun,
     NeighborhoodRecord,
     PriorityRanking,
@@ -193,12 +192,6 @@ class TestNeighborhoodRecord:
             hash(extras)
         with pytest.raises(TypeError):
             extras < extras
-        assert repr(extras) == "ExtraFactors({'f': 1.0, 'g': -2.5})"
-
-    def test_records_without_extras_share_one_empty_mapping(self):
-        first = record("austin", 1.0, 2.0, 3.0).extra_factors
-        assert first == {} and len(first) == 0
-        assert record("englewood", 1.0, 2.0, 3.0).extra_factors is first
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
     def test_prevalence_must_be_non_negative_real(self, bad):
@@ -220,8 +213,52 @@ class TestNeighborhoodRecord:
     def test_extras_must_be_finite(self, bad):
         with pytest.raises(DomainValidationError, match="austin: extra factor 'g' must be finite"):
             record("austin", 1.0, 2.0, 3.0, f=1.0, g=bad)
-        with pytest.raises(DomainValidationError, match="extra factor 'g'"):
-            NeighborhoodRecord("austin", 1.0, 2.0, 3.0, ExtraFactors(("g",), (bad,)))
+
+    @pytest.mark.parametrize("build", ["keyword", "positional", "_make", "_replace"])
+    @pytest.mark.parametrize(
+        ("fields", "error", "message"),
+        [
+            (("  ", 1.0, 2.0, 3.0, {}), InvalidNameError, "neighborhood name must be non-empty"),
+            (
+                ("austin", -0.1, 2.0, 3.0, {}),
+                DomainValidationError,
+                "austin: prevalence must be a non-negative real, got -0.1",
+            ),
+            (
+                ("austin", 1.0, 120.0, 3.0, {}),
+                DomainValidationError,
+                "austin: untested_pct out of range [0,100], got 120.0",
+            ),
+            (
+                ("austin", 1.0, 2.0, math.nan, {}),
+                DomainValidationError,
+                "austin: public_coverage_pct out of range [0,100], got nan",
+            ),
+            (
+                ("austin", 1.0, 2.0, 3.0, {"f": 1.0, "g": math.inf}),
+                DomainValidationError,
+                "austin: extra factor 'g' must be finite, got inf",
+            ),
+            (
+                ("austin", -0.1, 120.0, 3.0, {}),
+                DomainValidationError,
+                "austin: prevalence must be a non-negative real, got -0.1",
+            ),
+        ],
+        ids=["empty-name", "prevalence", "untested", "nan-coverage", "extra", "first-check-wins"],
+    )
+    def test_every_construction_reports_the_same_message(self, build, fields, error, message):
+        by_name = dict(zip(NeighborhoodRecord._fields, fields))
+        construct = {
+            "keyword": lambda: NeighborhoodRecord(**by_name),
+            "positional": lambda: NeighborhoodRecord(*fields),
+            "_make": lambda: NeighborhoodRecord._make(fields),
+            "_replace": lambda: NeighborhoodRecord("valid", 1.0, 2.0, 3.0)._replace(**by_name),
+        }[build]
+        with pytest.raises(error) as raised:
+            construct()
+        assert type(raised.value) is error
+        assert str(raised.value) == message
 
 
 class TestCityDataset:
@@ -543,7 +580,7 @@ def _value_cases():
                 allocations=(AllocationEntry("b", 2), AllocationEntry("a", 1)),
                 strategy=Strategy.PROPORTIONAL,
             ),
-            dict(apportionment="even_split"),
+            dict(strategy=Strategy.RANK_WEIGHTED),
         ),
         (
             ModelRun,
