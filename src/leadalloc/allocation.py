@@ -165,10 +165,10 @@ def allocate(
             k = n
         kits = largest_remainder([1] * k + [0] * (n - k), remaining)
 
-    return AllocationPlan.from_columns(
+    return AllocationPlan(
         ranking.city,
         total_kits,
-        ranking.names(),
+        ranking.names,
         map(add, kits, repeat(floor)) if floor else kits,
         strategy,
     )

@@ -11,7 +11,8 @@ Every command is deterministic for identical inputs and flags: tables are
 fixed-width with dot decimal separators, ``--json`` emits stable
 machine-readable documents, and all diagnostics go to standard error so
 standard output can be byte-compared. Exit codes: 0 success, 2 usage or
-validation error, 1 internal error.
+validation error, 1 internal error. A reader that closes standard output
+early, as ``| head`` does, is not an error: the command stops and exits 0.
 """
 
 from __future__ import annotations
@@ -63,10 +64,18 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                return args.func(args)
+                status = args.func(args)
+                sys.stdout.flush()
+                return status
             finally:
                 for item in caught:
                     print(f"warning: {item.message}", file=sys.stderr)
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: it stopped on purpose. Point
+        # stdout at devnull so the flush at exit cannot fail again (the `signal`
+        # module docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (LeadAllocError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -217,8 +226,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     w = ranking.weights
     print(f"city: {ranking.city}  variant: {w.variant.value}  r: {w.source_correlation:g}")
     print(f"weights: alpha={w.alpha:g} beta={w.beta:g} gamma={w.gamma:g}")
-    names = ranking.names()
-    position = dict(zip(dataset.names(), range(len(dataset))))
+    names = ranking.names
+    position = dict(zip(dataset.names, range(len(dataset))))
     order = list(map(position.__getitem__, names))
     del position
     headers = ("rank", "neighborhood", "raw_ps", "scaled_ps", "P", "U", "H")
@@ -266,7 +275,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         return 0
     kits = plan.kits
     shares = _Column(lambda: map(truediv, accumulate(kits), repeat(plan.total_kits)))
-    columns = (plan.names(), kits, shares)
+    columns = (plan.names, kits, shares)
     headers = ("neighborhood", "kits", "cumulative_share")
     sys.stdout.writelines(table_lines(headers, columns, ("", "d", ".4f"), left={0}))
     print(f"total: {plan.total_kits}")

@@ -146,7 +146,7 @@ def parse_city_dataset(
             # decoding; read_text rejects the file naming the file's offset.
             read_text(path)
             raise
-    dataset = CityDataset.from_columns(
+    dataset = CityDataset(
         profile.city,
         names,
         *map(columns.pop, _VALUE_COLUMNS),
@@ -357,7 +357,7 @@ def write_city_dataset(dataset: CityDataset, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([*CORE_COLUMNS, *extras])
-        for name, *values in zip(dataset.names(), *columns):
+        for name, *values in zip(dataset.names, *columns):
             writer.writerow([name, *("" if math.isnan(value) else repr(value) for value in values)])
 
 
@@ -537,7 +537,7 @@ def ranking_from_dict(doc: dict, *, collected: tuple[list, ...] | None = None) -
         city = _json_field(doc, "city", "string")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainValidationError(f"malformed ranking document: {exc}") from exc
-    return PriorityRanking.from_columns(city, weights, *collected)
+    return PriorityRanking(city, weights, *collected)
 
 
 def _ranking_entry(entry: dict) -> RankingEntry:
@@ -572,7 +572,7 @@ def dump_ranking(ranking: PriorityRanking, fh: TextIO) -> None:
         f'{{\n      "neighborhood": {_json_string(name)},'
         f'\n      "raw_score": {raw!r},'
         f'\n      "scaled_score": {scaled!r}\n    }}'
-        for name, raw, scaled in zip(ranking.names(), ranking.raw_scores, ranking.scaled_scores)
+        for name, raw, scaled in zip(ranking.names, ranking.raw_scores, ranking.scaled_scores)
     )
     _dump_document(head, "entries", entries, fh)
 
@@ -587,7 +587,7 @@ def dump_plan(plan: AllocationPlan, fh: TextIO) -> None:
     }
     allocations = (
         f'{{\n      "neighborhood": {_json_string(name)},\n      "kits": {kits!r}\n    }}'
-        for name, kits in zip(plan.names(), plan.kits)
+        for name, kits in zip(plan.names, plan.kits)
     )
     _dump_document(head, "allocations", allocations, fh)
 

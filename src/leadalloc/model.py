@@ -7,16 +7,18 @@ iterate and compare equal to plain tuples of their field values. The types
 with a length of their own, :class:`AliasTable`, :class:`CityDataset`,
 :class:`PriorityRanking` and :class:`AllocationPlan`, are slotted
 :class:`Value` classes instead; the last three hold their neighborhoods as
-columns, not as records. A checked type of either kind has one way to be
-built: a ``NamedTuple`` under :func:`validated`, a :class:`Value` through
-:meth:`Value._init`, and both run its ``__post_init__``. Neither kind uses
-``dataclasses``: importing it and building frozen dataclasses would cost
-more than the rest of the CLI's start-up.
+columns, one per field, not as records. A checked type of either kind has
+one constructor, its class call: a ``NamedTuple`` under :func:`validated`,
+a :class:`Value` through :meth:`Value._init`, and both run its
+``__post_init__``. Neither kind uses ``dataclasses``: importing it and
+building frozen dataclasses would cost more than the rest of the CLI's
+start-up.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
@@ -67,18 +69,23 @@ def validated(cls):
 class Value:
     """Base of the immutable types that cannot be tuples because they have a length.
 
-    A subclass names its fields in ``_fields`` and its storage in
-    ``__slots__``, which it sets with :meth:`_init` if it has invariants to
-    check, and with ``object.__setattr__`` if not; any later assignment
-    raises ``AttributeError``. Equality, hashing and ``repr`` go by the
-    values of the fields, which may be properties.
+    A subclass names its fields in ``_fields`` and keeps each in the slot of
+    the same name: ``__slots__ == _fields``. Its class call, the one way to
+    build it, sets the slots with :meth:`_init`, which checks the value with
+    ``__post_init__``; any later assignment raises ``AttributeError``.
+    Equality and hashing go by :meth:`_key`, and ``repr`` and ``_replace``
+    by :meth:`_values`; both are the field values unless a subclass says
+    otherwise.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+        return tuple(map(getattr, repeat(self), self._fields))
+
+    def _key(self) -> tuple:
+        return self._values()
 
     def _init(self, *values) -> None:
         """Set the slots, in ``__slots__`` order, then check the value with ``__post_init__``."""
@@ -99,27 +106,27 @@ class Value:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
         return f"{type(self).__name__}({fields})"
 
 
 class _Columnar(Value):
-    """A value that holds one entry per neighborhood as columns; ``len()`` counts them."""
+    """A value that holds one entry per neighborhood as columns; ``len()`` counts them.
+
+    ``names``, a tuple of the canonical names in the value's order, is one
+    of its fields.
+    """
 
     __slots__ = ()
 
     def __len__(self) -> int:
-        return len(self._names)
-
-    def names(self) -> tuple[str, ...]:
-        """The canonical names, one per entry, in the value's order."""
-        return self._names
+        return len(self.names)
 
 
 def is_zip_code(name: str) -> bool:
@@ -127,43 +134,19 @@ def is_zip_code(name: str) -> bool:
     return len(name) == 5 and name.isdecimal()
 
 
-class _FoldTable(dict):
-    """``str.translate`` table of the name fold, filled as code points are first seen.
-
-    A code point maps to itself if it is alphanumeric and to a space if not.
-    At most ``_FOLD_TABLE_SIZE`` code points are kept, so names made of
-    ever new characters cannot grow the table without bound; the rest are
-    folded by the same rule on each lookup.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, code: int) -> str:
-        char = chr(code)
-        folded = char if char.isalnum() else " "
-        if len(self) < _FOLD_TABLE_SIZE:
-            self[code] = folded
-        return folded
-
-
-_FOLD_TABLE_SIZE = 4096
-_FOLD_TABLE = _FoldTable()
-
-
 def canonicalize_name(raw: str, aliases: "AliasTable | None" = None) -> str:
     """Normalize a neighborhood name to its canonical matching form.
 
     Lowercases, folds every punctuation or dash character (any Unicode
     variant) to a space, collapses whitespace, then applies the alias
-    table, if any. Idempotent: canonical forms map to themselves. The fold
-    is one ``str.translate`` over the lowercased name through a table that
-    caches, per code point, whether ``str.isalnum`` keeps it; a name whose
-    words are all alphanumeric already, the usual case, needs no fold.
+    table, if any. Idempotent: canonical forms map to themselves. A name
+    whose words are all alphanumeric already, the usual case, needs no fold.
     """
     lowered = raw.lower()
     words = lowered.split()
     if not all(map(str.isalnum, words)):
-        words = lowered.translate(_FOLD_TABLE).split()
+        # In a str pattern, \w is str.isalnum() plus the underscore.
+        words = re.sub(r"[\W_]+", " ", lowered).split()
     name = " ".join(words)
     if not name:
         raise InvalidNameError(f"name is empty after normalization: {raw!r}")
@@ -175,17 +158,31 @@ def canonicalize_name(raw: str, aliases: "AliasTable | None" = None) -> str:
 class AliasTable(Value):
     """Maps alternate neighborhood spellings onto their canonical name.
 
-    Built from a ``{"canonical": ["alias", ...]}`` mapping; both sides are
-    normalized on load. Chains are rejected so resolution is a single,
-    idempotent lookup.
+    Every key and value must be canonical already, and no key may also be a
+    value, so resolution is a single, idempotent lookup. Build a table from
+    a ``{"canonical": ["alias", ...]}`` mapping with :meth:`from_mapping`,
+    which normalizes both sides first.
     """
 
     __slots__ = _fields = ("alias_to_canonical",)
 
     def __init__(self, alias_to_canonical: Mapping[str, str] = MappingProxyType({})) -> None:
-        object.__setattr__(
-            self, "alias_to_canonical", MappingProxyType(dict(alias_to_canonical))
-        )
+        self._init(MappingProxyType(dict(alias_to_canonical)))
+
+    def __post_init__(self) -> None:
+        table = self.alias_to_canonical
+        for name in (*table, *table.values()):
+            canonical = canonicalize_name(name)
+            if canonical != name:
+                raise DomainValidationError(
+                    f"alias table name {name!r} is not canonical; its canonical form is "
+                    f"{canonical!r}"
+                )
+        chained = table.keys() & set(table.values())
+        if chained:
+            raise DomainValidationError(
+                f"canonical names also appear as aliases (chained mapping): {sorted(chained)}"
+            )
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Iterable[str]]) -> "AliasTable":
@@ -294,14 +291,6 @@ def register_city(
     return profile
 
 
-def _columns(rows: Iterable, row_type: type) -> tuple[tuple, ...]:
-    """The columns of ``rows``, each a ``row_type`` or a sequence of its fields."""
-    rows = tuple(rows)
-    if not all(map(isinstance, rows, repeat(row_type))):
-        rows = tuple(map(row_type._make, rows))
-    return tuple(zip(*rows)) or ((),) * len(row_type._fields)
-
-
 @validated
 class NeighborhoodRecord(NamedTuple):
     """One neighborhood's raw metrics.
@@ -337,85 +326,38 @@ class NeighborhoodRecord(NamedTuple):
                 )
         return tuple.__new__(type(self), (*self[:4], MappingProxyType(extra_factors)))
 
-    def metric(self, factor: str) -> float | None:
-        """Value of a named metric column, or None if absent on this record."""
-        if factor == COL_PREVALENCE:
-            return self.prevalence
-        if factor == COL_UNTESTED:
-            return self.untested_pct
-        if factor == COL_COVERAGE:
-            return self.public_coverage_pct
-        return self.extra_factors.get(factor)
-
 
 class CityDataset(_Columnar):
     """Validated neighborhoods of one city, held as columns.
 
-    ``names()`` gives the canonical names in dataset order. ``prevalence``,
-    ``untested_pct`` and ``public_coverage_pct`` hold the core metrics, and
-    ``extra_columns`` maps each extra factor to its values, NaN where a
-    neighborhood lacks the factor. Each column is a read-only view of an
-    ``array('d')`` with one value per name, so a value costs 8 bytes, not a
-    float object. The columns hold floats, so integral values given come
-    back as floats.
+    ``names`` is a tuple of the canonical names in dataset order.
+    ``prevalence``, ``untested_pct`` and ``public_coverage_pct`` hold the
+    core metrics, and ``extra_columns`` maps each extra factor to its values,
+    NaN where a neighborhood lacks the factor. Each column is a read-only
+    view of an ``array('d')`` with one value per name, so a value costs 8
+    bytes, not a float object. The columns hold floats, so integral values
+    given come back as floats.
 
-    Build a dataset from records, ``CityDataset(city, records, ...)``, or
-    from columns with :meth:`from_columns`. Either way its invariants are
-    checked once, over the columns (see :meth:`__post_init__`). ``records``
-    builds the records afresh on every access, in O(n): it is for callers
-    that want rows, not for hot paths. Equality goes by the records too, so it
-    treats a blank extra cell as absent, not as a NaN.
+    The class call copies the columns given and checks them once (see
+    :meth:`__post_init__`). Equality and hashing compare each column's
+    bytes, so every blank cell holds the same NaN, and -0.0 differs from
+    0.0. ``records`` builds the records afresh on every access, in O(n): it
+    is for callers that want rows, not for hot paths.
     """
 
-    __slots__ = (
+    __slots__ = _fields = (
         "city",
-        "bll_threshold_ug_dl",
-        "unit_kind",
-        "_names",
+        "names",
         "prevalence",
         "untested_pct",
         "public_coverage_pct",
         "extra_columns",
+        "bll_threshold_ug_dl",
+        "unit_kind",
     )
-    _fields = ("city", "records", "bll_threshold_ug_dl", "unit_kind")
-    city: str
-    bll_threshold_ug_dl: float
-    unit_kind: UnitKind
-    prevalence: Sequence[float]
-    untested_pct: Sequence[float]
-    public_coverage_pct: Sequence[float]
-    extra_columns: Mapping[str, Sequence[float]]
 
     def __init__(
         self,
-        city: str,
-        records: Iterable[NeighborhoodRecord],
-        bll_threshold_ug_dl: float,
-        unit_kind: UnitKind,
-    ) -> None:
-        records = tuple(records)
-        extras: dict[str, list[float]] = {}
-        for row, record in enumerate(records):
-            for factor, value in record.extra_factors.items():
-                if factor not in extras:
-                    extras[factor] = [math.nan] * len(records)
-                extras[factor][row] = value
-        self._set_columns(
-            city,
-            bll_threshold_ug_dl,
-            unit_kind,
-            [record.name for record in records],
-            (
-                [record.prevalence for record in records],
-                [record.untested_pct for record in records],
-                [record.public_coverage_pct for record in records],
-            ),
-            extras,
-        )
-
-    @classmethod
-    def from_columns(
-        cls,
         city: str,
         names: Iterable[str],
         prevalence: Iterable[float],
@@ -425,54 +367,52 @@ class CityDataset(_Columnar):
         *,
         bll_threshold_ug_dl: float,
         unit_kind: UnitKind,
-    ) -> CityDataset:
-        """A dataset of the given columns, copied; NaN in an extra column marks a blank cell."""
-        dataset = object.__new__(cls)
-        dataset._set_columns(
-            city,
-            bll_threshold_ug_dl,
-            unit_kind,
-            names,
-            (prevalence, untested_pct, public_coverage_pct),
-            extra_columns,
-        )
-        return dataset
-
-    def _set_columns(
-        self,
-        city: str,
-        bll_threshold_ug_dl: float,
-        unit_kind: UnitKind,
-        names: Iterable[str],
-        core: tuple[Iterable[float], Iterable[float], Iterable[float]],
-        extras: Mapping[str, Iterable[float]],
     ) -> None:
         from array import array  # deferred: only building columns needs it
 
         def frozen(values: Iterable[float]) -> memoryview:
-            return memoryview(array("d", values)).toreadonly()
+            column = array("d", values)
+            for row in compress(range(len(column)), map(math.isnan, column)):
+                column[row] = math.nan  # one NaN for every blank cell, as _key needs
+            return memoryview(column).toreadonly()
 
-        extra_columns = {factor: frozen(values) for factor, values in extras.items()}
-        fields = (
+        extras = {factor: frozen(values) for factor, values in extra_columns.items()}
+        self._init(
             city,
-            bll_threshold_ug_dl,
-            unit_kind,
             tuple(names),
-            *map(frozen, core),
+            frozen(prevalence),
+            frozen(untested_pct),
+            frozen(public_coverage_pct),
             # A factor no neighborhood has is no column, as it is no record's factor.
             MappingProxyType(
                 {
                     factor: values
-                    for factor, values in extra_columns.items()
+                    for factor, values in extras.items()
                     if not all(map(math.isnan, values))
                 }
             ),
+            bll_threshold_ug_dl,
+            unit_kind,
         )
-        self._init(*fields)
+
+    def _values(self) -> tuple:
+        """The fields with each column as a list and the extra columns in factor order.
+
+        A memoryview's ``repr`` is its address, and equality ignores the order of the extras.
+        """
+        city, names, *core, extras, threshold, unit_kind = super()._values()
+        lists = {factor: extras[factor].tolist() for factor in sorted(extras)}
+        return city, names, *(values.tolist() for values in core), lists, threshold, unit_kind
+
+    def _key(self) -> tuple:
+        """The fields with each column as bytes: memoryviews do not hash, and NaN is unequal."""
+        city, names, *core, extras, threshold, unit_kind = super()._values()
+        extra_bytes = frozenset((factor, values.tobytes()) for factor, values in extras.items())
+        return city, names, *map(memoryview.tobytes, core), extra_bytes, threshold, unit_kind
 
     def __post_init__(self) -> None:
         """Raise on a broken invariant; the common, valid case takes C-level passes only."""
-        names = self._names
+        names = self.names
         if not names:
             raise DomainValidationError(f"{self.city}: dataset has no records")
         columns = (self.prevalence, self.untested_pct, self.public_coverage_pct)
@@ -501,7 +441,7 @@ class CityDataset(_Columnar):
                 self._reject(row, f"extra factor {factor!r} must be finite, got {values[row]}")
 
     def _reject(self, row: int, problem: str) -> None:
-        raise DomainValidationError(f"{self.city}: {self._names[row]}: {problem}")
+        raise DomainValidationError(f"{self.city}: {self.names[row]}: {problem}")
 
     @property
     def records(self) -> tuple[NeighborhoodRecord, ...]:
@@ -516,7 +456,7 @@ class CityDataset(_Columnar):
                 {factor: value for factor, value in zip(factors, values) if not math.isnan(value)},
             )
             for name, prevalence, untested, coverage, *values in zip(
-                self._names,
+                self.names,
                 self.prevalence,
                 self.untested_pct,
                 self.public_coverage_pct,
@@ -609,32 +549,24 @@ class RankingEntry(NamedTuple):
 class PriorityRanking(_Columnar):
     """Descending-ordered priority list for one city, held as columns.
 
-    ``names()``, ``raw_scores`` and ``scaled_scores`` are tuples in ranking
-    order. Build a ranking from entries or with :meth:`from_columns`; either
-    way :meth:`__post_init__` checks it once, over the columns. ``entries``
-    builds the ``RankingEntry`` tuples on every access, in O(n): it is not
-    for hot paths. ``len()`` is the number of entries.
+    ``names``, ``raw_scores`` and ``scaled_scores`` are tuples in ranking
+    order; a tuple given is held, not copied. :meth:`__post_init__` checks
+    the ranking once, over the columns. ``entries`` builds the
+    ``RankingEntry`` tuples on every access, in O(n): it is not for hot
+    paths. ``len()`` is the number of entries.
     """
 
-    __slots__ = ("city", "weights", "_names", "raw_scores", "scaled_scores")
-    _fields = ("city", "weights", "entries")
+    __slots__ = _fields = ("city", "weights", "names", "raw_scores", "scaled_scores")
 
-    def __init__(self, city: str, weights: WeightConfig, entries: Iterable[Sequence]) -> None:
-        self._init(city, weights, *_columns(entries, RankingEntry))
-
-    @classmethod
-    def from_columns(
-        cls, city: str, weights: WeightConfig, names: Iterable, raw_scores: Iterable,
-        scaled_scores: Iterable,
-    ) -> PriorityRanking:
-        """A ranking of the given columns; a tuple given is held, not copied."""
-        ranking = object.__new__(cls)
-        ranking._init(city, weights, tuple(names), tuple(raw_scores), tuple(scaled_scores))
-        return ranking
+    def __init__(
+        self, city: str, weights: WeightConfig, names: Iterable[str],
+        raw_scores: Iterable[float], scaled_scores: Iterable[float],
+    ) -> None:
+        self._init(city, weights, tuple(names), tuple(raw_scores), tuple(scaled_scores))
 
     def __post_init__(self) -> None:
         """Raise on a broken invariant, as checking entry by entry would, in C-level passes."""
-        names, raw, scaled = self._names, self.raw_scores, self.scaled_scores
+        names, raw, scaled = self.names, self.raw_scores, self.scaled_scores
         if not names:
             raise DomainValidationError(f"{self.city}: ranking has no entries")
         if not len(raw) == len(scaled) == len(names):
@@ -684,7 +616,7 @@ class PriorityRanking(_Columnar):
 
     @property
     def entries(self) -> tuple[RankingEntry, ...]:
-        return tuple(map(RankingEntry, self._names, self.raw_scores, self.scaled_scores))
+        return tuple(map(RankingEntry, self.names, self.raw_scores, self.scaled_scores))
 
 
 class AllocationEntry(NamedTuple):
@@ -695,34 +627,25 @@ class AllocationEntry(NamedTuple):
 class AllocationPlan(_Columnar):
     """Integer kit assignment mirroring the ranking it was derived from, held as columns.
 
-    ``names()`` is the ranking's own tuple of names, shared, and ``kits``
-    a tuple of their kit counts. ``allocations`` builds the
-    ``AllocationEntry`` tuples on every access, in O(n). ``len()`` is the
-    number of entries.
+    ``names`` is the ranking's own tuple of names, shared, and ``kits`` a
+    tuple of their kit counts; a tuple given is held, not copied.
+    ``allocations`` builds the ``AllocationEntry`` tuples on every access,
+    in O(n). ``len()`` is the number of entries.
     """
 
-    __slots__ = ("city", "total_kits", "_names", "kits", "strategy")
-    _fields = ("city", "total_kits", "allocations", "strategy")
+    __slots__ = _fields = ("city", "total_kits", "names", "kits", "strategy")
 
     def __init__(
-        self, city: str, total_kits: int, allocations: Iterable[Sequence], strategy: Strategy
+        self, city: str, total_kits: int, names: Iterable[str], kits: Iterable[int],
+        strategy: Strategy,
     ) -> None:
-        self._init(city, total_kits, *_columns(allocations, AllocationEntry), strategy)
-
-    @classmethod
-    def from_columns(
-        cls, city: str, total_kits: int, names: Iterable, kits: Iterable, strategy: Strategy
-    ) -> AllocationPlan:
-        """A plan of the given columns; a tuple given is held, not copied."""
-        plan = object.__new__(cls)
-        plan._init(city, total_kits, tuple(names), tuple(kits), strategy)
-        return plan
+        self._init(city, total_kits, tuple(names), tuple(kits), strategy)
 
     def __post_init__(self) -> None:
         """Raise on a broken invariant, in two C-level passes over the kits."""
         if self.total_kits < 1:
             raise DomainValidationError(f"total_kits must be >= 1, got {self.total_kits}")
-        if len(self.kits) != len(self._names):
+        if len(self.kits) != len(self.names):
             raise DomainValidationError(f"{self.city}: every name needs one kit count")
         if min(self.kits, default=0) < 0:
             raise DomainValidationError("kit counts must be non-negative")
@@ -734,7 +657,7 @@ class AllocationPlan(_Columnar):
 
     @property
     def allocations(self) -> tuple[AllocationEntry, ...]:
-        return tuple(map(AllocationEntry, self._names, self.kits))
+        return tuple(map(AllocationEntry, self.names, self.kits))
 
     @property
     def apportionment(self) -> str:

@@ -109,7 +109,7 @@ def score_city(
 
     # Raw score descending, ties by name: sorts are stable, even in reverse,
     # so sort by name first. Neither pass builds a key object per record.
-    names = dataset.names()
+    names = dataset.names
     order = sorted(range(len(raw)), key=names.__getitem__)
     order.sort(key=raw.__getitem__, reverse=True)
     pick = itemgetter(*order)  # at least 2 positions, so it picks tuples
@@ -125,11 +125,11 @@ def score_city(
             stacklevel=2,
         )
         raw = scaled = (0.0,) * len(raw)
-    return PriorityRanking.from_columns(dataset.city, weights, names, raw, scaled)
+    return PriorityRanking(dataset.city, weights, names, raw, scaled)
 
 
 def top_k(ranking: PriorityRanking, k: int) -> list[str]:
     """First ``min(k, len)`` neighborhood names in ranking order."""
     if k < 1:
         raise DomainValidationError(f"k must be >= 1, got {k}")
-    return list(ranking.names()[:k])
+    return list(ranking.names[:k])

@@ -7,10 +7,13 @@ from collections import Counter
 
 from leadalloc.errors import DomainValidationError
 from leadalloc.model import (
+    COL_COVERAGE,
+    COL_PREVALENCE,
+    COL_UNTESTED,
+    AllocationPlan,
     CityDataset,
     NeighborhoodRecord,
     PriorityRanking,
-    RankingEntry,
     UnitKind,
 )
 from leadalloc.scoring import derive_weights
@@ -26,29 +29,63 @@ def record(name, prevalence, untested, coverage, **extras):
     )
 
 
+def metric(record, factor):
+    """Value of a named metric column on ``record``, or None if the record lacks it."""
+    if factor == COL_PREVALENCE:
+        return record.prevalence
+    if factor == COL_UNTESTED:
+        return record.untested_pct
+    if factor == COL_COVERAGE:
+        return record.public_coverage_pct
+    return record.extra_factors.get(factor)
+
+
+def columns(rows, width):
+    """The columns of ``rows``, tuples of ``width`` fields each; ``width`` empty ones if none."""
+    return tuple(zip(*rows)) or ((),) * width
+
+
+def dataset_of_records(city, records, bll_threshold_ug_dl=5.0, unit_kind=UnitKind.NAMED_AREA):
+    """A CityDataset of ``NeighborhoodRecord``s, with NaN where a record lacks a factor."""
+    records = tuple(records)
+    factors = dict.fromkeys(factor for record in records for factor in record.extra_factors)
+    extras = {
+        factor: [record.extra_factors.get(factor, math.nan) for record in records]
+        for factor in factors
+    }
+    return CityDataset(
+        city,
+        *columns([record[:4] for record in records], 4),
+        extras,
+        bll_threshold_ug_dl=bll_threshold_ug_dl,
+        unit_kind=unit_kind,
+    )
+
+
 def dataset(rows, city="demo"):
     """Build a CityDataset from (name, prevalence, untested, coverage[, extras]) rows."""
-    records = []
-    for row in rows:
-        extras = row[4] if len(row) > 4 else {}
-        records.append(record(row[0], row[1], row[2], row[3], **extras))
-    return CityDataset(
-        city=city,
-        records=tuple(records),
-        bll_threshold_ug_dl=5.0,
-        unit_kind=UnitKind.NAMED_AREA,
-    )
+    records = [record(*row[:4], **(row[4] if len(row) > 4 else {})) for row in rows]
+    return dataset_of_records(city, records)
+
+
+def ranking_of_entries(city, weights, entries):
+    """A PriorityRanking of ``(name, raw_score, scaled_score)`` entries."""
+    return PriorityRanking(city, weights, *columns(entries, 3))
+
+
+def plan_of_allocations(city, total_kits, allocations, strategy):
+    """An AllocationPlan of ``(name, kits)`` allocations."""
+    return AllocationPlan(city, total_kits, *columns(allocations, 2), strategy)
 
 
 def ranking_from_scores(scores, city="demo"):
     """Build a valid PriorityRanking from a {name: raw_score} mapping."""
     items = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     max_raw = items[0][1]
-    entries = tuple(
-        RankingEntry(name, raw, 10.0 * (raw / max_raw) if max_raw > 0 else 0.0)
-        for name, raw in items
-    )
-    return PriorityRanking(city=city, weights=derive_weights(0.6), entries=entries)
+    entries = [
+        (name, raw, 10.0 * (raw / max_raw) if max_raw > 0 else 0.0) for name, raw in items
+    ]
+    return ranking_of_entries(city, derive_weights(0.6), entries)
 
 
 def ranking_to_dict(ranking):

@@ -163,7 +163,7 @@ def test_criterion_4_ranking_invariant_under_affine_column_maps():
                     for row in rows
                 ]
                 other = score_city(dataset(mapped))
-                assert other.names() == base.names()
+                assert other.names == base.names
                 for before, after in zip(base.entries, other.entries):
                     assert abs(after.scaled_score - before.scaled_score) <= 1e-12
 

@@ -256,7 +256,7 @@ def test_rank_weighted_memory_is_linear_in_n():
 def test_plan_shares_the_names_of_its_ranking(strategy):
     ranking = ranking_from_scores({"a": 3.0, "b": 2.0, "c": 1.0})
     plan = allocate(ranking, 10, strategy, k=2, floor=1)
-    assert plan.names() is ranking.names()
+    assert plan.names is ranking.names
     assert type(plan.kits) is tuple and sum(plan.kits) == 10
 
 

@@ -19,6 +19,7 @@ from leadalloc import cli, resources
 from leadalloc.cli import ALIAS_ENV_VAR, main
 from leadalloc.errors import LeadAllocError
 from leadalloc.ingest import parse_ranking, write_ranking
+from leadalloc.model import CORE_COLUMNS
 
 
 @pytest.fixture(autouse=True)
@@ -800,6 +801,38 @@ class TestParserBasics:
         )
         assert result.returncode == 0
         assert result.stdout == golden("evaluate_table.txt")
+
+    @pytest.mark.parametrize(
+        ("rows", "lines_read"),
+        # 10^4 rows make a table far larger than a pipe's buffer, so the child is
+        # still writing when the reader stops, as `| head -1`. A 3-row table fits
+        # stdout's buffer, so it fails only on the last flush, as with `| true`.
+        [(10_000, 1), (3, 0)],
+    )
+    def test_a_reader_that_closes_stdout_early_is_not_an_error(self, tmp_path, rows, lines_read):
+        body = "".join(f"area {i},{i % 97}.5,{i % 89},{i % 83}\n" for i in range(rows))
+        path = tmp_path / "city.csv"
+        path.write_text(f"{','.join(CORE_COLUMNS)}\n{body}", encoding="utf-8")
+        package_root = str(Path(leadalloc.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "leadalloc", "score", "--input", str(path), "--city", "chicago"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            # Buffered stdout, as in a shell, whatever this process was given.
+            env={**os.environ, "PYTHONPATH": package_root, "PYTHONUNBUFFERED": ""},
+        )
+        try:
+            for _ in range(lines_read):
+                assert child.stdout.readline().startswith("city: chicago")
+            child.stdout.close()
+            stderr = child.stderr.read()
+            assert child.wait(timeout=60) == 0, stderr
+        finally:
+            child.kill()
+            child.wait()
+            child.stderr.close()
+        assert "error:" not in stderr and "Exception ignored" not in stderr
 
     def test_import_loads_no_start_up_heavy_modules(self):
         # dataclasses (with inspect, ast, dis and tokenize), fractions (with

@@ -3,15 +3,23 @@
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import record
+from helpers import dataset_of_records, metric, ranking_of_entries, record
 from leadalloc.errors import DomainValidationError, LeadAllocError, UndefinedCorrelationError
-from leadalloc.model import CityDataset, PriorityRanking, RankingEntry, UnitKind, WeightVariant
+from leadalloc.model import (
+    CityDataset,
+    NeighborhoodRecord,
+    PriorityRanking,
+    RankingEntry,
+    UnitKind,
+    WeightVariant,
+)
 from leadalloc.scoring import derive_weights, score_city
 from leadalloc.stats import (
     CorrelationResult,
@@ -23,7 +31,7 @@ from leadalloc.stats import (
 
 
 def columns_dataset(names, prevalence, untested, coverage, extras=None, *, unit_kind=None):
-    return CityDataset.from_columns(
+    return CityDataset(
         "demo",
         names,
         prevalence,
@@ -36,7 +44,7 @@ def columns_dataset(names, prevalence, untested, coverage, extras=None, *, unit_
 
 
 def rebuilt(dataset):
-    return CityDataset(
+    return dataset_of_records(
         dataset.city, dataset.records, dataset.bll_threshold_ug_dl, dataset.unit_kind
     )
 
@@ -69,7 +77,7 @@ def score_city_by_records(dataset, alpha, variant, r_override, normalize):
         )
     else:
         entries = tuple(RankingEntry(names[i], 0.0, 0.0) for i in order)
-    return PriorityRanking(city=dataset.city, weights=weights, entries=entries)
+    return ranking_of_entries(city=dataset.city, weights=weights, entries=entries)
 
 
 def correlate_by_records(dataset, factors, estimator):
@@ -79,7 +87,7 @@ def correlate_by_records(dataset, factors, estimator):
         pairs = [
             (value, r.prevalence)
             for r in dataset.records
-            if (value := r.metric(factor)) is not None
+            if (value := metric(r, factor)) is not None
         ]
         if len(pairs) < 2:
             raise UndefinedCorrelationError(
@@ -193,7 +201,7 @@ class TestColumns:
         assert dataset.prevalence[0] == 1.0
         with pytest.raises(TypeError):
             dataset.prevalence[0] = -1.0
-        assert type(dataset.names()) is tuple and dataset.names() == ("a", "b")
+        assert type(dataset.names) is tuple and dataset.names == ("a", "b")
 
     def test_column_names_core_metrics_and_extras(self):
         dataset = columns_dataset(["a", "b"], [1, 2], [3, 4], [5, 6], {"f": [math.nan, 7.0]})
@@ -231,3 +239,73 @@ class TestColumns:
         names = ["20011", "2002a"]
         with pytest.raises(DomainValidationError, match="'2002a' is not a 5-digit ZIP"):
             columns_dataset(names, [1, 2], [3, 4], [5, 6], unit_kind=UnitKind.ZIP_CODE)
+
+
+# NaNs of both signs and of another payload: a blank cell is any of them.
+_NANS = (math.nan, -math.nan, struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_0000_0001))[0])
+
+
+@st.composite
+def small_datasets(draw):
+    """Datasets from a space small enough that two draws are often equal; no signed zeros."""
+    n = draw(st.integers(1, 3))
+    names = draw(st.permutations(["a", "b", "c"]))[:n]
+    value = st.sampled_from([0.0, 1.0, 2.5])
+    core = [draw(st.lists(value, min_size=n, max_size=n)) for _ in range(3)]
+    extra = st.sampled_from([0.0, 1.0, *_NANS])
+    factors = draw(st.lists(st.sampled_from(["f", "g"]), unique=True))
+    extras = {factor: draw(st.lists(extra, min_size=n, max_size=n)) for factor in factors}
+    return CityDataset(
+        "demo", names, *core, extras,
+        bll_threshold_ug_dl=draw(st.sampled_from([3.5, 5.0])), unit_kind=UnitKind.NAMED_AREA,
+    )
+
+
+def _as_records(dataset):
+    return dataset.city, dataset.records, dataset.bll_threshold_ug_dl, dataset.unit_kind
+
+
+@given(small_datasets(), small_datasets(), st.sampled_from(_NANS))
+def test_equality_and_hash_agree_with_the_records(dataset, other, nan):
+    """``==`` over the columns' bytes is ``==`` over the records: a blank cell is absent."""
+    renamed = CityDataset(
+        dataset.city,
+        dataset.names,
+        dataset.prevalence,
+        dataset.untested_pct,
+        dataset.public_coverage_pct,
+        {
+            factor: [nan if math.isnan(value) else value for value in values]
+            for factor, values in reversed(dataset.extra_columns.items())
+        },
+        bll_threshold_ug_dl=dataset.bll_threshold_ug_dl,
+        unit_kind=dataset.unit_kind,
+    )
+    for candidate in (other, renamed):
+        equal = _as_records(dataset) == _as_records(candidate)
+        assert (dataset == candidate) is (candidate == dataset) is equal
+        if equal:
+            assert hash(dataset) == hash(candidate)
+            assert repr(dataset) == repr(candidate)
+
+
+def test_equality_hash_and_repr_build_no_record(monkeypatch):
+    columns = (["a", "b"], [1, 2], [3, 4], [5, 6], {"f": [math.nan, 7.0]})
+    dataset, again = columns_dataset(*columns), columns_dataset(*columns)
+
+    def built(record):
+        raise AssertionError("a NeighborhoodRecord was built")
+
+    monkeypatch.setattr(NeighborhoodRecord, "__post_init__", built)
+    assert dataset == again and hash(dataset) == hash(again)
+    assert repr(dataset) == (
+        "CityDataset(city='demo', names=('a', 'b'), prevalence=[1.0, 2.0], "
+        "untested_pct=[3.0, 4.0], public_coverage_pct=[5.0, 6.0], extra_columns={'f': [nan, 7.0]}, "
+        "bll_threshold_ug_dl=5.0, unit_kind=<UnitKind.NAMED_AREA: 'named_area'>)"
+    )
+    with pytest.raises(AssertionError, match="NeighborhoodRecord was built"):
+        dataset.records
+
+
+def test_a_signed_zero_makes_the_columns_unequal():
+    assert columns_dataset(["a"], [0.0], [1], [2]) != columns_dataset(["a"], [-0.0], [1], [2])

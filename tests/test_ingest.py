@@ -12,7 +12,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import ranking_from_scores, ranking_to_dict
+from helpers import (
+    metric,
+    plan_of_allocations,
+    ranking_from_scores,
+    ranking_of_entries,
+    ranking_to_dict,
+)
 from leadalloc.errors import (
     DatasetValidationError,
     DomainValidationError,
@@ -32,7 +38,6 @@ from leadalloc.ingest import (
 )
 from leadalloc.model import (
     AliasTable,
-    AllocationPlan,
     PriorityRanking,
     RankingEntry,
     Strategy,
@@ -54,7 +59,7 @@ class TestParseCityDataset:
         assert report.accepted
         assert report.issues == []
         assert dataset.city == "chicago"
-        assert dataset.names() == ("englewood", "west englewood", "austin")
+        assert dataset.names == ("englewood", "west englewood", "austin")
         assert dataset.records[0].prevalence == 12.4
         assert dataset.bll_threshold_ug_dl == 5.0
         assert dataset.unit_kind is UnitKind.NAMED_AREA
@@ -91,8 +96,8 @@ class TestParseCityDataset:
             {"pipe": 41.0, "lines": 9.0},
         ]
         assert dataset.records[1].extra_factors == {"lines": 8.0}
-        assert dataset.records[1].metric("pipe") is None
-        assert dataset.records[3].metric("lines") == 9.0
+        assert metric(dataset.records[1], "pipe") is None
+        assert metric(dataset.records[3], "lines") == 9.0
         assert dataset.factor_names() == ("untested_pct", "public_coverage_pct", "lines", "pipe")
 
     def test_decode_error_past_the_first_chunk_names_its_file_offset(self, tmp_path):
@@ -142,7 +147,7 @@ class TestParseCityDataset:
             """
         )
         dataset, _ = parse_city_dataset(path, "chicago")
-        assert dataset.names() == ("englewood", "west englewood")
+        assert dataset.names == ("englewood", "west englewood")
 
     def test_percentage_out_of_range_reports_row(self, write_file):
         path = write_file(
@@ -227,7 +232,7 @@ class TestParseCityDataset:
             """
         )
         dataset, report = parse_city_dataset(path, "chicago")
-        assert dataset.names() == ("austin", "west englewood")
+        assert dataset.names == ("austin", "west englewood")
         (warning,) = report.warnings()
         assert warning.row == 2
         assert "missing untested_pct" in warning.message
@@ -253,7 +258,7 @@ class TestParseCityDataset:
             """
         )
         dataset, report = parse_city_dataset(path, "chicago")
-        assert dataset.names() == ("austin", "west englewood")
+        assert dataset.names == ("austin", "west englewood")
         assert "missing neighborhood name" in report.warnings()[0].message
 
     def test_non_numeric_cell_is_an_error(self, write_file):
@@ -308,7 +313,7 @@ class TestParseCityDataset:
             """
         )
         dataset, _ = parse_city_dataset(path, "dc")
-        assert dataset.names() == ("20011", "20020")
+        assert dataset.names == ("20011", "20020")
         assert dataset.bll_threshold_ug_dl == 3.5
 
     def test_zip_city_rejects_named_rows(self, write_file):
@@ -331,7 +336,7 @@ class TestParseCityDataset:
         )
         aliases = AliasTable.from_mapping({"bedford stuyvesant": ["bed stuy"]})
         dataset, _ = parse_city_dataset(path, "nyc", aliases=aliases)
-        assert dataset.names() == ("bedford stuyvesant", "greenpoint")
+        assert dataset.names == ("bedford stuyvesant", "greenpoint")
 
     def test_round_trip_preserves_values_exactly(self, demo_csv, tmp_path):
         original, _ = parse_city_dataset(demo_csv, "demo")
@@ -608,7 +613,9 @@ class TestRankingRoundTrip:
         ranking = PriorityRanking(
             "demo",
             derive_weights(0.6),
-            [(name, raw, 10.0 * (raw / top) if top else 0.0) for name, raw in scored],
+            [name for name, _ in scored],
+            [raw for _, raw in scored],
+            [10.0 * (raw / top) if top else 0.0 for _, raw in scored],
         )
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "ranking.json"
@@ -655,7 +662,7 @@ class TestStreamingWriters:
         scored.sort(key=lambda item: (-item[1], item[0]))
         top = scored[0][1]
         entries = [RankingEntry(name, raw, 10.0 * (raw / top) if top else 0.0) for name, raw in scored]
-        ranking = PriorityRanking(city=city, weights=derive_weights(0.6), entries=tuple(entries))
+        ranking = ranking_of_entries(city=city, weights=derive_weights(0.6), entries=tuple(entries))
         assert written_text(dump_ranking, ranking) == json_dump_text(ranking_to_dict(ranking))
 
     @given(
@@ -666,7 +673,7 @@ class TestStreamingWriters:
     def test_plan_matches_json_dump(self, city, allocations, strategy):
         total = sum(kits for _, kits in allocations)
         assume(total > 0)
-        plan = AllocationPlan(city, total, tuple(allocations), strategy)
+        plan = plan_of_allocations(city, total, tuple(allocations), strategy)
         doc = {
             "city": city,
             "total_kits": total,

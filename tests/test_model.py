@@ -11,7 +11,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import check_ranking_entry_by_entry, dataset, record
+from helpers import (
+    check_ranking_entry_by_entry,
+    dataset,
+    dataset_of_records,
+    metric,
+    plan_of_allocations,
+    ranking_of_entries,
+    record,
+)
+from leadalloc import resources
 from leadalloc.errors import (
     DatasetValidationError,
     DomainValidationError,
@@ -34,6 +43,7 @@ from leadalloc.model import (
     Strategy,
     TargetSet,
     UnitKind,
+    Value,
     WeightConfig,
     WeightVariant,
     canonicalize_name,
@@ -45,7 +55,7 @@ from leadalloc.scoring import derive_weights
 
 
 def _fold_each_character(raw, aliases=None):
-    """The name fold one character at a time: the reference for the cached table."""
+    """The name fold one character at a time: the reference for the regular expression."""
     folded = "".join(ch if ch.isalnum() else " " for ch in raw.lower())
     name = " ".join(folded.split())
     if not name:
@@ -125,6 +135,19 @@ class TestAliasTable:
         assert table.resolve("old a town") == "a town"
         assert table.resolve("a town") == "a town"
 
+    def test_the_constructor_accepts_only_what_from_mapping_can_make(self):
+        with pytest.raises(DomainValidationError):
+            AliasTable({"a": "b", "b": "c", "Old-Town": "x"})
+        with pytest.raises(DomainValidationError, match=r"chained mapping\): \['b'\]"):
+            AliasTable({"a": "b", "b": "c"})
+        with pytest.raises(DomainValidationError, match="'Old-Town' is not canonical"):
+            AliasTable({"Old-Town": "x"})
+        with pytest.raises(DomainValidationError, match="'New-Town' is not canonical"):
+            AliasTable({"old town": "New-Town"})
+        assert len(AliasTable()) == 0
+        bundled = AliasTable.from_file(resources.aliases_path())
+        assert len(bundled) > 0 and AliasTable(bundled.alias_to_canonical) == bundled
+
     def test_from_file_rejects_non_object(self, write_file):
         path = write_file('["not", "a", "mapping"]', "aliases.json")
         with pytest.raises(DomainValidationError, match="JSON object"):
@@ -161,15 +184,15 @@ class TestCityRegistry:
 class TestNeighborhoodRecord:
     def test_valid_record_with_extras(self):
         rec = record("englewood", 12.4, 48.0, 41.0, avg_turbidity=1.9)
-        assert rec.metric("prevalence_per_1000") == 12.4
-        assert rec.metric("untested_pct") == 48.0
-        assert rec.metric("public_coverage_pct") == 41.0
-        assert rec.metric("avg_turbidity") == 1.9
-        assert rec.metric("absent_column") is None
+        assert metric(rec, "prevalence_per_1000") == 12.4
+        assert metric(rec, "untested_pct") == 48.0
+        assert metric(rec, "public_coverage_pct") == 41.0
+        assert metric(rec, "avg_turbidity") == 1.9
+        assert metric(rec, "absent_column") is None
 
     def test_extras_may_be_negative(self):
         rec = record("austin", 1.0, 2.0, 3.0, income_delta=-4.5)
-        assert rec.metric("income_delta") == -4.5
+        assert metric(rec, "income_delta") == -4.5
 
     def test_extras_are_immutable(self):
         rec = record("austin", 1.0, 2.0, 3.0, f=1.0)
@@ -272,19 +295,19 @@ class TestCityDataset:
 
     def test_zip_city_requires_zip_names(self):
         with pytest.raises(DomainValidationError, match="ZIP"):
-            CityDataset(
+            dataset_of_records(
                 city="dc",
                 records=(record("georgetown", 1, 2, 3),),
                 bll_threshold_ug_dl=3.5,
                 unit_kind=UnitKind.ZIP_CODE,
             )
-        ok = CityDataset(
+        ok = dataset_of_records(
             city="dc",
             records=(record("20011", 1, 2, 3),),
             bll_threshold_ug_dl=3.5,
             unit_kind=UnitKind.ZIP_CODE,
         )
-        assert ok.names() == ("20011",)
+        assert ok.names == ("20011",)
 
     def test_factor_names_are_core_plus_sorted_extras(self):
         ds = dataset(
@@ -327,13 +350,13 @@ class TestPriorityRanking:
     def test_entries_must_be_sorted_desc_with_name_tiebreak(self):
         weights = derive_weights(0.6)
         with pytest.raises(DomainValidationError, match="not sorted"):
-            PriorityRanking(
+            ranking_of_entries(
                 city="demo",
                 weights=weights,
                 entries=(RankingEntry("a", 1.0, 5.0), RankingEntry("b", 2.0, 10.0)),
             )
         with pytest.raises(DomainValidationError, match="not sorted"):
-            PriorityRanking(
+            ranking_of_entries(
                 city="demo",
                 weights=weights,
                 entries=(RankingEntry("z", 2.0, 10.0), RankingEntry("a", 2.0, 10.0)),
@@ -342,7 +365,7 @@ class TestPriorityRanking:
     def test_top_scaled_score_must_be_exactly_ten(self):
         weights = derive_weights(0.6)
         with pytest.raises(DomainValidationError, match="exactly 10.0"):
-            PriorityRanking(
+            ranking_of_entries(
                 city="demo",
                 weights=weights,
                 entries=(RankingEntry("a", 2.0, 9.99), RankingEntry("b", 1.0, 5.0)),
@@ -350,14 +373,14 @@ class TestPriorityRanking:
 
     def test_all_zero_scores_allowed_when_scaled_all_zero(self):
         weights = derive_weights(0.6)
-        ranking = PriorityRanking(
+        ranking = ranking_of_entries(
             city="demo",
             weights=weights,
             entries=(RankingEntry("a", 0.0, 0.0), RankingEntry("b", 0.0, 0.0)),
         )
-        assert ranking.names() == ("a", "b")
+        assert ranking.names == ("a", "b")
         with pytest.raises(DomainValidationError, match="all-zero"):
-            PriorityRanking(
+            ranking_of_entries(
                 city="demo",
                 weights=weights,
                 entries=(RankingEntry("a", 0.0, 3.0), RankingEntry("b", 0.0, 0.0)),
@@ -365,7 +388,7 @@ class TestPriorityRanking:
 
     def test_negative_raw_score_rejected(self):
         with pytest.raises(DomainValidationError, match="negative raw score"):
-            PriorityRanking(
+            ranking_of_entries(
                 city="demo",
                 weights=derive_weights(0.6),
                 entries=(RankingEntry("a", -1.0, 10.0),),
@@ -375,7 +398,7 @@ class TestPriorityRanking:
 class TestAllocationPlan:
     def test_kits_must_sum_to_total(self):
         with pytest.raises(DomainValidationError, match="sum to"):
-            AllocationPlan(
+            plan_of_allocations(
                 city="demo",
                 total_kits=10,
                 allocations=(AllocationEntry("a", 4), AllocationEntry("b", 4)),
@@ -384,7 +407,7 @@ class TestAllocationPlan:
 
     def test_negative_kits_rejected(self):
         with pytest.raises(DomainValidationError, match="non-negative"):
-            AllocationPlan(
+            plan_of_allocations(
                 city="demo",
                 total_kits=1,
                 allocations=(AllocationEntry("a", 2), AllocationEntry("b", -1)),
@@ -445,7 +468,7 @@ def test_ranking_order_check_accepts_exactly_what_a_sort_leaves_unchanged(pairs,
     unchanged_by_sort = entries == sorted(entries, key=lambda e: (-e.raw_score, e.name))
     names_repeat = len({name for name, _ in pairs}) < len(pairs)
     try:
-        PriorityRanking(city="demo", weights=derive_weights(0.6), entries=entries)
+        ranking_of_entries(city="demo", weights=derive_weights(0.6), entries=entries)
     except DomainValidationError as exc:
         if "duplicate neighborhood" in str(exc):
             assert unchanged_by_sort and names_repeat
@@ -490,31 +513,31 @@ def test_columnar_check_agrees_with_the_entry_by_entry_check(pairs, presort, sca
 
     expected = outcome(lambda: check_ranking_entry_by_entry("demo", entries))
     weights = derive_weights(0.6)
-    assert outcome(lambda: PriorityRanking("demo", weights, entries)) == expected
     columns = [[entry[field] for entry in entries] for field in range(3)]
-    assert outcome(lambda: PriorityRanking.from_columns("demo", weights, *columns)) == expected
+    assert outcome(lambda: PriorityRanking("demo", weights, *columns)) == expected
 
 
 def test_ranking_and_plan_hold_columns():
     weights = derive_weights(0.6)
-    ranking = PriorityRanking.from_columns("demo", weights, ["b", "a"], [2.0, 1.0], [10.0, 5.0])
-    assert ranking.names() == ("b", "a")
+    ranking = PriorityRanking("demo", weights, ["b", "a"], [2.0, 1.0], [10.0, 5.0])
+    assert ranking.names == ("b", "a")
     assert (ranking.raw_scores, ranking.scaled_scores) == ((2.0, 1.0), (10.0, 5.0))
     assert ranking.entries == (RankingEntry("b", 2.0, 10.0), RankingEntry("a", 1.0, 5.0))
-    assert ranking == PriorityRanking("demo", weights, ranking.entries)
+    assert ranking == PriorityRanking("demo", weights, ("b", "a"), (2.0, 1.0), (10.0, 5.0))
     assert len(ranking) == 2 and not isinstance(ranking, tuple)
-    names = ranking.names()
-    plan = AllocationPlan.from_columns("demo", 3, names, [2, 1], Strategy.PROPORTIONAL)
-    assert plan.names() is names
+    names = ranking.names
+    plan = AllocationPlan("demo", 3, names, [2, 1], Strategy.PROPORTIONAL)
+    assert plan.names is names
     assert plan.kits == (2, 1)
     assert plan.allocations == (AllocationEntry("b", 2), AllocationEntry("a", 1))
     assert len(plan) == 2 and not isinstance(plan, tuple)
     with pytest.raises(DomainValidationError, match="one score per name"):
-        PriorityRanking.from_columns("demo", weights, ["b", "a"], [2.0], [10.0, 5.0])
+        PriorityRanking("demo", weights, ["b", "a"], [2.0], [10.0, 5.0])
     with pytest.raises(DomainValidationError, match="one kit count"):
-        AllocationPlan.from_columns("demo", 3, names, [3], Strategy.PROPORTIONAL)
-    with pytest.raises(TypeError, match="unexpected keyword"):
-        plan._replace(kits=(3, 0))
+        AllocationPlan("demo", 3, names, [3], Strategy.PROPORTIONAL)
+    assert plan._replace(kits=(3, 0)).kits == (3, 0)
+    with pytest.raises(DomainValidationError, match="sum to"):
+        plan._replace(kits=(3, 1))
 
 
 def _value_cases():
@@ -522,8 +545,6 @@ def _value_cases():
     weights = dict(
         alpha=0.5, beta=0.35, gamma=0.30, variant=WeightVariant.TEXT, source_correlation=0.6
     )
-    records = (record("a", 1.0, 2.0, 3.0), record("b", 4.0, 5.0, 6.0))
-    entries = (RankingEntry("b", 2.0, 10.0), RankingEntry("a", 1.0, 5.0))
     run_fields = dict(
         model="m",
         mode="d",
@@ -560,24 +581,36 @@ def _value_cases():
             CityDataset,
             dict(
                 city="demo",
-                records=records,
+                names=("a", "b"),
+                prevalence=[1.0, 4.0],
+                untested_pct=[2.0, 5.0],
+                public_coverage_pct=[3.0, 6.0],
+                extra_columns={"f": [1.0, -2.5]},
                 bll_threshold_ug_dl=5.0,
                 unit_kind=UnitKind.NAMED_AREA,
             ),
-            dict(records=records[:1]),
+            dict(names=("a",), prevalence=[1.0], untested_pct=[2.0], public_coverage_pct=[3.0],
+                 extra_columns={}),
         ),
         (WeightConfig, weights, dict(variant=WeightVariant.ALGORITHM, beta=0.2, gamma=0.6)),
         (
             PriorityRanking,
-            dict(city="demo", weights=WeightConfig(**weights), entries=entries),
-            dict(entries=entries[:1]),
+            dict(
+                city="demo",
+                weights=WeightConfig(**weights),
+                names=("b", "a"),
+                raw_scores=(2.0, 1.0),
+                scaled_scores=(10.0, 5.0),
+            ),
+            dict(names=("b",), raw_scores=(2.0,), scaled_scores=(10.0,)),
         ),
         (
             AllocationPlan,
             dict(
                 city="demo",
                 total_kits=3,
-                allocations=(AllocationEntry("b", 2), AllocationEntry("a", 1)),
+                names=("b", "a"),
+                kits=(2, 1),
                 strategy=Strategy.PROPORTIONAL,
             ),
             dict(strategy=Strategy.RANK_WEIGHTED),
@@ -606,6 +639,13 @@ def _value_cases():
     ]
 
 
+def _plain(value):
+    """A field value as the dict or list it was given as: mappings and columns are views."""
+    if isinstance(value, Mapping):
+        return {key: _plain(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, memoryview) else value
+
+
 @pytest.mark.parametrize(
     ("cls", "fields", "changed"),
     [pytest.param(*case, id=case[0].__name__) for case in _value_cases()],
@@ -614,8 +654,7 @@ class TestValueTypes:
     def test_keyword_construction_keeps_field_values(self, cls, fields, changed):
         value = cls(**fields)
         for name, expected in fields.items():
-            actual = getattr(value, name)
-            assert (dict(actual) if isinstance(expected, dict) else actual) == expected
+            assert _plain(getattr(value, name)) == expected
 
     def test_fields_cannot_be_assigned(self, cls, fields, changed):
         value = cls(**fields)
@@ -640,6 +679,18 @@ class TestValueTypes:
         assert repr(cls(**fields)).startswith(f"{cls.__name__}(")
 
 
+def test_each_value_field_is_the_slot_of_its_name():
+    types, unseen = set(), [Value]
+    while unseen:
+        cls = unseen.pop()
+        unseen.extend(cls.__subclasses__())
+        if cls._fields:
+            types.add(cls)
+    assert types == {AliasTable, CityDataset, PriorityRanking, AllocationPlan}
+    for cls in types:
+        assert cls.__slots__ == cls._fields
+
+
 def test_sized_types_keep_their_length():
     assert len(dataset([("a", 1, 2, 3), ("b", 4, 5, 6)])) == 2
     assert len(AliasTable({"old town": "new town"})) == 1
@@ -655,19 +706,17 @@ def test_construction_runs_post_init_which_tracing_can_replace(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(PriorityRanking, "__post_init__", traced)
-    PriorityRanking(city="demo", weights=derive_weights(0.6), entries=[("a", 1.0, 10.0)])
+    PriorityRanking("demo", derive_weights(0.6), ["a"], [1.0], [10.0])
     assert calls == ["demo"]
     assert isinstance(vars(AliasTable)["from_file"], classmethod)
 
 
 def test_replace_validates_like_construction():
-    ranking = PriorityRanking(
-        city="demo", weights=derive_weights(0.6), entries=[("a", 1.0, 10.0)]
-    )
+    ranking = PriorityRanking("demo", derive_weights(0.6), ["a"], [1.0], [10.0])
     assert type(ranking.entries[0]) is RankingEntry
     with pytest.raises(DomainValidationError, match="no entries"):
-        ranking._replace(entries=())
-    plan = AllocationPlan("demo", 1, [("a", 1)], Strategy.PROPORTIONAL)
+        ranking._replace(names=(), raw_scores=(), scaled_scores=())
+    plan = AllocationPlan("demo", 1, ["a"], [1], Strategy.PROPORTIONAL)
     with pytest.raises(DomainValidationError, match="sum to"):
         plan._replace(total_kits=2)
     neighborhood = record("a", 1.0, 2.0, 3.0, f=1.0)
@@ -689,3 +738,47 @@ def test_validation_report_is_a_mutable_record():
     assert repr(ValidationReport()) == "ValidationReport(strict=False, source=None, issues=[])"
     report.source = "renamed.csv"
     assert report.describe(report.issues[0]) == "renamed.csv: error [row 3]: row excluded"
+
+
+@st.composite
+def small_rankings(draw):
+    """Rankings from a space small enough that two draws are often equal, with raw-score ties."""
+    n = draw(st.integers(1, 3))
+    names = draw(st.permutations(["a", "b", "c"]))[:n]
+    raws = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n, max_size=n))
+    entries = sorted(zip(names, raws), key=lambda entry: (-entry[1], entry[0]))
+    top = entries[0][1]
+    weights = derive_weights(draw(st.sampled_from([0.2, 0.6])))
+    return ranking_of_entries(
+        "demo", weights, [(name, raw, 10.0 * (raw / top) if top else 0.0) for name, raw in entries]
+    )
+
+
+@st.composite
+def small_plans(draw):
+    n = draw(st.integers(1, 3))
+    names = draw(st.permutations(["a", "b", "c"]))[:n]
+    kits = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any))
+    return AllocationPlan("demo", sum(kits), names, kits, draw(st.sampled_from(list(Strategy))))
+
+
+@pytest.mark.parametrize(
+    ("values", "rows"),
+    [
+        (small_rankings(), lambda ranking: (ranking.city, ranking.weights, ranking.entries)),
+        (
+            small_plans(),
+            lambda plan: (plan.city, plan.total_kits, plan.allocations, plan.strategy),
+        ),
+    ],
+    ids=["PriorityRanking", "AllocationPlan"],
+)
+@given(data=st.data())
+def test_equality_and_hash_agree_with_the_rows(values, rows, data):
+    """``==`` over the columns is ``==`` over the entries or allocations."""
+    value, other = data.draw(values), data.draw(values)
+    equal = rows(value) == rows(other)
+    assert (value == other) is (other == value) is equal
+    if equal:
+        assert hash(value) == hash(other)
+        assert repr(value) == repr(other)

@@ -77,7 +77,7 @@ LINEAR_FIXTURE = [
 class TestScoreCity:
     def test_hand_derived_ranking(self):
         ranking = score_city(dataset(LINEAR_FIXTURE), r_override=0.6)
-        assert ranking.names() == ("birch", "dogwood", "alder", "cedar")
+        assert ranking.names == ("birch", "dogwood", "alder", "cedar")
         raw = [entry.raw_score for entry in ranking.entries]
         assert raw == pytest.approx([0.90, 0.71, 0.65, 0.14], abs=1e-12)
         scaled = [entry.scaled_score for entry in ranking.entries]
@@ -109,8 +109,8 @@ class TestScoreCity:
             text = score_city(dataset(rows), r_override=0.6, variant="text")
         with pytest.warns(DataQualityWarning, match="degenerate column"):
             algorithm = score_city(dataset(rows), r_override=0.6, variant="algorithm")
-        assert text.names() == ("cypress", "ash", "beech")
-        assert algorithm.names() == ("cypress", "beech", "ash")
+        assert text.names == ("cypress", "ash", "beech")
+        assert algorithm.names == ("cypress", "beech", "ash")
         assert [e.raw_score for e in text.entries] == pytest.approx(
             [0.475, 0.35, 0.21], abs=1e-12
         )
@@ -125,7 +125,7 @@ class TestScoreCity:
             ("maple", 8.0, 80.0, 80.0),
         ]
         ranking = score_city(dataset(rows), r_override=0.6)
-        assert ranking.names() == ("maple", "aster", "zinnia")
+        assert ranking.names == ("maple", "aster", "zinnia")
 
     def test_all_degenerate_columns_warn_and_zero(self):
         rows = [("a", 5.0, 40.0, 30.0), ("b", 5.0, 40.0, 30.0)]
@@ -143,14 +143,14 @@ class TestScoreCity:
         unit = score_city(
             dataset(LINEAR_FIXTURE), r_override=0.6, normalize_weights=True
         )
-        assert unit.names() == plain.names()
+        assert unit.names == plain.names
         for a, b in zip(plain.entries, unit.entries):
             assert b.scaled_score == pytest.approx(a.scaled_score, abs=1e-12)
 
     def test_alpha_changes_emphasis(self):
         # alpha -> 1 leans entirely on prevalence: alder (max P) wins.
         ranking = score_city(dataset(LINEAR_FIXTURE), alpha=0.99, r_override=0.6)
-        assert ranking.names()[0] == "alder"
+        assert ranking.names[0] == "alder"
 
 
 class TestTopK:
