@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import compress, repeat
-from operator import add, floordiv, itemgetter, methodcaller, mod, mul
-from typing import Iterable, Mapping, Sequence
+from itertools import compress, islice, repeat
+from operator import add, eq, floordiv, gt, mod, mul
+from typing import Sequence
 
 from .errors import DataQualityWarning, DomainValidationError
 from .model import AllocationPlan, PriorityRanking, Strategy
@@ -28,9 +28,14 @@ _SCREEN_BITS = 64
 def largest_remainder(weights: Sequence[int], total: int) -> list[int]:
     """Apportion ``total`` units in proportion to non-negative integer weights.
 
-    Each entry receives the floor of its exact quota
+    Hamilton's method: each entry receives the floor of its exact quota
     ``total * weight / sum(weights)``; leftover units go to the largest
-    remainders, earlier entries first on ties.
+    remainders, earlier entries first on ties. The remainders sum to
+    ``sum(weights)`` times the leftover and each is below ``sum(weights)``,
+    so more remainders than leftover units are nonzero: the cutoff of
+    :func:`_award_leftover` is positive, and a zero remainder never wins a
+    unit. Besides the result it holds one list of remainders and one sorted
+    copy of it.
     """
     weight_sum = sum(weights)
     if weight_sum <= 0 or min(weights) < 0:
@@ -38,10 +43,7 @@ def largest_remainder(weights: Sequence[int], total: int) -> list[int]:
     # Each share total·weight is made twice rather than held: it is wider than either result.
     kits = list(map(floordiv, map(mul, repeat(total), weights), repeat(weight_sum)))
     remainders = list(map(mod, map(mul, repeat(total), weights), repeat(weight_sum)))
-    # The remainders sum to weight_sum·leftover and each is below weight_sum,
-    # so more than ``leftover`` are nonzero: only those can win a unit.
-    candidates = compress(range(len(weights)), remainders)
-    _award_leftover(kits, remainders, candidates, total - sum(kits))
+    _award_leftover(kits, remainders, range(len(weights)), total - sum(kits))
     return kits
 
 
@@ -75,7 +77,7 @@ def _rank_weighted_kits(n: int, total: int) -> list[int]:
             leftover -= 1
         elif remainder == cutoff:
             tied.append(i)
-    exact = {i: total * (lcm // (i + 1)) % harmonic for i in tied}
+    exact = [total * (lcm // (i + 1)) % harmonic for i in tied]
     _award_leftover(kits, exact, tied, leftover)
     return kits
 
@@ -96,17 +98,24 @@ def _harmonic_sum(lo: int, hi: int) -> tuple[int, int]:
 
 
 def _award_leftover(
-    kits: list[int],
-    remainders: Sequence[int] | Mapping[int, int],
-    candidates: Iterable[int],
-    leftover: int,
+    kits: list[int], remainders: Sequence[int], positions: Sequence[int], leftover: int
 ) -> None:
-    """Give one more unit to each of the ``leftover`` candidates with the largest remainders.
+    """Give one more unit to each of the ``leftover`` entries with the largest remainders.
 
-    Candidates come in index order and a reverse sort is still stable, so
-    equal remainders go to earlier entries first.
+    ``remainders[j]`` is the remainder of ``kits[positions[j]]``, and
+    ``positions`` ascends. The cutoff is the ``leftover``-th largest
+    remainder: every entry above it gets a unit, and the rest go to the
+    entries equal to it, earlier entries first. That is the first
+    ``leftover`` entries of a stable sort by remainder, descending, but it
+    holds only the sorted remainders, not an index per entry.
     """
-    for i in sorted(candidates, key=remainders.__getitem__, reverse=True)[:leftover]:
+    if not leftover:
+        return
+    cutoff = sorted(remainders, reverse=True)[leftover - 1]
+    for i in compress(positions, map(gt, remainders, repeat(cutoff))):
+        kits[i] += 1
+        leftover -= 1
+    for i in islice(compress(positions, map(eq, remainders, repeat(cutoff))), leftover):
         kits[i] += 1
 
 
@@ -139,13 +148,11 @@ def allocate(
     if strategy is Strategy.PROPORTIONAL:
         # Raw scores are floats, so each is an exact ratio with a power-of-two
         # denominator; scaling to the largest one makes every weight integral.
-        ratios = list(map(methodcaller("as_integer_ratio"), ranking.raw_scores))
-        scale = max(map(itemgetter(1), ratios))
-        multipliers = map(floordiv, repeat(scale), map(itemgetter(1), ratios))
-        weights = list(map(mul, map(itemgetter(0), ratios), multipliers))
-        # n pairs of ints, freed before apportioning builds lists of its own; map
-        # stops at its first exhausted input, so ``multipliers`` still holds them.
-        del ratios, multipliers
+        # The ratios are made again rather than held: a pair of ints per entry
+        # would outweigh the weights.
+        scale = max(score.as_integer_ratio()[1] for score in ranking.raw_scores)
+        ratios = (score.as_integer_ratio() for score in ranking.raw_scores)
+        weights = [num * (scale // den) for num, den in ratios]
         if not any(weights):
             raise DomainValidationError(
                 f"{ranking.city}: proportional allocation needs a positive raw score"

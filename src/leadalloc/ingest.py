@@ -644,5 +644,5 @@ def parse_ranking(path: str | Path) -> PriorityRanking:
         doc, collected = load_json(path), None
     try:
         return ranking_from_dict(doc if isinstance(doc, dict) else {}, collected=collected)
-    except DomainValidationError as exc:
+    except (DomainValidationError, InvalidNameError) as exc:
         raise _rejected(f"{path}: {exc}") from None

@@ -120,10 +120,17 @@ class _Columnar(Value):
     """A value that holds one entry per neighborhood as columns; ``len()`` counts them.
 
     ``names``, a tuple of the canonical names in the value's order, is one
-    of its fields.
+    of its fields; a blank name is refused, as a record refuses it, before
+    the subclass's own checks.
     """
 
     __slots__ = ()
+
+    def _init(self, *values) -> None:
+        names = values[self.__slots__.index("names")]
+        if not all(map(str.strip, names)):
+            raise InvalidNameError("neighborhood name must be non-empty")
+        super()._init(*values)
 
     def __len__(self) -> int:
         return len(self.names)

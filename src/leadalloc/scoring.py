@@ -27,7 +27,7 @@ from .model import (
     WeightVariant,
     derived_beta_gamma,
 )
-from .stats import min_max_normalize, pearson
+from .stats import _min_max_scaled, pearson
 
 DEFAULT_ALPHA = 0.5
 
@@ -101,11 +101,11 @@ def score_city(
     r = r_override if r_override is not None else pearson(coverage, prevalence)
     weights = derive_weights(r, alpha, variant, normalize=normalize_weights)
 
-    # Each score is alpha·P + beta·U + gamma·H, summed in that order.
+    # Each score is alpha·P + beta·U + gamma·H, summed in that order. The
+    # normalized columns are read as the sum is made, so none is held.
     columns = (prevalence, dataset.untested_pct, coverage)
-    p, u, h = (map(mul, repeat(w), min_max_normalize(c)) for w, c in zip(weights[:3], columns))
+    p, u, h = (map(mul, repeat(w), _min_max_scaled(c)) for w, c in zip(weights[:3], columns))
     raw = list(map(add, map(add, p, u), h))
-    del p, u, h  # map stops at its first exhausted input, so u and h still hold their lists
 
     # Raw score descending, ties by name: sorts are stable, even in reverse,
     # so sort by name first. Neither pass builds a key object per record.

@@ -10,7 +10,7 @@ import math
 import warnings
 from itertools import compress, repeat
 from operator import mul, sub, truediv
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DataQualityWarning, DomainValidationError, UndefinedCorrelationError
 from .model import CityDataset, COL_PREVALENCE
@@ -128,7 +128,18 @@ def min_max_normalize(values: Sequence[float]) -> list[float]:
 
     The degenerate constant-column case carries a :class:`DataQualityWarning`
     because it silently removes that column's influence from any score
-    built on the result.
+    built on the result. This is the list of :func:`_min_max_scaled`'s
+    values; a caller that consumes them as it reads them, as
+    ``scoring.score_city`` does, uses that instead and holds no list.
+    """
+    return list(_min_max_scaled(values))
+
+
+def _min_max_scaled(values: Sequence[float]) -> Iterator[float]:
+    """``(value - lo) / (hi - lo)`` for each value, made as it is read.
+
+    The range is taken, and a constant column warned about, when this is
+    called, before any value is read.
     """
     if not values:
         raise DomainValidationError("cannot normalize an empty sequence")
@@ -138,7 +149,7 @@ def min_max_normalize(values: Sequence[float]) -> list[float]:
         warnings.warn(
             f"degenerate column: all {len(values)} values equal {lo}; normalized to 0",
             DataQualityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        return [0.0] * len(values)
-    return list(map(truediv, map(sub, values, repeat(lo)), repeat(hi - lo)))
+        return repeat(0.0, len(values))
+    return map(truediv, map(sub, values, repeat(lo)), repeat(hi - lo))

@@ -6,6 +6,7 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import assume, given
@@ -45,6 +46,51 @@ class TestLargestRemainder:
         assert sum(kits) == total
         for kit, weight in zip(kits, weights):
             assert abs(Fraction(kit) - Fraction(total * weight, sum(weights))) < 1
+
+
+def award_by_sort(kits, remainders, candidates, leftover):
+    """The leftover award as a stable reverse sort of candidate indices: the reference.
+
+    ``remainders`` maps each candidate index to its remainder.
+    """
+    for i in sorted(candidates, key=remainders.__getitem__, reverse=True)[:leftover]:
+        kits[i] += 1
+
+
+def largest_remainder_by_sort(weights, total):
+    """Hamilton's method with the sorting award over the nonzero remainders only."""
+    weight_sum = sum(weights)
+    kits = [total * weight // weight_sum for weight in weights]
+    remainders = [total * weight % weight_sum for weight in weights]
+    candidates = compress(range(len(weights)), remainders)
+    award_by_sort(kits, remainders, candidates, total - sum(kits))
+    return kits
+
+
+# Few distinct values, zeros among them, so most draws hold ties and zero remainders.
+TIED_INTS = st.sampled_from([0, 0, 0, 1, 2, 3, 10**20]) | st.integers(0, 10**30)
+
+
+@given(st.lists(TIED_INTS, max_size=40), st.data())
+def test_award_matches_the_sorting_award(remainders, data):
+    n = len(remainders)
+    leftover = data.draw(st.integers(0, n), label="leftover")
+    # Ascending positions among more kits, as the rank_weighted tie set passes them.
+    positions = sorted(data.draw(st.sets(st.integers(0, 2 * n), min_size=n, max_size=n)))
+    kits = data.draw(st.lists(st.integers(0, 5), min_size=2 * n + 1, max_size=2 * n + 1))
+    expected = list(kits)
+    award_by_sort(expected, dict(zip(positions, remainders)), positions, leftover)
+    allocation._award_leftover(kits, remainders, positions, leftover)
+    assert kits == expected
+
+
+@given(
+    st.lists(TIED_INTS, min_size=1, max_size=40),
+    st.integers(1, 10**6) | st.sampled_from([1, 2, 7, 60]),
+)
+def test_largest_remainder_matches_the_sorting_award(weights, total):
+    assume(sum(weights) > 0)
+    assert largest_remainder(weights, total) == largest_remainder_by_sort(weights, total)
 
 
 class TestAllocateProportional:
@@ -275,3 +321,23 @@ def test_top_k_equal_builds_no_object_per_entry():
         tracemalloc.stop()
     assert plan.kits[:2] == (25, 25) and plan.kits[-1] == 0
     assert peak < 1_000_000
+
+
+def test_proportional_holds_no_pair_per_entry():
+    # The apportionment's peak above what the ranking holds must stay below
+    # what the ranking holds. At 20,000 entries, holding each raw score's
+    # (numerator, denominator) pair and an index per remainder candidate
+    # peaked at 3.43 MB against a ranking of 3.01 MB under tracemalloc here;
+    # without them the peak is 2.18 MB.
+    n = 20_000
+    tracemalloc.start()
+    try:
+        ranking = ranking_from_scores({f"area {i} heights": 1 - i / n for i in range(n)})
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        plan = allocate(ranking, 50_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(plan.kits) == 50_000
+    assert peak - held < held

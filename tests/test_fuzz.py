@@ -1,8 +1,8 @@
-"""Fuzz tests of the input boundary: no file makes a reader or the CLI crash.
+"""Fuzz tests of the input boundary: no file or argv makes a reader or the CLI crash.
 
 Every reader may reject a file only with a ``LeadAllocError`` (or an
-``OSError`` from the file system), and ``main()`` answers every file with
-exit code 0 or 2, never 1 ("internal error").
+``OSError`` from the file system), and ``main()`` answers every file and
+every argv with exit code 0 or 2, never 1 ("internal error").
 """
 
 from __future__ import annotations
@@ -12,16 +12,25 @@ import contextlib
 import io
 import json
 import os
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leadalloc import resources
 from leadalloc.cli import ALIAS_ENV_VAR, main
 from leadalloc.errors import LeadAllocError
-from leadalloc.ingest import parse_city_dataset, parse_model_runs, parse_ranking, parse_targets
-from leadalloc.model import CORE_COLUMNS, AliasTable
+from leadalloc.ingest import (
+    parse_city_dataset,
+    parse_model_runs,
+    parse_ranking,
+    parse_targets,
+    write_ranking,
+)
+from leadalloc.model import CORE_COLUMNS, AliasTable, Strategy
+from leadalloc.scoring import score_city
 
 # Small budgets keep the whole suite near its usual run time; the examples
 # Hypothesis keeps in its database make later runs search further.
@@ -99,3 +108,113 @@ def test_cli_exits_0_or_2_on_any_file(input_path, payload):
                 contextlib.redirect_stderr(stderr):
             code = main(argv)
         assert code in (0, 2), f"{argv}: {stderr.getvalue()}"
+
+
+# Values for the numeric flags: NaN, infinities, signed zeros, huge and
+# negative numbers and text that is no number, written as a user could. An
+# argv gives at most one of them; its other flags get valid numbers of their
+# type, so that a bad value meets the checks past argparse.
+BAD_NUMBERS = st.sampled_from(
+    ["nan", "NaN", "inf", "-inf", "1e999", "1e308", "0", "-0", "0.0", "-0.0", "-1", "-7",
+     "99999999999999999999", "-99999999999999999999", "abc", "", "0x10", " 2 ", "1_000"]
+) | st.floats().map(repr)
+VALID_NUMBERS = {
+    "--alpha": st.floats(0.01, 0.99).map(repr),
+    "--r-override": st.floats(-1.0, 1.0).map(repr),
+    "--kits": st.integers(100, 10**30).map(str),
+    "--k": st.integers(1, 40).map(str),
+    "--floor": st.integers(0, 5).map(str),
+}
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """The files an argv may name: the demo dataset, its ranking, and a missing file."""
+    directory = tmp_path_factory.mktemp("argv")
+    ranking_path = directory / "ranking.json"
+    write_ranking(score_city(parse_city_dataset(resources.demo_dataset_path(), "demo")[0]),
+                  ranking_path)
+    return {"csv": (str(resources.demo_dataset_path()), str(directory / "missing.csv")),
+            "ranking": (str(ranking_path), str(directory / "missing.json"))}
+
+
+def _flags(draw, required, optional=()):
+    """The flags ``required`` and some of ``optional``, each as ``--flag=value``.
+
+    ``=`` joins each value to its flag, because a value may start with ``-``.
+    """
+    flags = [*required, *draw(st.lists(st.sampled_from(optional), unique=True))]
+    values = [draw(VALID_NUMBERS[flag]) for flag in flags]
+    if flags and draw(st.booleans()):
+        values[draw(st.integers(0, len(flags) - 1))] = draw(BAD_NUMBERS)
+    return [f"{flag}={value}" for flag, value in zip(flags, values)]
+
+
+def _file(draw, paths):
+    """The existing file three times in four, else the missing one."""
+    good, missing = paths
+    return draw(st.sampled_from([good, good, good, missing]))
+
+
+@st.composite
+def command_argv(draw, command, files):
+    if command == "correlate":
+        return ["correlate", "--city", "demo", "--input", _file(draw, files["csv"]),
+                *draw(st.sampled_from([[], ["--estimator", "spearman"], ["--json"]]))]
+    if command == "score":
+        return ["score", "--city", "demo", "--input", _file(draw, files["csv"]),
+                *_flags(draw, [], ["--alpha", "--r-override"])]
+    if command == "allocate":
+        strategy = draw(st.sampled_from([strategy.value for strategy in Strategy]))
+        return ["allocate", "--ranking", _file(draw, files["ranking"]), "--strategy", strategy,
+                *_flags(draw, ["--kits"], ["--k", "--floor"])]
+    return ["evaluate", *_flags(draw, [], ["--k"])]
+
+
+def assert_answered(argv, files):
+    """``main(argv)`` exits 0, or 2 with one ``error:`` line that names a value or a file.
+
+    A value is named as argparse quotes it, or as a word of the line that
+    is the value as the flag's type reads it.
+    """
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2), f"{argv}: {stderr.getvalue()}"
+    if code == 0:
+        return
+    errors = [line for line in stderr.getvalue().splitlines() if "error:" in line]
+    assert len(errors) == 1, f"{argv}: {stderr.getvalue()}"
+    line = errors[0]
+    words = set(re.split(r"[\s,()\[\]]+", line))
+    named = any(arg in line for arg in argv if arg in files)
+    for _, _, value in (arg.partition("=") for arg in argv if "=" in arg):
+        named = named or repr(value) in line
+        for kind in (int, float):
+            with contextlib.suppress(ValueError, OverflowError):
+                named = named or str(kind(value)) in words
+    assert named, f"{argv}: {line}"
+
+
+@FUZZ
+@given(data=st.data())
+@pytest.mark.parametrize("command", ["correlate", "score", "allocate", "evaluate"])
+def test_cli_answers_any_argv_with_0_or_2(argv_files, command, data):
+    argv = data.draw(command_argv(command, argv_files), label="argv")
+    assert_answered(argv, (*argv_files["csv"], *argv_files["ranking"]))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--kits=0"], ["--kits=10", "--floor=-1"], ["--kits=10", "--strategy=top_k_equal", "--k=-1"],
+     ["--kits=10", "--floor=2"]],
+)
+def test_allocate_names_a_bad_number(argv_files, flags):
+    ranking = argv_files["ranking"][0]
+    assert_answered(["allocate", "--ranking", ranking, *flags], (ranking,))
+
+
+@pytest.mark.parametrize("flag", ["--alpha=nan", "--alpha=-0.0", "--r-override=inf"])
+def test_score_names_a_bad_number(argv_files, flag):
+    csv = argv_files["csv"][0]
+    assert_answered(["score", "--city", "demo", "--input", csv, flag], (csv,))

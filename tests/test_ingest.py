@@ -45,6 +45,9 @@ from leadalloc.model import (
 )
 from leadalloc.scoring import derive_weights, score_city
 
+# Any text but a blank one, which a ranking or a plan refuses as a name.
+NAMES = st.text().filter(str.strip)
+
 GOOD_CSV = """
 neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct
 Englewood,12.4,48.0,41.0
@@ -592,6 +595,17 @@ class TestRankingRoundTrip:
         with pytest.raises(DatasetValidationError, match="malformed ranking document"):
             parse_ranking(path)
 
+    def test_blank_name_is_rejected_with_the_file(self, tmp_path):
+        doc = ranking_to_dict(ranking_from_scores({"a": 2.0, "b": 1.0}))
+        doc["entries"][1]["neighborhood"] = " "
+        path = tmp_path / "ranking.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DatasetValidationError) as rejected:
+            parse_ranking(path)
+        assert str(rejected.value) == (
+            f"input rejected: error: {path}: neighborhood name must be non-empty"
+        )
+
     def test_integral_scores_read_as_floats(self, demo_csv):
         doc = ranking_to_dict(score_city(parse_city_dataset(demo_csv, "demo")[0]))
         doc["entries"][0].update(raw_score=1, scaled_score=10)
@@ -601,7 +615,10 @@ class TestRankingRoundTrip:
 
     @given(
         st.lists(
-            st.tuples(st.text(), st.floats(0.0, 1e300) | st.sampled_from([0.0, 0.5, 1.0])),
+            st.tuples(
+                NAMES,
+                st.floats(0.0, 1e300) | st.sampled_from([0.0, 0.5, 1.0]),
+            ),
             min_size=1,
             max_size=8,
             unique_by=lambda item: item[0],
@@ -652,7 +669,7 @@ class TestStreamingWriters:
     @given(
         st.text(),
         st.lists(
-            st.tuples(st.text(), st.one_of(st.integers(0, 10**30), st.floats(0.0, 1e300))),
+            st.tuples(NAMES, st.one_of(st.integers(0, 10**30), st.floats(0.0, 1e300))),
             min_size=1,
             max_size=8,
             unique_by=lambda item: item[0],  # a ranking names each neighborhood once
@@ -667,7 +684,7 @@ class TestStreamingWriters:
 
     @given(
         st.text(),
-        st.lists(st.tuples(st.text(), st.integers(0, 10**30)), min_size=1, max_size=8),
+        st.lists(st.tuples(NAMES, st.integers(0, 10**30)), min_size=1, max_size=8),
         st.sampled_from(list(Strategy)),
     )
     def test_plan_matches_json_dump(self, city, allocations, strategy):

@@ -447,7 +447,7 @@ class TestModelRunAndTargets:
 @given(
     st.lists(
         st.tuples(
-            st.sampled_from(["", "a", "ab", "b", "B"]),
+            st.sampled_from(["A", "a", "ab", "b", "B"]),
             st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.0 + 2**-52, 3.0]) | st.floats(0, 4),
         ),
         min_size=1,
@@ -483,7 +483,7 @@ _SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.nan, math.inf, -1.0]) 
 
 
 @given(
-    st.lists(st.tuples(st.sampled_from(["", "a", "ab", "b", "B"]), _SCORES), max_size=8),
+    st.lists(st.tuples(st.sampled_from(["A", "a", "ab", "b", "B"]), _SCORES), max_size=8),
     st.booleans(),
     st.one_of(
         st.none(),
@@ -538,6 +538,29 @@ def test_ranking_and_plan_hold_columns():
     assert plan._replace(kits=(3, 0)).kits == (3, 0)
     with pytest.raises(DomainValidationError, match="sum to"):
         plan._replace(kits=(3, 1))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda names: CityDataset(
+            "demo", names, [1.0] * len(names), [2.0] * len(names), [3.0] * len(names),
+            bll_threshold_ug_dl=5.0, unit_kind=UnitKind.NAMED_AREA,
+        ),
+        lambda names: PriorityRanking(
+            "demo", derive_weights(0.6), names, [0.0] * len(names), [0.0] * len(names)
+        ),
+        lambda names: AllocationPlan(
+            "demo", len(names), names, [1] * len(names), Strategy.PROPORTIONAL
+        ),
+    ],
+    ids=["dataset", "ranking", "plan"],
+)
+@pytest.mark.parametrize("names", [["", "Old-Town"], ["b", " "], ["a", "\t\n", "b"]])
+def test_columnar_values_refuse_a_blank_name(build, names):
+    # As a record refuses one: a blank name would only fail later, in ``records``.
+    with pytest.raises(InvalidNameError, match="^neighborhood name must be non-empty$"):
+        build(names)
 
 
 def _value_cases():

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from helpers import dataset
 from leadalloc.errors import DataQualityWarning, DomainValidationError
+from leadalloc.ingest import parse_city_dataset
 from leadalloc.model import WeightVariant
 from leadalloc.scoring import derive_weights, score_city, top_k
 from leadalloc.stats import pearson
@@ -166,3 +169,30 @@ class TestTopK:
         ranking = score_city(dataset(LINEAR_FIXTURE), r_override=0.6)
         with pytest.raises(DomainValidationError, match="k must be"):
             top_k(ranking, 0)
+
+
+def test_score_holds_no_normalized_column(tmp_path):
+    # At 20,000 rows with one extra factor, holding the three normalized
+    # columns as lists while summing the raw scores peaked 2.61 MB above the
+    # 2.01 MB the dataset holds, under tracemalloc here; reading them as the
+    # sum is made peaks 2.07 MB above it, in the ranking's own checks. The
+    # bound is absolute: the dataset's size is too close to that peak to
+    # bound it by.
+    path = tmp_path / "city.csv"
+    rows = (
+        f"area {i},{i % 41 / 2},{5 + i % 61},{min(100, i % 41 + i % 7)},{i % 90}\n"
+        for i in range(20_000)
+    )
+    header = "neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct,pipe_age_yr\n"
+    path.write_text(header + "".join(rows), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        parsed, _ = parse_city_dataset(path, "chicago")
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ranking = score_city(parsed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ranking) == 20_000
+    assert peak - held < 2_350_000
