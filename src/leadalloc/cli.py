@@ -25,7 +25,6 @@ import sys
 import warnings
 from itertools import accumulate, repeat
 from operator import truediv
-from typing import Callable, Iterator, Sequence
 
 from . import __version__, resources
 from .allocation import DEFAULT_TOP_K, allocate
@@ -226,45 +225,20 @@ def cmd_score(args: argparse.Namespace) -> int:
     w = ranking.weights
     print(f"city: {ranking.city}  variant: {w.variant.value}  r: {w.source_correlation:g}")
     print(f"weights: alpha={w.alpha:g} beta={w.beta:g} gamma={w.gamma:g}")
+    from array import array
+
     names = ranking.names
     position = dict(zip(dataset.names, range(len(dataset))))
     order = list(map(position.__getitem__, names))
     del position
+    metrics = (dataset.prevalence, dataset.untested_pct, dataset.public_coverage_pct)
+    picked = [array("d", map(values.__getitem__, order)) for values in metrics]
+    del order
     headers = ("rank", "neighborhood", "raw_ps", "scaled_ps", "P", "U", "H")
-    columns = (
-        range(1, len(names) + 1),
-        names,
-        ranking.raw_scores,
-        ranking.scaled_scores,
-        *(
-            _picked(values, order)
-            for values in (dataset.prevalence, dataset.untested_pct, dataset.public_coverage_pct)
-        ),
-    )
+    columns = (range(1, len(names) + 1), names, ranking.raw_scores, ranking.scaled_scores, *picked)
     formats = ("d", "", ".6f", ".2f", "g", "g", "g")
     sys.stdout.writelines(table_lines(headers, columns, formats, left={1}))
     return 0
-
-
-class _Column:
-    """A table column that holds no values: ``make()`` maps them afresh each time it is iterated.
-
-    Tables have one row per neighborhood, so a column derived from the
-    ranking, the plan or the dataset is a view of them instead of a list.
-    """
-
-    __slots__ = ("make",)
-
-    def __init__(self, make: Callable[[], Iterator]) -> None:
-        self.make = make
-
-    def __iter__(self) -> Iterator:
-        return self.make()
-
-
-def _picked(values: Sequence, order: Sequence[int]) -> _Column:
-    """The column of ``values[i]`` for each position ``i`` in ``order``."""
-    return _Column(lambda: map(values.__getitem__, order))
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
@@ -273,8 +247,10 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     if args.json:
         dump_plan(plan, sys.stdout)
         return 0
+    from array import array
+
     kits = plan.kits
-    shares = _Column(lambda: map(truediv, accumulate(kits), repeat(plan.total_kits)))
+    shares = array("d", map(truediv, accumulate(kits), repeat(plan.total_kits)))
     columns = (plan.names, kits, shares)
     headers = ("neighborhood", "kits", "cumulative_share")
     sys.stdout.writelines(table_lines(headers, columns, ("", "d", ".4f"), left={0}))

@@ -8,13 +8,11 @@ rounded) to two decimals, so 6/9 renders as ``0.66``.
 
 from __future__ import annotations
 
-import math
-from itertools import chain, filterfalse, repeat, tee
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
-    Iterable,
     Iterator,
     Mapping,
     NamedTuple,
@@ -143,7 +141,7 @@ def build_report(runs: Sequence[ModelRun], targets: TargetSet, k: int = DEFAULT_
 
 def table_lines(
     headers: Sequence[str],
-    columns: Sequence[Iterable],
+    columns: Sequence[Sequence],
     formats: Sequence[str],
     left: AbstractSet[int],
 ) -> Iterator[str]:
@@ -152,18 +150,17 @@ def table_lines(
     Column ``i`` lists ``columns[i]``, each value formatted with the spec
     ``formats[i]``: a precision and type only, such as ``".2f"``, ``"d"``,
     or ``""`` for strings. Columns in ``left`` are left-aligned, the others
-    right-aligned. Each column is iterated more than once, first for its
-    width and then for the lines, so it may be a view that makes its values
-    as they are asked for instead of a list that holds them all.
+    right-aligned. Each column is iterated twice, first for its width and
+    then for the lines, so it must be a sequence, not an iterator.
 
-    A width comes from formatting only the values that can be the widest
-    (see :func:`_widest`). The lines come from one printf-style template,
-    applied through ``map`` to each row of ``zip(*columns)``, so no Python
-    code runs per row. Each spec means the same as a ``%`` conversion:
-    ``"%.2f" % x == format(x, ".2f")``, and ``""`` becomes ``%s``.
+    A width comes from formatting every value of the column. The lines come
+    from one printf-style template, applied through ``map`` to each row of
+    ``zip(*columns)``, so no Python code runs per row. Each spec means the
+    same as a ``%`` conversion: ``"%.2f" % x == format(x, ".2f")``, and
+    ``""`` becomes ``%s``.
     """
     widths = [
-        max(map(len, map(format, _widest(column, spec), repeat(spec))), default=0)
+        max(map(len, map(format, column, repeat(spec))), default=0)
         for column, spec in zip(columns, formats)
     ]
     widths = list(map(max, map(len, headers), widths))
@@ -173,45 +170,6 @@ def table_lines(
     template = "  ".join(map("%{}{}{}".format, flags, widths, [spec or "s" for spec in formats]))
     rows = map(str.rstrip, map(template.__mod__, zip(*columns)))
     return chain((head,), map(str.__add__, rows, repeat("\n")))
-
-
-def _widest(column: Iterable, spec: str) -> Iterable:
-    """Values of ``column`` among which is one that formats widest under ``spec``.
-
-    Under a ``d`` or ``f`` spec, a number formats wider the larger its
-    magnitude, and a negative one wider by its sign, so the widest finite
-    value is the minimum or the maximum. Under ``f`` these are taken over
-    the nonzero values, as ``min`` and ``max`` cannot tell 0.0 from -0.0,
-    which formats wider; the widest zero the column holds is added, and so
-    are its non-finite values, which format as words. No value is held, so
-    a column of distinct values costs no memory.
-
-    Under any other spec, such as ``g``, which switches to exponent form,
-    width does not follow magnitude, so the distinct values are formatted
-    once each, which assumes that values that compare equal format alike;
-    the float zeros are again the exception. A string column (spec ``""``)
-    formats as itself and is returned whole.
-    """
-    if not spec:
-        return column
-    if spec.endswith("d"):  # integers: all finite, and a single zero
-        bounds = (min(column, default=None), max(column, default=None))
-        return () if bounds[0] is None else bounds
-    if spec.endswith("f"):
-        lo = min(filter(math.isfinite, filter(None, column)), default=None)
-        hi = max(filter(math.isfinite, filter(None, column)), default=None)
-        zero_sign = min(map(math.copysign, repeat(1.0), filterfalse(None, column)), default=None)
-        widest = [] if lo is None else [lo, hi]
-        if zero_sign is not None:
-            widest.append(math.copysign(0.0, zero_sign))
-        return chain(widest, filterfalse(math.isfinite, column))
-    values = set(column)
-    if 0.0 not in values:
-        return values
-    # 0.0 == -0.0, so the set kept one of them; the column's zeros tell which signs occur.
-    zeros, signed = tee(filterfalse(None, column))
-    by_sign = dict(zip(map(math.copysign, repeat(1.0), signed), zeros))
-    return [*values, *by_sign.values()]
 
 
 def format_report_table(report: AccuracyReport) -> str:

@@ -472,10 +472,13 @@ def parse_targets(
 
 
 def _cities(doc: dict, location: str, report: ValidationReport) -> Iterator[tuple[str, object]]:
-    """``doc``'s keys as cities, with values; a key naming an earlier key's city is an error."""
+    """``doc``'s keys as cities, with values; a blank key, or a second key for a city, is an error."""
     raw_keys: dict[str, str] = {}
     for raw_key, value in doc.items():
         city = str(raw_key).strip().lower()
+        if not city:
+            report.error(f"{location}: key {raw_key!r} names no city")
+            continue
         if city in raw_keys:
             report.error(
                 f"{location}: keys {raw_keys[city]!r} and {raw_key!r} both name city {city!r}"

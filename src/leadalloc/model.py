@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from itertools import compress, islice, repeat
@@ -134,6 +133,17 @@ class _Columnar(Value):
 
     def __len__(self) -> int:
         return len(self.names)
+
+    def _check_distinct(self) -> None:
+        """Raise on a repeated name, naming the first repeat, as ingest does."""
+        names = self.names
+        # A dict, not a set: at 20,000 names a set's table takes 2 MB, a dict 0.4 MB.
+        if len(dict.fromkeys(names)) != len(names):
+            seen: set[str] = set()
+            for name in names:
+                if name in seen:
+                    raise DomainValidationError(f"{self.city}: duplicate neighborhood {name!r}")
+                seen.add(name)
 
 
 def is_zip_code(name: str) -> bool:
@@ -425,13 +435,7 @@ class CityDataset(_Columnar):
         columns = (self.prevalence, self.untested_pct, self.public_coverage_pct)
         if any(len(values) != len(names) for values in (*columns, *self.extra_columns.values())):
             raise DomainValidationError(f"{self.city}: every column needs one value per name")
-        # A dict, not a set: at 20,000 names a set's table takes 2 MB, a dict 0.4 MB.
-        if len(dict.fromkeys(names)) != len(names):
-            seen: set[str] = set()
-            for name in names:
-                if name in seen:
-                    raise DomainValidationError(f"{self.city}: duplicate neighborhood {name!r}")
-                seen.add(name)
+        self._check_distinct()
         if self.unit_kind is UnitKind.ZIP_CODE and not all(map(is_zip_code, names)):
             name = next(name for name in names if not is_zip_code(name))
             raise DomainValidationError(f"{self.city}: {name!r} is not a 5-digit ZIP code")
@@ -572,25 +576,21 @@ class PriorityRanking(_Columnar):
         self._init(city, weights, tuple(names), tuple(raw_scores), tuple(scaled_scores))
 
     def __post_init__(self) -> None:
-        """Raise on a broken invariant, as checking entry by entry would, in C-level passes."""
+        """Raise on a broken invariant, as checking entry by entry would."""
         names, raw, scaled = self.names, self.raw_scores, self.scaled_scores
         if not names:
             raise DomainValidationError(f"{self.city}: ranking has no entries")
         if not len(raw) == len(scaled) == len(names):
             raise DomainValidationError(f"{self.city}: every column needs one score per name")
-        # min and max cannot order NaN, so NaN scaled scores are looked for first.
-        if not all(map(math.isfinite, raw)) or min(raw) < 0 or any(map(math.isnan, scaled)) or not (
-            0 <= min(scaled) and max(scaled) <= 10
-        ):
-            for name, raw_score, scaled_score in zip(names, raw, scaled):
-                if not math.isfinite(raw_score) or raw_score < 0:
-                    raise DomainValidationError(
-                        f"{self.city}: non-finite or negative raw score for {name!r}"
-                    )
-                if not 0 <= scaled_score <= 10:
-                    raise DomainValidationError(
-                        f"{self.city}: scaled score out of [0, 10] for {name!r}"
-                    )
+        for name, raw_score, scaled_score in zip(names, raw, scaled):
+            if not math.isfinite(raw_score) or raw_score < 0:
+                raise DomainValidationError(
+                    f"{self.city}: non-finite or negative raw score for {name!r}"
+                )
+            if not 0 <= scaled_score <= 10:
+                raise DomainValidationError(
+                    f"{self.city}: scaled score out of [0, 10] for {name!r}"
+                )
         # Raw scores descending, and names ascending within each run of equal raw scores.
         tied = list(map(eq, raw, islice(raw, 1, None)))
         if not (
@@ -602,10 +602,7 @@ class PriorityRanking(_Columnar):
                 "with canonical-name tie-break"
             )
         del tied
-        # A dict, not a set: at 20,000 names a set's table takes 2 MB, a dict 0.4 MB.
-        if len(dict.fromkeys(names)) != len(names):
-            ((name, _),) = Counter(names).most_common(1)
-            raise DomainValidationError(f"{self.city}: duplicate neighborhood {name!r}")
+        self._check_distinct()
         if raw[0] > 0:
             top = max(scaled)
             if top != 10.0:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 from leadalloc.errors import DomainValidationError
 from leadalloc.model import (
@@ -128,10 +127,11 @@ def check_ranking_entry_by_entry(city, entries):
             f"{city}: entries are not sorted by raw score descending "
             "with canonical-name tie-break"
         )
-    names = [name for name, _, _ in entries]
-    if len(set(names)) != len(names):
-        ((name, _),) = Counter(names).most_common(1)
-        raise DomainValidationError(f"{city}: duplicate neighborhood {name!r}")
+    seen = set()
+    for name, _, _ in entries:
+        if name in seen:
+            raise DomainValidationError(f"{city}: duplicate neighborhood {name!r}")
+        seen.add(name)
     scaled_scores = [scaled for _, _, scaled in entries]
     if entries[0][1] > 0:
         top = max(scaled_scores)

@@ -260,7 +260,7 @@ def _typed_tables(draw):
 
 @given(_typed_tables())
 def test_table_lines_format_typed_columns_like_the_cell_by_cell_reference(table):
-    """Widths from each distinct value, and one template per row, match formatting every cell."""
+    """Widths from every value, and one template per row, match formatting every cell."""
     headers, columns, formats, left = table
     rows = [
         tuple(map(format, values, formats)) for values in zip(*columns)
@@ -270,11 +270,11 @@ def test_table_lines_format_typed_columns_like_the_cell_by_cell_reference(table)
     )
 
 
-@pytest.mark.parametrize("spec", [".2f", ".6f", "d"])
+@pytest.mark.parametrize("spec", [".2f", ".6f", "g", "d"])
 def test_table_widths_hold_no_set_of_the_values(spec):
-    # A set of 20,000 distinct numbers takes 2 MB; the widest of a "d" or "f"
-    # column is its minimum, its maximum, a non-finite value or -0.0, so the
-    # widths are found without holding any value.
+    # A width is the longest of the column's formatted values, each formatted
+    # and measured in turn, so neither the values nor their strings are held:
+    # a set of these 20,000 distinct numbers would take 2 MB.
     values = [i / 7 for i in range(20_000)] if spec != "d" else list(range(-5, 19_995))
     tracemalloc.start()
     try:
@@ -282,5 +282,6 @@ def test_table_widths_hold_no_set_of_the_values(spec):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(next(lines)) == len(format(max(values), spec)) + 1
+    widest = max(len(format(value, spec)) for value in values)
+    assert len(next(lines)) == widest + 1
     assert peak < 100_000

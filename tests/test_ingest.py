@@ -498,6 +498,15 @@ class TestParseModelRuns:
             in str(excinfo.value)
         )
 
+    @pytest.mark.parametrize("key", ["", " "])
+    def test_blank_city_key_is_rejected(self, write_file, key):
+        recs = [{"neighborhood": "Austin", "kits": 1}]
+        run = {"model": "m", "mode": "d", "cities": {key: recs, "chicago": recs}}
+        path = write_file(json.dumps({"runs": [run]}))
+        with pytest.raises(DatasetValidationError) as excinfo:
+            parse_model_runs(path)
+        assert f"{path}: error: runs[0].cities: key {key!r} names no city" in str(excinfo.value)
+
 
 class TestParseTargets:
     def test_bundled_targets(self, bundled_targets):
@@ -543,6 +552,13 @@ class TestParseTargets:
             f"{path}: error: targets: keys 'chicago' and 'Chicago' both name city 'chicago'"
             in str(excinfo.value)
         )
+
+    @pytest.mark.parametrize("key", ["", " "])
+    def test_blank_city_key_is_rejected(self, write_file, key):
+        path = write_file(json.dumps({key: ["west englewood"], "chicago": ["west englewood"]}))
+        with pytest.raises(DatasetValidationError) as excinfo:
+            parse_targets(path)
+        assert f"{path}: error: targets: key {key!r} names no city" in str(excinfo.value)
 
 
 class TestRankingRoundTrip:

@@ -479,6 +479,22 @@ def test_ranking_order_check_accepts_exactly_what_a_sort_leaves_unchanged(pairs,
         assert unchanged_by_sort and not names_repeat
 
 
+def test_dataset_and_ranking_report_the_first_repeated_name():
+    """Both name the first name that repeats, as ingest does, not the most common one."""
+    names = ["a", "b", "b", "a", "a"]
+    with pytest.raises(DomainValidationError) as from_dataset:
+        CityDataset(
+            "demo", names, [1.0] * 5, [2.0] * 5, [3.0] * 5,
+            bll_threshold_ug_dl=5.0, unit_kind=UnitKind.NAMED_AREA,
+        )
+    with pytest.raises(DomainValidationError) as from_ranking:
+        PriorityRanking(
+            "demo", derive_weights(0.6), names, [5.0, 4.0, 3.0, 2.0, 1.0],
+            [10.0, 8.0, 6.0, 4.0, 2.0],
+        )
+    assert str(from_dataset.value) == str(from_ranking.value) == "demo: duplicate neighborhood 'b'"
+
+
 _SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.nan, math.inf, -1.0]) | st.floats(0, 4)
 
 
