@@ -18,7 +18,6 @@ early, as ``| head`` does, is not an error: the command stops and exits 0.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import os
 import sys
@@ -53,12 +52,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
-    # A call allocates up to millions of objects that reference counting
-    # frees, so cyclic collection passes would only rescan them; the little
-    # cyclic garbage a call leaves waits for the next collection. ``main``
-    # may run in-process, so the collector's previous state is restored.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -81,9 +74,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # never surface a traceback for malformed input
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if gc_was_enabled:
-            gc.enable()
 
 
 def build_parser() -> argparse.ArgumentParser:

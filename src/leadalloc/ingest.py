@@ -520,7 +520,10 @@ _COLLECTED = object()  # what the object hook of parse_ranking leaves of an entr
 
 
 def ranking_from_dict(doc: dict, *, collected: tuple[list, ...] | None = None) -> PriorityRanking:
-    """The ranking of a decoded document; ``collected`` is for ``parse_ranking`` alone."""
+    """The ranking of a decoded document; ``collected`` is for ``parse_ranking`` alone.
+
+    Each entry's ``scaled_score`` must equal the ranking's derived one exactly.
+    """
     try:
         weights_doc = doc["weights"]
         weights = WeightConfig(
@@ -536,11 +539,19 @@ def ranking_from_dict(doc: dict, *, collected: tuple[list, ...] | None = None) -
             ),
         )
         if collected is None:
-            collected = tuple(zip(*map(_ranking_entry, doc["entries"]))) or ((), (), ())
+            entries = _json_field(doc, "entries", "array")
+            collected = tuple(zip(*map(_ranking_entry, entries))) or ((), (), ())
         city = _json_field(doc, "city", "string")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainValidationError(f"malformed ranking document: {exc}") from exc
-    return PriorityRanking(city, weights, *collected)
+    names, raw_scores, scaled_scores = collected
+    ranking = PriorityRanking(city, weights, names, raw_scores)
+    for name, given, derived in zip(ranking.names, scaled_scores, ranking.scaled_scores):
+        if given != derived:
+            raise DomainValidationError(
+                f"{city}: scaled_score of {name!r} is {given!r}; 10 × raw / top raw is {derived!r}"
+            )
+    return ranking
 
 
 def _ranking_entry(entry: dict) -> RankingEntry:
@@ -552,7 +563,7 @@ def _ranking_entry(entry: dict) -> RankingEntry:
     )
 
 
-_JSON_TYPES = {"string": str, "number": (int, float), "boolean": bool}
+_JSON_TYPES = {"string": str, "number": (int, float), "boolean": bool, "array": list}
 
 
 def _json_field(doc: dict, key: str, kind: str):

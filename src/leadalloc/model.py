@@ -560,36 +560,31 @@ class RankingEntry(NamedTuple):
 class PriorityRanking(_Columnar):
     """Descending-ordered priority list for one city, held as columns.
 
-    ``names``, ``raw_scores`` and ``scaled_scores`` are tuples in ranking
-    order; a tuple given is held, not copied. :meth:`__post_init__` checks
-    the ranking once, over the columns. ``entries`` builds the
-    ``RankingEntry`` tuples on every access, in O(n): it is not for hot
-    paths. ``len()`` is the number of entries.
+    ``names`` and ``raw_scores`` are tuples in ranking order; a tuple given
+    is held, not copied. :meth:`__post_init__` checks the ranking once,
+    over the columns. ``scaled_scores`` and ``entries`` are derived from
+    them on every access, in O(n): they are not for hot paths. ``len()`` is
+    the number of entries.
     """
 
-    __slots__ = _fields = ("city", "weights", "names", "raw_scores", "scaled_scores")
+    __slots__ = _fields = ("city", "weights", "names", "raw_scores")
 
     def __init__(
-        self, city: str, weights: WeightConfig, names: Iterable[str],
-        raw_scores: Iterable[float], scaled_scores: Iterable[float],
+        self, city: str, weights: WeightConfig, names: Iterable[str], raw_scores: Iterable[float]
     ) -> None:
-        self._init(city, weights, tuple(names), tuple(raw_scores), tuple(scaled_scores))
+        self._init(city, weights, tuple(names), tuple(raw_scores))
 
     def __post_init__(self) -> None:
         """Raise on a broken invariant, as checking entry by entry would."""
-        names, raw, scaled = self.names, self.raw_scores, self.scaled_scores
+        names, raw = self.names, self.raw_scores
         if not names:
             raise DomainValidationError(f"{self.city}: ranking has no entries")
-        if not len(raw) == len(scaled) == len(names):
+        if len(raw) != len(names):
             raise DomainValidationError(f"{self.city}: every column needs one score per name")
-        for name, raw_score, scaled_score in zip(names, raw, scaled):
+        for name, raw_score in zip(names, raw):
             if not math.isfinite(raw_score) or raw_score < 0:
                 raise DomainValidationError(
                     f"{self.city}: non-finite or negative raw score for {name!r}"
-                )
-            if not 0 <= scaled_score <= 10:
-                raise DomainValidationError(
-                    f"{self.city}: scaled score out of [0, 10] for {name!r}"
                 )
         # Raw scores descending, and names ascending within each run of equal raw scores.
         tied = list(map(eq, raw, islice(raw, 1, None)))
@@ -603,20 +598,12 @@ class PriorityRanking(_Columnar):
             )
         del tied
         self._check_distinct()
-        if raw[0] > 0:
-            top = max(scaled)
-            if top != 10.0:
-                raise DomainValidationError(
-                    f"{self.city}: top scaled score must be exactly 10.0, got {top}"
-                )
-            if not all(map(ge, scaled, islice(scaled, 1, None))):
-                raise DomainValidationError(
-                    f"{self.city}: scaled ordering disagrees with raw ordering"
-                )
-        elif any(scaled):
-            raise DomainValidationError(
-                f"{self.city}: all-zero raw scores require all-zero scaled scores"
-            )
+
+    @property
+    def scaled_scores(self) -> tuple[float, ...]:
+        """The 0-10 display scores: the top entry reads exactly 10.0, or all 0.0 if its raw is 0."""
+        raw = self.raw_scores
+        return tuple(10.0 * (score / raw[0]) for score in raw) if raw[0] else (0.0,) * len(raw)
 
     @property
     def entries(self) -> tuple[RankingEntry, ...]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from itertools import repeat
-from operator import add, itemgetter, mul, truediv
+from operator import add, itemgetter, mul
 
 from .errors import DataQualityWarning, DomainValidationError
 from .model import (
@@ -88,8 +88,8 @@ def score_city(
 
     Prevalence, untested percentage, and coverage percentage are min-max
     normalized within the city, combined linearly with the derived
-    weights, sorted descending (ties broken by canonical name), and
-    rescaled so the top raw score maps to exactly 10.0.
+    weights and sorted descending (ties broken by canonical name). The
+    ranking's ``scaled_scores`` map the top raw score to exactly 10.0.
     """
     if len(dataset) < 2:
         raise DomainValidationError(
@@ -115,17 +115,14 @@ def score_city(
     pick = itemgetter(*order)  # at least 2 positions, so it picks tuples
     names, raw = pick(names), pick(raw)
     del order, pick  # n index ints, freed before the ranking's checks build a list
-    max_raw = raw[0]
-    if max_raw > 0:
-        scaled = tuple(map(mul, repeat(10.0), map(truediv, raw, repeat(max_raw))))
-    else:
+    if raw[0] <= 0:
         warnings.warn(
             f"{dataset.city}: all raw priority scores are zero; scaled scores set to 0",
             DataQualityWarning,
             stacklevel=2,
         )
-        raw = scaled = (0.0,) * len(raw)
-    return PriorityRanking(dataset.city, weights, names, raw, scaled)
+        raw = (0.0,) * len(raw)
+    return PriorityRanking(dataset.city, weights, names, raw)
 
 
 def top_k(ranking: PriorityRanking, k: int) -> list[str]:

@@ -68,8 +68,8 @@ def dataset(rows, city="demo"):
 
 
 def ranking_of_entries(city, weights, entries):
-    """A PriorityRanking of ``(name, raw_score, scaled_score)`` entries."""
-    return PriorityRanking(city, weights, *columns(entries, 3))
+    """A PriorityRanking of ``(name, raw_score)`` entries."""
+    return PriorityRanking(city, weights, *columns(entries, 2))
 
 
 def plan_of_allocations(city, total_kits, allocations, strategy):
@@ -80,11 +80,7 @@ def plan_of_allocations(city, total_kits, allocations, strategy):
 def ranking_from_scores(scores, city="demo"):
     """Build a valid PriorityRanking from a {name: raw_score} mapping."""
     items = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    max_raw = items[0][1]
-    entries = [
-        (name, raw, 10.0 * (raw / max_raw) if max_raw > 0 else 0.0) for name, raw in items
-    ]
-    return ranking_of_entries(city, derive_weights(0.6), entries)
+    return ranking_of_entries(city, derive_weights(0.6), items)
 
 
 def ranking_to_dict(ranking):
@@ -106,19 +102,17 @@ def ranking_to_dict(ranking):
 def check_ranking_entry_by_entry(city, entries):
     """The ranking check as it was before rankings were held as columns, for comparison.
 
-    It walks ``(name, raw_score, scaled_score)`` entries one at a time and
-    raises ``DomainValidationError`` with the messages the columnar check
-    must keep, in the same order of precedence.
+    It walks ``(name, raw_score)`` entries one at a time and raises
+    ``DomainValidationError`` with the messages the columnar check must
+    keep, in the same order of precedence.
     """
     if not entries:
         raise DomainValidationError(f"{city}: ranking has no entries")
     in_order = True
     previous_raw, previous_name = math.inf, ""
-    for name, raw, scaled in entries:
+    for name, raw in entries:
         if not math.isfinite(raw) or raw < 0:
             raise DomainValidationError(f"{city}: non-finite or negative raw score for {name!r}")
-        if not 0 <= scaled <= 10:
-            raise DomainValidationError(f"{city}: scaled score out of [0, 10] for {name!r}")
         if raw > previous_raw or (raw == previous_raw and name < previous_name):
             in_order = False
         previous_raw, previous_name = raw, name
@@ -128,18 +122,7 @@ def check_ranking_entry_by_entry(city, entries):
             "with canonical-name tie-break"
         )
     seen = set()
-    for name, _, _ in entries:
+    for name, _ in entries:
         if name in seen:
             raise DomainValidationError(f"{city}: duplicate neighborhood {name!r}")
         seen.add(name)
-    scaled_scores = [scaled for _, _, scaled in entries]
-    if entries[0][1] > 0:
-        top = max(scaled_scores)
-        if top != 10.0:
-            raise DomainValidationError(f"{city}: top scaled score must be exactly 10.0, got {top}")
-        if not all(a >= b for a, b in zip(scaled_scores, scaled_scores[1:])):
-            raise DomainValidationError(f"{city}: scaled ordering disagrees with raw ordering")
-    elif any(scaled_scores):
-        raise DomainValidationError(
-            f"{city}: all-zero raw scores require all-zero scaled scores"
-        )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import codecs
-import gc
 import json
 import os
 import subprocess
@@ -17,7 +16,6 @@ import leadalloc
 from helpers import ranking_from_scores
 from leadalloc import cli, resources
 from leadalloc.cli import ALIAS_ENV_VAR, main
-from leadalloc.errors import LeadAllocError
 from leadalloc.ingest import parse_ranking, write_ranking
 from leadalloc.model import CORE_COLUMNS
 
@@ -467,6 +465,22 @@ class TestAllocate:
         assert out == ""
         assert "non-finite or negative raw score" in err
 
+    def test_doubled_top_raw_score_exits_2_naming_the_entry(self, capsys, demo_ranking):
+        # Every old scaled-score rule holds, but 10 × raw / top raw no longer does.
+        doc = json.loads(demo_ranking.read_text(encoding="utf-8"))
+        top = doc["entries"][0]
+        top["raw_score"] *= 2
+        demo_ranking.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "allocate", "--ranking", str(demo_ranking), "--kits", "1000"
+        )
+        assert code == 2
+        assert out == ""
+        name = doc["entries"][1]["neighborhood"]
+        prefix = f"error: input rejected: error: {demo_ranking}: demo: scaled_score of {name!r} is "
+        assert err.startswith(prefix)
+        assert err.count("\n") == 1
+
     def test_duplicate_neighborhood_in_ranking_exits_2_naming_it(self, capsys, tmp_path):
         path = tmp_path / "dup.json"
         doc = json.loads(DEMO_WEIGHTS_DOC)
@@ -670,9 +684,14 @@ class TestInputBoundary:
             ("entry", "raw_score", str, "'raw_score' must be a JSON number"),
             ("entry", "scaled_score", True, "'scaled_score' must be a JSON number"),
             ("weights", "alpha", str, "'alpha' must be a JSON number"),
+            ("document", "entries", {"a": 1}, "'entries' must be a JSON array"),
+            ("document", "entries", "abc", "'entries' must be a JSON array"),
+            ("document", "entries", None, "'entries' must be a JSON array"),
+            ("document", "entries", 5, "'entries' must be a JSON array"),
         ],
         ids=["name-object", "name-number", "city-list", "normalized-string", "score-string",
-             "score-boolean", "weight-string"],
+             "score-boolean", "weight-string", "entries-object", "entries-string",
+             "entries-null", "entries-number"],
     )
     def test_ranking_field_of_wrong_json_type_exits_2(
         self, capsys, demo_ranking, section, key, value, message
@@ -863,26 +882,3 @@ class TestParserBasics:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == []
-
-    @pytest.mark.parametrize("enabled_before", [True, False])
-    @pytest.mark.parametrize("outcome", [0, LeadAllocError("bad input"), ValueError("bug")])
-    def test_subcommand_runs_without_cyclic_gc_and_restores_it(
-        self, monkeypatch, capsys, enabled_before, outcome
-    ):
-        seen = []
-
-        def command(args):
-            seen.append(gc.isenabled())
-            if isinstance(outcome, Exception):
-                raise outcome
-            return outcome
-
-        monkeypatch.setattr(cli, "cmd_evaluate", command)
-        (gc.enable if enabled_before else gc.disable)()
-        try:
-            code = main(["evaluate"])
-            assert gc.isenabled() is enabled_before
-        finally:
-            gc.enable()
-        assert seen == [False]
-        assert code == {int: 0, LeadAllocError: 2, ValueError: 1}[type(outcome)]

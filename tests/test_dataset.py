@@ -16,7 +16,6 @@ from leadalloc.model import (
     CityDataset,
     NeighborhoodRecord,
     PriorityRanking,
-    RankingEntry,
     UnitKind,
     WeightVariant,
 )
@@ -70,13 +69,8 @@ def score_city_by_records(dataset, alpha, variant, r_override, normalize):
     names = tuple(record.name for record in dataset.records)
     order = sorted(range(len(raw)), key=names.__getitem__)
     order.sort(key=raw.__getitem__, reverse=True)
-    max_raw = raw[order[0]]
-    if max_raw > 0:
-        entries = tuple(
-            RankingEntry(names[i], raw[i], 10.0 * (raw[i] / max_raw)) for i in order
-        )
-    else:
-        entries = tuple(RankingEntry(names[i], 0.0, 0.0) for i in order)
+    all_zero = not raw[order[0]] > 0
+    entries = tuple((names[i], 0.0 if all_zero else raw[i]) for i in order)
     return ranking_of_entries(city=dataset.city, weights=weights, entries=entries)
 
 

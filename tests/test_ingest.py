@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -39,7 +40,6 @@ from leadalloc.ingest import (
 from leadalloc.model import (
     AliasTable,
     PriorityRanking,
-    RankingEntry,
     Strategy,
     UnitKind,
 )
@@ -622,12 +622,55 @@ class TestRankingRoundTrip:
             f"input rejected: error: {path}: neighborhood name must be non-empty"
         )
 
-    def test_integral_scores_read_as_floats(self, demo_csv):
-        doc = ranking_to_dict(score_city(parse_city_dataset(demo_csv, "demo")[0]))
+    def test_integral_scores_read_as_floats(self):
+        doc = ranking_to_dict(ranking_from_scores({"riverbend": 1.0, "mill east": 0.25}))
         doc["entries"][0].update(raw_score=1, scaled_score=10)
         entry = ranking_from_dict(doc).entries[0]
         assert entry == ("riverbend", 1.0, 10.0)
         assert (type(entry.raw_score), type(entry.scaled_score)) == (float, float)
+
+    @pytest.mark.parametrize(
+        "scores, name, scaled, expected",
+        [
+            ({"a": 2.0, "b": 1.0}, "a", 9.99, 10.0),
+            ({"a": 2.0, "b": 1.0}, "b", 10.5, 5.0),
+            ({"a": 2.0, "b": 1.0, "c": 0.5}, "c", 6.0, 2.5),
+            ({"a": 0.0, "b": 0.0}, "a", 3.0, 0.0),
+        ],
+        ids=["top-not-ten", "out-of-range", "not-monotone", "non-zero-under-all-zero-raw"],
+    )
+    def test_scaled_score_must_be_derived_exactly(self, scores, name, scaled, expected):
+        doc = ranking_to_dict(ranking_from_scores(scores))
+        next(e for e in doc["entries"] if e["neighborhood"] == name)["scaled_score"] = scaled
+        with pytest.raises(DomainValidationError) as rejected:
+            ranking_from_dict(doc)
+        assert str(rejected.value) == (
+            f"demo: scaled_score of {name!r} is {scaled!r}; 10 × raw / top raw is {expected!r}"
+        )
+
+    @given(
+        st.lists(
+            st.tuples(NAMES, st.floats(0.0, 1e300) | st.sampled_from([0.0, 0.5, 1.0])),
+            min_size=1,
+            max_size=8,
+            unique_by=lambda item: item[0],
+        ),
+        st.data(),
+    )
+    def test_a_scaled_score_one_ulp_off_is_rejected_naming_its_entry(self, scored, data):
+        ranking = ranking_from_scores(dict(scored))
+        index = data.draw(st.integers(0, len(ranking) - 1))
+        toward = data.draw(st.sampled_from([-math.inf, math.inf]))
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "ranking.json"
+            write_ranking(ranking, path)
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            entry = doc["entries"][index]
+            entry["scaled_score"] = math.nextafter(entry["scaled_score"], toward)
+            path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+            with pytest.raises(DatasetValidationError) as rejected:
+                parse_ranking(path)
+        assert f"{path}: demo: scaled_score of {entry['neighborhood']!r} is " in str(rejected.value)
 
     @given(
         st.lists(
@@ -642,13 +685,8 @@ class TestRankingRoundTrip:
     )
     def test_parse_reads_back_what_write_wrote(self, scored):
         scored.sort(key=lambda item: (-item[1], item[0]))
-        top = scored[0][1]
         ranking = PriorityRanking(
-            "demo",
-            derive_weights(0.6),
-            [name for name, _ in scored],
-            [raw for _, raw in scored],
-            [10.0 * (raw / top) if top else 0.0 for _, raw in scored],
+            "demo", derive_weights(0.6), [name for name, _ in scored], [raw for _, raw in scored]
         )
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "ranking.json"
@@ -693,9 +731,7 @@ class TestStreamingWriters:
     )
     def test_ranking_matches_json_dump(self, city, scored):
         scored.sort(key=lambda item: (-item[1], item[0]))
-        top = scored[0][1]
-        entries = [RankingEntry(name, raw, 10.0 * (raw / top) if top else 0.0) for name, raw in scored]
-        ranking = ranking_of_entries(city=city, weights=derive_weights(0.6), entries=tuple(entries))
+        ranking = ranking_of_entries(city=city, weights=derive_weights(0.6), entries=scored)
         assert written_text(dump_ranking, ranking) == json_dump_text(ranking_to_dict(ranking))
 
     @given(

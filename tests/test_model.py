@@ -350,49 +350,27 @@ class TestPriorityRanking:
     def test_entries_must_be_sorted_desc_with_name_tiebreak(self):
         weights = derive_weights(0.6)
         with pytest.raises(DomainValidationError, match="not sorted"):
-            ranking_of_entries(
-                city="demo",
-                weights=weights,
-                entries=(RankingEntry("a", 1.0, 5.0), RankingEntry("b", 2.0, 10.0)),
-            )
+            ranking_of_entries(city="demo", weights=weights, entries=(("a", 1.0), ("b", 2.0)))
         with pytest.raises(DomainValidationError, match="not sorted"):
-            ranking_of_entries(
-                city="demo",
-                weights=weights,
-                entries=(RankingEntry("z", 2.0, 10.0), RankingEntry("a", 2.0, 10.0)),
-            )
+            ranking_of_entries(city="demo", weights=weights, entries=(("z", 2.0), ("a", 2.0)))
 
-    def test_top_scaled_score_must_be_exactly_ten(self):
-        weights = derive_weights(0.6)
-        with pytest.raises(DomainValidationError, match="exactly 10.0"):
-            ranking_of_entries(
-                city="demo",
-                weights=weights,
-                entries=(RankingEntry("a", 2.0, 9.99), RankingEntry("b", 1.0, 5.0)),
-            )
-
-    def test_all_zero_scores_allowed_when_scaled_all_zero(self):
-        weights = derive_weights(0.6)
+    def test_scaled_scores_are_ten_times_raw_over_top_raw(self):
         ranking = ranking_of_entries(
-            city="demo",
-            weights=weights,
-            entries=(RankingEntry("a", 0.0, 0.0), RankingEntry("b", 0.0, 0.0)),
+            city="demo", weights=derive_weights(0.6), entries=(("a", 2.0), ("b", 1.0), ("c", 0.3))
+        )
+        assert ranking.scaled_scores == (10.0, 5.0, 10.0 * (0.3 / 2.0))
+        assert PriorityRanking._fields == ("city", "weights", "names", "raw_scores")
+
+    def test_all_zero_raw_scores_scale_to_all_zero(self):
+        ranking = ranking_of_entries(
+            city="demo", weights=derive_weights(0.6), entries=(("a", 0.0), ("b", 0.0))
         )
         assert ranking.names == ("a", "b")
-        with pytest.raises(DomainValidationError, match="all-zero"):
-            ranking_of_entries(
-                city="demo",
-                weights=weights,
-                entries=(RankingEntry("a", 0.0, 3.0), RankingEntry("b", 0.0, 0.0)),
-            )
+        assert ranking.scaled_scores == (0.0, 0.0)
 
     def test_negative_raw_score_rejected(self):
         with pytest.raises(DomainValidationError, match="negative raw score"):
-            ranking_of_entries(
-                city="demo",
-                weights=derive_weights(0.6),
-                entries=(RankingEntry("a", -1.0, 10.0),),
-            )
+            ranking_of_entries(city="demo", weights=derive_weights(0.6), entries=(("a", -1.0),))
 
 
 class TestAllocationPlan:
@@ -462,13 +440,10 @@ def test_ranking_order_check_accepts_exactly_what_a_sort_leaves_unchanged(pairs,
     """
     if presort:
         pairs.sort(key=lambda pair: (-pair[1], pair[0]))
-    # Equal scaled scores keep the scaled-score checks out of the way.
-    top = 10.0 if max(raw for _, raw in pairs) > 0 else 0.0
-    entries = [RankingEntry(name, raw, top) for name, raw in pairs]
-    unchanged_by_sort = entries == sorted(entries, key=lambda e: (-e.raw_score, e.name))
+    unchanged_by_sort = pairs == sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
     names_repeat = len({name for name, _ in pairs}) < len(pairs)
     try:
-        ranking_of_entries(city="demo", weights=derive_weights(0.6), entries=entries)
+        ranking_of_entries(city="demo", weights=derive_weights(0.6), entries=pairs)
     except DomainValidationError as exc:
         if "duplicate neighborhood" in str(exc):
             assert unchanged_by_sort and names_repeat
@@ -488,10 +463,7 @@ def test_dataset_and_ranking_report_the_first_repeated_name():
             bll_threshold_ug_dl=5.0, unit_kind=UnitKind.NAMED_AREA,
         )
     with pytest.raises(DomainValidationError) as from_ranking:
-        PriorityRanking(
-            "demo", derive_weights(0.6), names, [5.0, 4.0, 3.0, 2.0, 1.0],
-            [10.0, 8.0, 6.0, 4.0, 2.0],
-        )
+        PriorityRanking("demo", derive_weights(0.6), names, [5.0, 4.0, 3.0, 2.0, 1.0])
     assert str(from_dataset.value) == str(from_ranking.value) == "demo: duplicate neighborhood 'b'"
 
 
@@ -501,24 +473,14 @@ _SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.nan, math.inf, -1.0]) 
 @given(
     st.lists(st.tuples(st.sampled_from(["A", "a", "ab", "b", "B"]), _SCORES), max_size=8),
     st.booleans(),
-    st.one_of(
-        st.none(),
-        st.lists(st.sampled_from([0.0, -0.0, 5.0, 9.99, 10.0, 10.5, math.nan]) | st.floats(0, 10)),
-    ),
 )
-def test_columnar_check_agrees_with_the_entry_by_entry_check(pairs, presort, scaled):
+def test_columnar_check_agrees_with_the_entry_by_entry_check(pairs, presort):
     """Both checks accept the same rankings and reject the others with the same message.
 
-    The cases cover ties, -0.0, NaN, repeated names, unsorted entries and
-    top scaled scores other than 10.0; without ``scaled`` given, scaled
-    scores follow the raw scores as ``score_city`` makes them.
+    The cases cover ties, -0.0, NaN, repeated names and unsorted entries.
     """
     if presort:
         pairs.sort(key=lambda pair: (-pair[1], pair[0]))
-    if scaled is None:
-        top = max((raw for _, raw in pairs), default=0.0)
-        scaled = [10.0 * (raw / top) if top > 0 else 0.0 for _, raw in pairs]
-    entries = [(name, raw, scaled_score) for (name, raw), scaled_score in zip(pairs, scaled)]
 
     def outcome(check):
         try:
@@ -527,19 +489,35 @@ def test_columnar_check_agrees_with_the_entry_by_entry_check(pairs, presort, sca
             return str(exc)
         return None
 
-    expected = outcome(lambda: check_ranking_entry_by_entry("demo", entries))
+    expected = outcome(lambda: check_ranking_entry_by_entry("demo", pairs))
     weights = derive_weights(0.6)
-    columns = [[entry[field] for entry in entries] for field in range(3)]
+    columns = [[pair[field] for pair in pairs] for field in range(2)]
     assert outcome(lambda: PriorityRanking("demo", weights, *columns)) == expected
+
+
+@given(
+    st.lists(st.floats(0, 1e300) | st.sampled_from([0.0, -0.0, 5e-324, 1.0, 3.0]), min_size=1),
+)
+def test_scaled_scores_anchor_the_top_at_ten_and_never_increase(raws):
+    raws.sort(reverse=True)
+    names = [f"n{i:03d}" for i in range(len(raws))]
+    scaled = PriorityRanking("demo", derive_weights(0.6), names, raws).scaled_scores
+    assert len(scaled) == len(raws)
+    if raws[0] > 0:
+        assert scaled[0] == 10.0
+    else:
+        assert set(scaled) == {0.0}
+    assert all(a >= b for a, b in zip(scaled, scaled[1:]))
+    assert all(0.0 <= score <= 10.0 for score in scaled)
 
 
 def test_ranking_and_plan_hold_columns():
     weights = derive_weights(0.6)
-    ranking = PriorityRanking("demo", weights, ["b", "a"], [2.0, 1.0], [10.0, 5.0])
+    ranking = PriorityRanking("demo", weights, ["b", "a"], [2.0, 1.0])
     assert ranking.names == ("b", "a")
     assert (ranking.raw_scores, ranking.scaled_scores) == ((2.0, 1.0), (10.0, 5.0))
     assert ranking.entries == (RankingEntry("b", 2.0, 10.0), RankingEntry("a", 1.0, 5.0))
-    assert ranking == PriorityRanking("demo", weights, ("b", "a"), (2.0, 1.0), (10.0, 5.0))
+    assert ranking == PriorityRanking("demo", weights, ("b", "a"), (2.0, 1.0))
     assert len(ranking) == 2 and not isinstance(ranking, tuple)
     names = ranking.names
     plan = AllocationPlan("demo", 3, names, [2, 1], Strategy.PROPORTIONAL)
@@ -548,7 +526,7 @@ def test_ranking_and_plan_hold_columns():
     assert plan.allocations == (AllocationEntry("b", 2), AllocationEntry("a", 1))
     assert len(plan) == 2 and not isinstance(plan, tuple)
     with pytest.raises(DomainValidationError, match="one score per name"):
-        PriorityRanking("demo", weights, ["b", "a"], [2.0], [10.0, 5.0])
+        PriorityRanking("demo", weights, ["b", "a"], [2.0])
     with pytest.raises(DomainValidationError, match="one kit count"):
         AllocationPlan("demo", 3, names, [3], Strategy.PROPORTIONAL)
     assert plan._replace(kits=(3, 0)).kits == (3, 0)
@@ -563,9 +541,7 @@ def test_ranking_and_plan_hold_columns():
             "demo", names, [1.0] * len(names), [2.0] * len(names), [3.0] * len(names),
             bll_threshold_ug_dl=5.0, unit_kind=UnitKind.NAMED_AREA,
         ),
-        lambda names: PriorityRanking(
-            "demo", derive_weights(0.6), names, [0.0] * len(names), [0.0] * len(names)
-        ),
+        lambda names: PriorityRanking("demo", derive_weights(0.6), names, [0.0] * len(names)),
         lambda names: AllocationPlan(
             "demo", len(names), names, [1] * len(names), Strategy.PROPORTIONAL
         ),
@@ -639,9 +615,8 @@ def _value_cases():
                 weights=WeightConfig(**weights),
                 names=("b", "a"),
                 raw_scores=(2.0, 1.0),
-                scaled_scores=(10.0, 5.0),
             ),
-            dict(names=("b",), raw_scores=(2.0,), scaled_scores=(10.0,)),
+            dict(names=("b",), raw_scores=(2.0,)),
         ),
         (
             AllocationPlan,
@@ -745,16 +720,16 @@ def test_construction_runs_post_init_which_tracing_can_replace(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(PriorityRanking, "__post_init__", traced)
-    PriorityRanking("demo", derive_weights(0.6), ["a"], [1.0], [10.0])
+    PriorityRanking("demo", derive_weights(0.6), ["a"], [1.0])
     assert calls == ["demo"]
     assert isinstance(vars(AliasTable)["from_file"], classmethod)
 
 
 def test_replace_validates_like_construction():
-    ranking = PriorityRanking("demo", derive_weights(0.6), ["a"], [1.0], [10.0])
+    ranking = PriorityRanking("demo", derive_weights(0.6), ["a"], [1.0])
     assert type(ranking.entries[0]) is RankingEntry
     with pytest.raises(DomainValidationError, match="no entries"):
-        ranking._replace(names=(), raw_scores=(), scaled_scores=())
+        ranking._replace(names=(), raw_scores=())
     plan = AllocationPlan("demo", 1, ["a"], [1], Strategy.PROPORTIONAL)
     with pytest.raises(DomainValidationError, match="sum to"):
         plan._replace(total_kits=2)
@@ -786,11 +761,8 @@ def small_rankings(draw):
     names = draw(st.permutations(["a", "b", "c"]))[:n]
     raws = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n, max_size=n))
     entries = sorted(zip(names, raws), key=lambda entry: (-entry[1], entry[0]))
-    top = entries[0][1]
     weights = derive_weights(draw(st.sampled_from([0.2, 0.6])))
-    return ranking_of_entries(
-        "demo", weights, [(name, raw, 10.0 * (raw / top) if top else 0.0) for name, raw in entries]
-    )
+    return ranking_of_entries("demo", weights, entries)
 
 
 @st.composite
