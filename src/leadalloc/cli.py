@@ -27,7 +27,7 @@ from operator import truediv
 
 from . import __version__, resources
 from .allocation import DEFAULT_TOP_K, allocate
-from .errors import LeadAllocError
+from .errors import DatasetValidationError, LeadAllocError
 from .evaluation import DEFAULT_K, build_report, format_report_table, report_to_dict, table_lines
 from .ingest import (
     ValidationReport,
@@ -69,15 +69,20 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (LeadAllocError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(exc if isinstance(exc, DatasetValidationError) else f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # never surface a traceback for malformed input
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error's line starts "error: ", as every other does
+        self.exit(2, f"{self.format_usage()}error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="leadalloc",
         description=(
             "Neighborhood lead-testing priority scores, test-kit apportionment, "

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 
 class LeadAllocError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; :func:`located` explains ``at``."""
+
+    def __init__(self, *args, at: tuple = ()) -> None:
+        super().__init__(*args)
+        self.at = at
 
 
 class InvalidNameError(LeadAllocError):
@@ -24,13 +28,24 @@ class UnknownCityError(LeadAllocError):
 
 
 class DatasetValidationError(LeadAllocError):
-    """An input file was rejected; carries the full validation report."""
+    """An input file was rejected; carries the full report, and ``str()`` is its error lines."""
 
     def __init__(self, report):
         self.report = report
-        lines = "; ".join(report.describe(issue) for issue in report.errors())
-        super().__init__(f"input rejected: {lines}")
+        super().__init__("\n".join(map(report.describe, report.errors())))
 
 
 class DataQualityWarning(UserWarning):
     """Non-fatal data condition (degenerate column, clamped weight, ...)."""
+
+
+def located(at: tuple, build, *args):
+    """``build(*args)``, with ``at``, where it builds, put in front of a fault's ``at``.
+
+    ``at`` holds the keys and indices leading to a fault, as a JSON Pointer (RFC 6901) does.
+    """
+    try:
+        return build(*args)
+    except (DomainValidationError, InvalidNameError) as exc:
+        exc.at = (*at, *exc.at)
+        raise

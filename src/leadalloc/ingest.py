@@ -3,7 +3,8 @@
 Parsers are deterministic pure functions of the input bytes. Each returns
 the parsed value together with a :class:`ValidationReport`; inputs with
 error-severity issues raise :class:`DatasetValidationError` carrying that
-report, so callers never see a half-valid dataset.
+report, so callers never see a half-valid dataset. A CSV reports every bad
+row; a JSON file stops at its first fault, named by its JSON Pointer.
 
 City dataset CSV schema (header order-insensitive, UTF-8, comma-separated)::
 
@@ -28,7 +29,7 @@ from pathlib import Path
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, TextIO
 
-from .errors import DatasetValidationError, DomainValidationError, InvalidNameError
+from .errors import DatasetValidationError, DomainValidationError, InvalidNameError, located
 from .model import (
     AliasTable,
     AllocationPlan,
@@ -40,7 +41,6 @@ from .model import (
     CORE_COLUMNS,
     ModelRun,
     PriorityRanking,
-    RankingEntry,
     Recommendation,
     TargetSet,
     UnitKind,
@@ -57,12 +57,8 @@ if TYPE_CHECKING:
 
 class ValidationIssue(NamedTuple):
     severity: str  # "error" | "warning"
-    row: int | None
+    location: str | None  # "row N" in a CSV, a JSON Pointer in JSON; None for the whole file
     message: str
-
-    def __str__(self) -> str:
-        location = f" [row {self.row}]" if self.row is not None else ""
-        return f"{self.severity}{location}: {self.message}"
 
 
 class ValidationReport:
@@ -91,16 +87,21 @@ class ValidationReport:
             f"issues={self.issues!r})"
         )
 
-    def error(self, message: str, row: int | None = None) -> None:
-        self.issues.append(ValidationIssue("error", row, message))
+    def error(self, message: str, location: str | None = None) -> None:
+        self.issues.append(ValidationIssue("error", location, message))
 
-    def warning(self, message: str, row: int | None = None) -> None:
+    def warning(self, message: str, location: str | None = None) -> None:
         severity = "error" if self.strict else "warning"
-        self.issues.append(ValidationIssue(severity, row, message))
+        self.issues.append(ValidationIssue(severity, location, message))
+
+    def reject(self, message: str, location: str | None = None) -> DatasetValidationError:
+        """The error that rejects the file, once ``message`` is added as an error."""
+        self.error(message, location)
+        return DatasetValidationError(self)
 
     def describe(self, issue: ValidationIssue) -> str:
-        """The issue as users read it, led by the file it was found in."""
-        return f"{self.source}: {issue}" if self.source else str(issue)
+        """The issue as ``<severity>: <file>: <location>: <message>``, less any part it lacks."""
+        return ": ".join(filter(None, (issue.severity, self.source, issue.location, issue.message)))
 
     def errors(self) -> list[ValidationIssue]:
         return [issue for issue in self.issues if issue.severity == "error"]
@@ -174,10 +175,10 @@ def _parse_records(
     header = [name.strip() for name in cells]
     missing = [column for column in CORE_COLUMNS if column not in header]
     if missing:
-        report.error(f"missing required column(s): {', '.join(missing)}", row=header_line)
+        report.error(f"missing required column(s): {', '.join(missing)}", f"row {header_line}")
     duplicated = [name for name, count in Counter(header).items() if name and count > 1]
     if duplicated:
-        report.error(f"duplicate column(s): {', '.join(duplicated)}", row=header_line)
+        report.error(f"duplicate column(s): {', '.join(duplicated)}", f"row {header_line}")
     report.raise_if_rejected()
     value_columns = (
         *_VALUE_COLUMNS,
@@ -194,7 +195,7 @@ def _parse_records(
     for line, cells in rows:
         if len(cells) != width:
             if len(cells) > width:
-                report.error(f"row has {len(cells)} fields, header has {width}", row=line)
+                report.error(f"row has {len(cells)} fields, header has {width}", f"row {line}")
                 continue
             cells += [""] * (width - len(cells))  # a short row's missing cells are blank
         parsed = _parse_row(
@@ -206,11 +207,11 @@ def _parse_records(
         if name in seen_rows:
             report.error(
                 f"duplicate neighborhood {name!r} (first seen at row {seen_rows[name]})",
-                row=line,
+                f"row {line}",
             )
             continue
         if zip_codes and not is_zip_code(name):
-            report.error(f"{name!r} is not a 5-digit ZIP code", row=line)
+            report.error(f"{name!r} is not a 5-digit ZIP code", f"row {line}")
             continue
         seen_rows[name] = line
         names.append(name)
@@ -241,7 +242,7 @@ def _leading_directives(lines: TextIO, report: ValidationReport) -> tuple[str, i
             if key.strip().lower() == "unit":
                 declared = value.strip().lower()
                 if declared not in ("percent", "fraction"):
-                    report.error(f"unknown unit declaration {declared!r}", row=count)
+                    report.error(f"unknown unit declaration {declared!r}", f"row {count}")
                 else:
                     unit = declared
         line = lines.readline()
@@ -263,7 +264,7 @@ def _csv_rows(lines: Iterable[str], first_line: int, report: ValidationReport):
             if cells:
                 yield first_line + reader.line_num, cells
     except csv.Error as exc:
-        report.error(f"unreadable CSV row: {exc}", row=first_line + reader.line_num)
+        report.error(f"unreadable CSV row: {exc}", f"row {first_line + reader.line_num}")
 
 
 def _parse_row(
@@ -284,12 +285,12 @@ def _parse_row(
     """
     raw_name = cells[name_index].strip()
     if not raw_name:
-        report.warning("row excluded: missing neighborhood name", row=line)
+        report.warning("row excluded: missing neighborhood name", f"row {line}")
         return None
     try:
         name = canonicalize_name(raw_name, aliases)
     except InvalidNameError:
-        report.error(f"invalid neighborhood name {raw_name!r}", row=line)
+        report.error(f"invalid neighborhood name {raw_name!r}", f"row {line}")
         return None
 
     # float() ignores the whitespace around a number, so a row of finite
@@ -305,14 +306,14 @@ def _parse_row(
 
     prevalence, untested, coverage = values[:3]
     if prevalence < 0:
-        report.error(f"{COL_PREVALENCE} must be non-negative, got {prevalence}", row=line)
+        report.error(f"{COL_PREVALENCE} must be non-negative, got {prevalence}", f"row {line}")
         return None
     upper = 1.0 if unit == "fraction" else 100.0
     if not (0 <= untested <= upper and 0 <= coverage <= upper):
         bounds_label = "[0,1] (unit=fraction)" if unit == "fraction" else "[0,100]"
         for column, value in ((COL_UNTESTED, untested), (COL_COVERAGE, coverage)):
             if not 0 <= value <= upper:
-                report.error(f"percentage out of range {bounds_label}: {column}", row=line)
+                report.error(f"percentage out of range {bounds_label}: {column}", f"row {line}")
         return None
     if unit == "fraction":
         values[1] = untested * 100.0
@@ -331,15 +332,15 @@ def _cell_values(
         values.append(math.nan)
         if not cell:
             if column in CORE_COLUMNS:
-                report.warning(f"row excluded: missing {column}", row=line)
+                report.warning(f"row excluded: missing {column}", f"row {line}")
             continue
         try:
             value = float(cell)
         except ValueError:
-            report.error(f"non-numeric value {cell!r} in column {column}", row=line)
+            report.error(f"non-numeric value {cell!r} in column {column}", f"row {line}")
             continue
         if not math.isfinite(value):
-            report.error(f"non-finite value {cell!r} in column {column}", row=line)
+            report.error(f"non-finite value {cell!r} in column {column}", f"row {line}")
             continue
         values[-1] = value
     return None if len(report.issues) > issues_before else values
@@ -366,76 +367,36 @@ def parse_model_runs(
 ) -> tuple[list[ModelRun], ValidationReport]:
     """Parse a model-run JSON file, preserving run and recommendation order."""
     report = ValidationReport(source=str(path))
-    doc = load_json(path)
+    return _first_fault(report, _model_runs, load_json(path), aliases, report), report
+
+
+def _model_runs(doc, aliases: AliasTable | None, report: ValidationReport) -> list[ModelRun]:
+    run_docs = _json_field(_json_field(doc, (), "object"), ("runs",), "array")
+    if not run_docs:
+        report.warning("file contains no runs", "/runs")
     runs: list[ModelRun] = []
-    entries = doc.get("runs") if isinstance(doc, dict) else None
-    if not isinstance(entries, list):
-        report.error('malformed document: expected an object with a "runs" list')
-        report.raise_if_rejected()
-    if not entries:
-        report.warning("file contains no runs")
-    for index, entry in enumerate(entries):
-        location = f"runs[{index}]"
-        if not isinstance(entry, dict):
-            report.error(f"{location}: expected an object")
-            continue
-        model = entry.get("model")
-        mode = entry.get("mode")
-        if not isinstance(model, str) or not model.strip():
-            report.error(f"{location}: missing model field")
-            continue
-        if not isinstance(mode, str) or not mode.strip():
-            report.error(f"{location}: missing mode field")
-            continue
-        cities = entry.get("cities")
-        if not isinstance(cities, dict):
-            report.error(f"{location}: missing cities object")
-            continue
-        per_city: dict[str, tuple[Recommendation, ...]] = {}
-        for city, recommendations in _cities(cities, f"{location}.cities", report):
-            recs = _parse_recommendations(
-                recommendations, f"{location}.cities.{city}", aliases, report
-            )
-            if recs is None:
-                continue
-            if not recs:
-                report.warning(f"{location}: no recommendations for city {city!r}")
-            per_city[city] = recs
-        runs.append(ModelRun(model=model.strip(), mode=mode.strip(), per_city=per_city))
-    report.raise_if_rejected()
-    return runs, report
-
-
-def _parse_recommendations(
-    recommendations, location: str, aliases: AliasTable | None, report: ValidationReport
-) -> tuple[Recommendation, ...] | None:
-    if not isinstance(recommendations, list):
-        report.error(f"{location}: expected a list of recommendations")
-        return None
-    parsed: list[Recommendation] = []
-    for position, item in enumerate(recommendations):
-        where = f"{location}[{position}]"
-        if not isinstance(item, dict):
-            report.error(f"{where}: expected an object")
-            return None
-        raw_name = item.get("neighborhood")
-        kits = item.get("kits")
-        if not isinstance(raw_name, str) or not raw_name.strip():
-            report.error(f"{where}: missing neighborhood field")
-            return None
-        if isinstance(kits, bool) or not isinstance(kits, int):
-            report.error(f"{where}: kits must be an integer, got {kits!r}")
-            return None
-        if kits < 0:
-            report.error(f"{where}: negative kits ({kits})")
-            return None
-        try:
-            name = canonicalize_name(raw_name, aliases)
-        except InvalidNameError:
-            report.error(f"{where}: invalid neighborhood name {raw_name!r}")
-            return None
-        parsed.append(Recommendation(name, kits))
-    return tuple(parsed)
+    for index in range(len(run_docs)):
+        at = ("runs", index)
+        run = _json_field(run_docs, at, "object")
+        model, mode = (_json_field(run, (*at, key), "string").strip() for key in ("model", "mode"))
+        cities_at = (*at, "cities")
+        cities = _json_field(run, cities_at, "object")
+        per_city: dict[str, list[Recommendation]] = {}
+        for city, key in _cities(cities, cities_at).items():
+            city_at = (*cities_at, key)
+            recommendations = _json_field(cities, city_at, "array")
+            if not recommendations:
+                report.warning("no recommendations", _pointer(city_at))
+            parsed = per_city[city] = []
+            for position in range(len(recommendations)):
+                item_at = (*city_at, position)
+                item = _json_field(recommendations, item_at, "object")
+                raw_name = _json_field(item, (*item_at, "neighborhood"), "string")
+                name = located((*item_at, "neighborhood"), canonicalize_name, raw_name, aliases)
+                kits = _json_field(item, (*item_at, "kits"), "integer")
+                parsed.append(located(item_at, Recommendation, name, kits))
+        runs.append(located(at, ModelRun, model, mode, per_city))
+    return runs
 
 
 def parse_targets(
@@ -443,49 +404,54 @@ def parse_targets(
 ) -> tuple[TargetSet, ValidationReport]:
     """Parse a target-set JSON file: ``{"<city>": ["name", ...]}``."""
     report = ValidationReport(source=str(path))
-    doc = load_json(path)
-    if not isinstance(doc, dict) or not doc:
-        report.error("malformed document: expected a non-empty object of city lists")
-        report.raise_if_rejected()
-    per_city: dict[str, frozenset[str]] = {}
-    for city, names in _cities(doc, "targets", report):
-        if not isinstance(names, list) or not names:
-            report.error(f"targets for {city!r} must be a non-empty list")
-            continue
-        canonical: set[str] = set()
-        for raw_name in names:
-            if not isinstance(raw_name, str):
-                report.error(f"targets for {city!r}: expected a string, got {raw_name!r}")
-                continue
-            try:
-                name = canonicalize_name(raw_name, aliases)
-            except InvalidNameError:
-                report.error(f"targets for {city!r}: invalid name {raw_name!r}")
-                continue
+    return _first_fault(report, _target_set, load_json(path), aliases), report
+
+
+def _target_set(doc, aliases: AliasTable | None) -> TargetSet:
+    keys = _cities(_json_field(doc, (), "object"), ())
+    per_city: dict[str, set[str]] = {}
+    for city, key in keys.items():
+        names = _json_field(doc, (key,), "array")
+        canonical = per_city[city] = set()
+        for position in range(len(names)):
+            at = (key, position)
+            name = located(at, canonicalize_name, _json_field(names, at, "string"), aliases)
             if name in canonical:
-                report.error(f"duplicate target {name!r} for city {city!r}")
-                continue
+                raise DomainValidationError(f"duplicate target {name!r}", at=at)
             canonical.add(name)
-        per_city[city] = frozenset(canonical)
-    report.raise_if_rejected()
-    return TargetSet(per_city=per_city), report
+    try:
+        return TargetSet(per_city)
+    except DomainValidationError as exc:
+        exc.at = tuple(map(keys.get, exc.at))  # the type names a city; the file, its key
+        raise
 
 
-def _cities(doc: dict, location: str, report: ValidationReport) -> Iterator[tuple[str, object]]:
-    """``doc``'s keys as cities, with values; a blank key, or a second key for a city, is an error."""
-    raw_keys: dict[str, str] = {}
-    for raw_key, value in doc.items():
-        city = str(raw_key).strip().lower()
+def _cities(doc: dict, at: tuple) -> dict[str, str]:
+    """Each city ``doc``'s keys name, with its key; a blank key or a second key is a fault."""
+    keys: dict[str, str] = {}
+    for key in doc:
+        city = key.strip().lower()
         if not city:
-            report.error(f"{location}: key {raw_key!r} names no city")
-            continue
-        if city in raw_keys:
-            report.error(
-                f"{location}: keys {raw_keys[city]!r} and {raw_key!r} both name city {city!r}"
+            raise DomainValidationError(f"key {key!r} names no city", at=(*at, key))
+        if city in keys:
+            raise DomainValidationError(
+                f"keys {keys[city]!r} and {key!r} both name city {city!r}", at=(*at, key)
             )
-            continue
-        raw_keys[city] = raw_key
-        yield city, value
+        keys[city] = key
+    return keys
+
+
+def parse_aliases(path: str | Path) -> AliasTable:
+    """The alias table of a JSON file, ``{"<canonical>": ["alias", ...]}``."""
+    return _first_fault(ValidationReport(source=str(path)), _alias_table, load_json(path))
+
+
+def _alias_table(doc) -> AliasTable:
+    for key in _json_field(doc, (), "object"):
+        names = _json_field(doc, (key,), "array")
+        for position in range(len(names)):
+            _json_field(names, (key, position), "string")
+    return AliasTable.from_mapping(doc)
 
 
 def read_text(path: str | Path) -> str:
@@ -493,8 +459,8 @@ def read_text(path: str | Path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        message = f"{path}: not UTF-8 text ({exc.reason} at byte offset {exc.start})"
-        raise _rejected(message) from None
+        message = f"not UTF-8 text ({exc.reason} at byte offset {exc.start})"
+        raise ValidationReport(source=str(path)).reject(message) from None
 
 
 def load_json(path: str | Path, object_hook: Callable[[dict], object] | None = None):
@@ -507,71 +473,83 @@ def load_json(path: str | Path, object_hook: Callable[[dict], object] | None = N
     try:
         return json.loads(text, object_hook=object_hook)
     except (ValueError, RecursionError) as exc:
-        raise _rejected(f"{path}: malformed JSON: {exc}") from None
+        raise ValidationReport(source=str(path)).reject(f"malformed JSON: {exc}") from None
 
 
-def _rejected(message: str) -> DatasetValidationError:
-    report = ValidationReport()
-    report.error(message)
-    return DatasetValidationError(report)
+def _first_fault(report: ValidationReport, build: Callable, *args):
+    """``build(*args)``; the first fault it raises rejects ``report``'s file, at its pointer."""
+    try:
+        return build(*args)
+    except (DomainValidationError, InvalidNameError) as exc:
+        raise report.reject(str(exc), _pointer(exc.at) or None) from None
+
+
+def _pointer(at: tuple) -> str:
+    """The JSON Pointer (RFC 6901) of the reference tokens ``at``; "" is the whole document."""
+    return "".join("/" + str(token).replace("~", "~0").replace("/", "~1") for token in at)
+
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "integer": int,
+               "number": (int, float)}
+
+
+def _json_field(doc, at: tuple, kind: str):
+    """The value at ``at``, its JSON Pointer's tokens, if a JSON ``kind``; a number as a float.
+
+    ``doc`` holds the value, or is it when ``at`` is ``()``. true and false are not numbers.
+    """
+    try:
+        value = doc[at[-1]] if at else doc
+    except KeyError:
+        raise DomainValidationError("missing", at=at) from None
+    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
+        raise DomainValidationError(f"must be a JSON {kind}, got {value!r:.40}", at=at)
+    try:
+        return float(value) if kind == "number" else value
+    except OverflowError:
+        raise DomainValidationError(f"must fit in a float, got {value!r:.40}", at=at) from None
 
 
 _COLLECTED = object()  # what the object hook of parse_ranking leaves of an entry it collected
+_ENTRY_FIELDS = (("neighborhood", "string"), ("raw_score", "number"), ("scaled_score", "number"))
 
 
-def ranking_from_dict(doc: dict, *, collected: tuple[list, ...] | None = None) -> PriorityRanking:
+def ranking_from_dict(doc, collected: tuple[list, ...] | None = None) -> PriorityRanking:
     """The ranking of a decoded document; ``collected`` is for ``parse_ranking`` alone.
 
     Each entry's ``scaled_score`` must equal the ranking's derived one exactly.
     """
-    try:
-        weights_doc = doc["weights"]
-        weights = WeightConfig(
-            alpha=float(_json_field(weights_doc, "alpha", "number")),
-            beta=float(_json_field(weights_doc, "beta", "number")),
-            gamma=float(_json_field(weights_doc, "gamma", "number")),
-            variant=WeightVariant(weights_doc["variant"]),
-            source_correlation=float(_json_field(weights_doc, "source_correlation", "number")),
-            normalized=(
-                _json_field(weights_doc, "normalized", "boolean")
-                if "normalized" in weights_doc
-                else False
-            ),
-        )
-        if collected is None:
-            entries = _json_field(doc, "entries", "array")
-            collected = tuple(zip(*map(_ranking_entry, entries))) or ((), (), ())
-        city = _json_field(doc, "city", "string")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise DomainValidationError(f"malformed ranking document: {exc}") from exc
+    weights_doc = _json_field(_json_field(doc, (), "object"), ("weights",), "object")
+    alpha, beta, gamma, source_correlation = (
+        _json_field(weights_doc, ("weights", key), "number")
+        for key in ("alpha", "beta", "gamma", "source_correlation")
+    )
+    variant = _json_field(weights_doc, ("weights", "variant"), "string")
+    normalized = "normalized" in weights_doc and _json_field(
+        weights_doc, ("weights", "normalized"), "boolean"
+    )
+    weights = located(
+        ("weights",), WeightConfig, alpha, beta, gamma,
+        located(("weights", "variant"), WeightVariant, variant), source_correlation, normalized,
+    )
+    if collected is None:  # integral scores are read as floats
+        entries = _json_field(doc, ("entries",), "array")
+        collected = ([], [], [])
+        for index in range(len(entries)):
+            entry = _json_field(entries, ("entries", index), "object")
+            for column, (key, kind) in zip(collected, _ENTRY_FIELDS):
+                column.append(_json_field(entry, ("entries", index, key), kind))
+    city = _json_field(doc, ("city",), "string")
     names, raw_scores, scaled_scores = collected
-    ranking = PriorityRanking(city, weights, names, raw_scores)
+    ranking = located(("entries",), PriorityRanking, city, weights, names, raw_scores)
     for name, given, derived in zip(ranking.names, scaled_scores, ranking.scaled_scores):
         if given != derived:
             raise DomainValidationError(
-                f"{city}: scaled_score of {name!r} is {given!r}; 10 × raw / top raw is {derived!r}"
+                f"{city}: scaled_score of {name!r} is {given!r}; "
+                f"10 × raw / top raw is {derived!r}",
+                at=("entries", ranking.names.index(name), "scaled_score"),
             )
     return ranking
-
-
-def _ranking_entry(entry: dict) -> RankingEntry:
-    """One entry object of a ranking document; integral scores are read as floats."""
-    return RankingEntry(
-        _json_field(entry, "neighborhood", "string"),
-        float(_json_field(entry, "raw_score", "number")),
-        float(_json_field(entry, "scaled_score", "number")),
-    )
-
-
-_JSON_TYPES = {"string": str, "number": (int, float), "boolean": bool, "array": list}
-
-
-def _json_field(doc: dict, key: str, kind: str):
-    """``doc[key]`` if it is a JSON value of ``kind``; true and false are not numbers."""
-    value = doc[key]
-    if isinstance(value, bool) != (kind == "boolean") or not isinstance(value, _JSON_TYPES[kind]):
-        raise TypeError(f"{key!r} must be a JSON {kind}, got {value!r:.40}")
-    return value
 
 
 def write_ranking(ranking: PriorityRanking, path: str | Path) -> None:
@@ -656,7 +634,4 @@ def parse_ranking(path: str | Path) -> PriorityRanking:
         # An entry with integral scores or other fields, or an entry-shaped
         # object elsewhere: decode again, keeping every object a dict.
         doc, collected = load_json(path), None
-    try:
-        return ranking_from_dict(doc if isinstance(doc, dict) else {}, collected=collected)
-    except (DomainValidationError, InvalidNameError) as exc:
-        raise _rejected(f"{path}: {exc}") from None
+    return _first_fault(ValidationReport(source=str(path)), ranking_from_dict, doc, collected)

@@ -27,12 +27,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import (
-    DomainValidationError,
-    InvalidNameError,
-    LeadAllocError,
-    UnknownCityError,
-)
+from .errors import DomainValidationError, InvalidNameError, UnknownCityError, located
 
 # Canonical CSV column names for the three core metrics.
 COL_NEIGHBORHOOD = "neighborhood"
@@ -120,7 +115,7 @@ class _Columnar(Value):
 
     ``names``, a tuple of the canonical names in the value's order, is one
     of its fields; a blank name is refused, as a record refuses it, before
-    the subclass's own checks.
+    the subclass's own checks. A failing neighborhood's index is the error's ``at``.
     """
 
     __slots__ = ()
@@ -128,7 +123,8 @@ class _Columnar(Value):
     def _init(self, *values) -> None:
         names = values[self.__slots__.index("names")]
         if not all(map(str.strip, names)):
-            raise InvalidNameError("neighborhood name must be non-empty")
+            index = next(i for i, name in enumerate(names) if not name.strip())
+            raise InvalidNameError("neighborhood name must be non-empty", at=(index,))
         super()._init(*values)
 
     def __len__(self) -> int:
@@ -140,9 +136,11 @@ class _Columnar(Value):
         # A dict, not a set: at 20,000 names a set's table takes 2 MB, a dict 0.4 MB.
         if len(dict.fromkeys(names)) != len(names):
             seen: set[str] = set()
-            for name in names:
+            for index, name in enumerate(names):
                 if name in seen:
-                    raise DomainValidationError(f"{self.city}: duplicate neighborhood {name!r}")
+                    raise DomainValidationError(
+                        f"{self.city}: duplicate neighborhood {name!r}", at=(index,)
+                    )
                 seen.add(name)
 
 
@@ -206,16 +204,17 @@ class AliasTable(Value):
         alias_to_canonical: dict[str, str] = {}
         canonicals = set()
         for canonical_raw, alias_list in mapping.items():
-            canonical = canonicalize_name(canonical_raw)
+            canonical = located((canonical_raw,), canonicalize_name, canonical_raw)
             canonicals.add(canonical)
-            for alias_raw in alias_list:
-                alias = canonicalize_name(alias_raw)
+            for position, alias_raw in enumerate(alias_list):
+                alias = located((canonical_raw, position), canonicalize_name, alias_raw)
                 if alias == canonical:
                     continue
                 existing = alias_to_canonical.get(alias)
                 if existing is not None and existing != canonical:
                     raise DomainValidationError(
-                        f"alias {alias!r} maps to both {existing!r} and {canonical!r}"
+                        f"alias {alias!r} maps to both {existing!r} and {canonical!r}",
+                        at=(canonical_raw, position),
                     )
                 alias_to_canonical[alias] = canonical
         chained = canonicals & alias_to_canonical.keys()
@@ -227,18 +226,9 @@ class AliasTable(Value):
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AliasTable":
-        from .ingest import load_json  # deferred: ingest imports this module
+        from .ingest import parse_aliases  # deferred: ingest imports this module
 
-        mapping = load_json(path)
-        if not isinstance(mapping, dict) or not all(
-            isinstance(names, list) and all(isinstance(name, str) for name in names)
-            for names in mapping.values()
-        ):
-            raise DomainValidationError(f"alias file {path}: expected a JSON object of name lists")
-        try:
-            return cls.from_mapping(mapping)
-        except LeadAllocError as exc:
-            raise DomainValidationError(f"alias file {path}: {exc}") from None
+        return parse_aliases(path)
 
     def resolve(self, normalized_name: str) -> str:
         return self.alias_to_canonical.get(normalized_name, normalized_name)
@@ -257,6 +247,10 @@ class WeightVariant(Enum):
 
     TEXT = "text"
     ALGORITHM = "algorithm"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainValidationError(f"unknown weight variant {value!r}")
 
 
 class Strategy(Enum):
@@ -452,7 +446,7 @@ class CityDataset(_Columnar):
                 self._reject(row, f"extra factor {factor!r} must be finite, got {values[row]}")
 
     def _reject(self, row: int, problem: str) -> None:
-        raise DomainValidationError(f"{self.city}: {self.names[row]}: {problem}")
+        raise DomainValidationError(f"{self.city}: {self.names[row]}: {problem}", at=(row,))
 
     @property
     def records(self) -> tuple[NeighborhoodRecord, ...]:
@@ -575,26 +569,31 @@ class PriorityRanking(_Columnar):
         self._init(city, weights, tuple(names), tuple(raw_scores))
 
     def __post_init__(self) -> None:
-        """Raise on a broken invariant, as checking entry by entry would."""
+        """Raise on a broken invariant, as checking entry by entry would; ``at`` names the entry."""
         names, raw = self.names, self.raw_scores
         if not names:
             raise DomainValidationError(f"{self.city}: ranking has no entries")
         if len(raw) != len(names):
             raise DomainValidationError(f"{self.city}: every column needs one score per name")
-        for name, raw_score in zip(names, raw):
-            if not math.isfinite(raw_score) or raw_score < 0:
-                raise DomainValidationError(
-                    f"{self.city}: non-finite or negative raw score for {name!r}"
-                )
+        if not all(map(math.isfinite, raw)) or min(raw) < 0:
+            index = next(i for i, score in enumerate(raw) if not math.isfinite(score) or score < 0)
+            raise DomainValidationError(
+                f"{self.city}: non-finite or negative raw score for {names[index]!r}", at=(index,)
+            )
         # Raw scores descending, and names ascending within each run of equal raw scores.
         tied = list(map(eq, raw, islice(raw, 1, None)))
         if not (
             all(map(ge, raw, islice(raw, 1, None)))
             and all(map(le, compress(names, tied), compress(islice(names, 1, None), tied)))
         ):
+            index = next(
+                i for i in range(1, len(raw))
+                if raw[i] > raw[i - 1] or (raw[i] == raw[i - 1] and names[i] < names[i - 1])
+            )
             raise DomainValidationError(
                 f"{self.city}: entries are not sorted by raw score descending "
-                "with canonical-name tie-break"
+                "with canonical-name tie-break",
+                at=(index,),
             )
         del tied
         self._check_distinct()
@@ -656,30 +655,35 @@ class AllocationPlan(_Columnar):
         return "even_split" if self.strategy is Strategy.TOP_K_EQUAL else "largest_remainder"
 
 
+@validated
 class Recommendation(NamedTuple):
+    """One neighborhood's kits in a recorded run, never negative."""
+
     name: str
     kits: int
+
+    def __post_init__(self) -> None:
+        if self.kits < 0:
+            message = f"negative kits for {self.name!r}: {self.kits}"
+            raise DomainValidationError(message, at=("kits",))
 
 
 @validated
 class ModelRun(NamedTuple):
-    """One recorded allocation recommendation, in recommendation order."""
+    """One recorded allocation recommendation by a named model and mode, in order."""
 
     model: str
     mode: str
     per_city: Mapping[str, tuple[Recommendation, ...]]
 
     def __post_init__(self) -> ModelRun:
+        for field in ("model", "mode"):
+            if not getattr(self, field).strip():
+                raise DomainValidationError(f"{field} must not be blank", at=(field,))
         frozen = {
             city: tuple(Recommendation(*rec) for rec in recs)
             for city, recs in self.per_city.items()
         }
-        for city, recs in frozen.items():
-            for rec in recs:
-                if rec.kits < 0:
-                    raise DomainValidationError(
-                        f"{self.model} ({self.mode}), {city}: negative kits for {rec.name!r}"
-                    )
         return tuple.__new__(type(self), (self.model, self.mode, MappingProxyType(frozen)))
 
     @property
@@ -689,7 +693,7 @@ class ModelRun(NamedTuple):
 
 @validated
 class TargetSet(NamedTuple):
-    """Per-city sets of empirically highest-risk neighborhoods."""
+    """Per-city non-empty sets of empirically highest-risk neighborhoods."""
 
     per_city: Mapping[str, frozenset[str]]
 
@@ -699,7 +703,7 @@ class TargetSet(NamedTuple):
             raise DomainValidationError("target set lists no cities")
         for city, names in frozen.items():
             if not names:
-                raise DomainValidationError(f"target set for {city!r} is empty")
+                raise DomainValidationError(f"target set for {city!r} is empty", at=(city,))
         return tuple.__new__(type(self), (MappingProxyType(frozen),))
 
     def cities(self) -> tuple[str, ...]:

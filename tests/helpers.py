@@ -104,25 +104,29 @@ def check_ranking_entry_by_entry(city, entries):
 
     It walks ``(name, raw_score)`` entries one at a time and raises
     ``DomainValidationError`` with the messages the columnar check must
-    keep, in the same order of precedence.
+    keep, in the same order of precedence, and with ``at`` holding the
+    index of the entry that breaks the rule.
     """
     if not entries:
         raise DomainValidationError(f"{city}: ranking has no entries")
-    in_order = True
+    out_of_order = None
     previous_raw, previous_name = math.inf, ""
-    for name, raw in entries:
+    for index, (name, raw) in enumerate(entries):
         if not math.isfinite(raw) or raw < 0:
-            raise DomainValidationError(f"{city}: non-finite or negative raw score for {name!r}")
+            raise DomainValidationError(
+                f"{city}: non-finite or negative raw score for {name!r}", at=(index,)
+            )
         if raw > previous_raw or (raw == previous_raw and name < previous_name):
-            in_order = False
+            out_of_order = index if out_of_order is None else out_of_order
         previous_raw, previous_name = raw, name
-    if not in_order:
+    if out_of_order is not None:
         raise DomainValidationError(
             f"{city}: entries are not sorted by raw score descending "
-            "with canonical-name tie-break"
+            "with canonical-name tie-break",
+            at=(out_of_order,),
         )
     seen = set()
-    for name, _ in entries:
+    for index, (name, _) in enumerate(entries):
         if name in seen:
-            raise DomainValidationError(f"{city}: duplicate neighborhood {name!r}")
+            raise DomainValidationError(f"{city}: duplicate neighborhood {name!r}", at=(index,))
         seen.add(name)

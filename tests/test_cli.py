@@ -88,7 +88,8 @@ class TestEvaluate:
         code, out, err = run_cli(capsys, "evaluate", "--targets", str(path))
         assert code == 2
         assert out == ""
-        assert f"{path}: error: targets: keys 'chicago' and 'Chicago' both name city" in err
+        line = f"error: {path}: /Chicago: keys 'chicago' and 'Chicago' both name city 'chicago'"
+        assert err == line + "\n"
 
     def test_blank_target_city_key_exits_2(self, capsys, write_file):
         path = write_file(
@@ -97,7 +98,7 @@ class TestEvaluate:
         code, out, err = run_cli(capsys, "evaluate", "--targets", str(path))
         assert code == 2
         assert out == ""
-        assert f"{path}: error: targets: key ' ' names no city" in err
+        assert err == f"error: {path}: / : key ' ' names no city\n"
 
     def test_malformed_runs_file_exits_2(self, capsys, write_file):
         path = write_file("{broken", "runs.json")
@@ -245,7 +246,7 @@ class TestCorrelate:
             capsys, "correlate", "--input", str(path), "--city", "chicago"
         )
         assert code == 0
-        assert "warning [row 2]" in err
+        assert err == f"warning: {path}: row 2: row excluded: missing untested_pct\n"
         assert "warning" not in out
 
     def test_invalid_zip_code_exits_2_naming_the_row(self, capsys, write_file):
@@ -261,7 +262,7 @@ class TestCorrelate:
         code, out, err = run_cli(capsys, "correlate", "--input", str(path), "--city", "dc")
         assert code == 2
         assert out == ""
-        assert "[row 3]: '123' is not a 5-digit ZIP code" in err
+        assert f"error: {path}: row 3: '123' is not a 5-digit ZIP code\n" in err
 
 
 class TestScore:
@@ -477,7 +478,9 @@ class TestAllocate:
         assert code == 2
         assert out == ""
         name = doc["entries"][1]["neighborhood"]
-        prefix = f"error: input rejected: error: {demo_ranking}: demo: scaled_score of {name!r} is "
+        prefix = (
+            f"error: {demo_ranking}: /entries/1/scaled_score: demo: scaled_score of {name!r} is "
+        )
         assert err.startswith(prefix)
         assert err.count("\n") == 1
 
@@ -492,7 +495,7 @@ class TestAllocate:
         code, out, err = run_cli(capsys, "allocate", "--ranking", str(path), "--kits", "10")
         assert code == 2
         assert out == ""
-        assert f"{path}: demo: duplicate neighborhood 'a'" in err
+        assert err == f"error: {path}: /entries/1: demo: duplicate neighborhood 'a'\n"
 
 
 DEMO_WEIGHTS_DOC = json.dumps(
@@ -588,15 +591,15 @@ class TestInputBoundary:
         [
             (
                 [GOOD_HEADER + ",untested_pct", "Austin,1.0,2.0,3.0,4.0"],
-                "[row 1]: duplicate column(s): untested_pct",
+                "row 1: duplicate column(s): untested_pct",
             ),
             (
                 [GOOD_HEADER, "Austin,1.0,2.0,3.0", "A,1,2,3,4,5"],
-                "[row 3]: row has 6 fields, header has 4",
+                "row 3: row has 6 fields, header has 4",
             ),
             (
                 [GOOD_HEADER, "Austin,1.0,2.0,3.0", "A,1,2," + "3" * 131_073],
-                "[row 3]: unreadable CSV row: field larger than field limit",
+                "row 3: unreadable CSV row: field larger than field limit",
             ),
         ],
         ids=["duplicate-column", "over-wide-row", "over-long-field"],
@@ -606,7 +609,7 @@ class TestInputBoundary:
         code, out, err = run_cli(capsys, "score", "--city", "chicago", "--input", str(path))
         assert code == 2
         assert out == ""
-        assert message in err
+        assert f"error: {path}: {message}" in err
 
     @pytest.mark.parametrize(
         "separator", ["\f", "\v", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -628,7 +631,7 @@ class TestInputBoundary:
         path.write_text(text, encoding="utf-8", newline="")
         code, out, err = run_cli(capsys, "score", "--city", "chicago", "--input", str(path))
         assert (code, out) == (2, "")
-        assert f"{path}: error [row 4]: non-numeric value 'x' in column prevalence_per_1000" in err
+        assert err == f"error: {path}: row 4: non-numeric value 'x' in column prevalence_per_1000\n"
 
     @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"])
     def test_quoted_name_may_span_lines(self, capsys, tmp_path, line_end):
@@ -637,7 +640,7 @@ class TestInputBoundary:
         path.write_text(line_end.join(lines), encoding="utf-8", newline="")
         code, out, err = run_cli(capsys, "score", "--city", "nyc", "--input", str(path))
         assert code == 2
-        assert f"{path}: error [row 5]: non-numeric value 'x'" in err
+        assert f"error: {path}: row 5: non-numeric value 'x'" in err
         path.write_text(line_end.join(lines[:4] + [""]), encoding="utf-8", newline="")
         code, out, err = run_cli(capsys, "score", "--city", "nyc", "--input", str(path), "--json")
         assert (code, err) == (0, "")
@@ -651,7 +654,10 @@ class TestInputBoundary:
         code, out, err = run_cli(capsys, "allocate", "--ranking", str(demo_ranking), "--kits", "10")
         assert code == 2
         assert out == ""
-        assert f"{demo_ranking}: malformed ranking document" in err
+        assert err == (
+            f"error: {demo_ranking}: /entries/0/raw_score: must fit in a float, "
+            f"got {str(10**400)[:40]}\n"
+        )
 
     @pytest.mark.parametrize(
         "payload", ["{broken", "[" * 100_000, "1" * 5_000], ids=["syntax", "deep", "long-int"]
@@ -675,42 +681,114 @@ class TestInputBoundary:
         assert f"{path}: malformed JSON" in err
 
     @pytest.mark.parametrize(
-        "section, key, value, message",
+        "section, key, value, line",
         [
-            ("entry", "neighborhood", {"x": 1}, "'neighborhood' must be a JSON string"),
-            ("entry", "neighborhood", 7, "'neighborhood' must be a JSON string"),
-            ("document", "city", ["a"], "'city' must be a JSON string"),
-            ("weights", "normalized", "false", "'normalized' must be a JSON boolean"),
-            ("entry", "raw_score", str, "'raw_score' must be a JSON number"),
-            ("entry", "scaled_score", True, "'scaled_score' must be a JSON number"),
-            ("weights", "alpha", str, "'alpha' must be a JSON number"),
-            ("document", "entries", {"a": 1}, "'entries' must be a JSON array"),
-            ("document", "entries", "abc", "'entries' must be a JSON array"),
-            ("document", "entries", None, "'entries' must be a JSON array"),
-            ("document", "entries", 5, "'entries' must be a JSON array"),
+            ("entry", "neighborhood", {"x": 1}, "/entries/9/neighborhood: must be a JSON string"),
+            ("entry", "neighborhood", 7, "/entries/9/neighborhood: must be a JSON string, got 7"),
+            ("document", "city", ["a"], "/city: must be a JSON string, got ['a']"),
+            ("weights", "normalized", "false", "/weights/normalized: must be a JSON boolean"),
+            ("entry", "raw_score", str, "/entries/9/raw_score: must be a JSON number, got '"),
+            ("entry", "scaled_score", True, "/entries/9/scaled_score: must be a JSON number"),
+            ("weights", "alpha", str, "/weights/alpha: must be a JSON number"),
+            ("document", "entries", {"a": 1}, "/entries: must be a JSON array, got {'a': 1}"),
+            ("document", "entries", "abc", "/entries: must be a JSON array, got 'abc'"),
+            ("document", "entries", None, "/entries: must be a JSON array, got None"),
+            ("document", "entries", 5, "/entries: must be a JSON array, got 5"),
+            ("document", "weights", 5, "/weights: must be a JSON object, got 5"),
+            ("entries", 9, "x", "/entries/9: must be a JSON object, got 'x'"),
+            ("entry", "neighborhood", None, "/entries/9/neighborhood: missing"),
         ],
         ids=["name-object", "name-number", "city-list", "normalized-string", "score-string",
              "score-boolean", "weight-string", "entries-object", "entries-string",
-             "entries-null", "entries-number"],
+             "entries-null", "entries-number", "weights-number", "entry-string",
+             "name-missing"],
     )
     def test_ranking_field_of_wrong_json_type_exits_2(
-        self, capsys, demo_ranking, section, key, value, message
+        self, capsys, demo_ranking, section, key, value, line
     ):
         doc = json.loads(demo_ranking.read_text(encoding="utf-8"))
-        target = {"document": doc, "weights": doc["weights"], "entry": doc["entries"][-1]}[section]
-        target[key] = value(target[key]) if callable(value) else value
+        assert len(doc["entries"]) == 10
+        target = {
+            "document": doc, "weights": doc["weights"], "entries": doc["entries"],
+            "entry": doc["entries"][-1],
+        }[section]
+        if value is None and line.endswith("missing"):
+            del target[key]
+        else:
+            target[key] = value(target[key]) if callable(value) else value
         demo_ranking.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run_cli(capsys, "allocate", "--ranking", str(demo_ranking), "--kits", "10")
         assert code == 2
         assert out == ""
-        assert f"{demo_ranking}: malformed ranking document: {message}" in err
+        assert err.startswith(f"error: {demo_ranking}: {line}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "reader, doc, line",
+        [
+            ("--runs", {"runs": [{"model": 5, "mode": "d", "cities": {}}]},
+             "/runs/0/model: must be a JSON string, got 5"),
+            ("--runs", {"runs": [{"model": "m", "mode": " ", "cities": {}}]},
+             "/runs/0/mode: mode must not be blank"),
+            ("--runs", {"runs": [{"model": "m", "mode": "d", "cities": []}]},
+             "/runs/0/cities: must be a JSON object, got []"),
+            ("--runs", {"runs": [{"model": "m", "mode": "d", "cities": {"x": [{"kits": 1}]}}]},
+             "/runs/0/cities/x/0/neighborhood: missing"),
+            ("--runs", {"runs": [{"model": "m", "mode": "d", "cities": {"x": [["a", 1]]}}]},
+             "/runs/0/cities/x/0: must be a JSON object, got ['a', 1]"),
+            ("--runs", {"runs": "nope"}, "/runs: must be a JSON array, got 'nope'"),
+            ("--runs", [], "must be a JSON object, got []"),
+            ("--targets", {"chicago": 5}, "/chicago: must be a JSON array, got 5"),
+            ("--targets", {"chicago": ["austin", 42]}, "/chicago/1: must be a JSON string, got 42"),
+            ("--targets", ["chicago"], "must be a JSON object, got ['chicago']"),
+            ("aliases", {"austin": 5}, "/austin: must be a JSON array, got 5"),
+            ("aliases", {"austin": ["a", None]}, "/austin/1: must be a JSON string, got None"),
+            ("aliases", ["austin"], "must be a JSON object, got ['austin']"),
+        ],
+        ids=["runs-model-number", "runs-mode-blank", "runs-cities-array", "runs-name-missing",
+             "runs-recommendation-array", "runs-string", "runs-document-array",
+             "targets-number", "targets-name-number", "targets-document-array",
+             "aliases-number", "aliases-name-null", "aliases-document-array"],
+    )
+    def test_json_field_of_wrong_type_exits_2_at_its_pointer(
+        self, capsys, write_file, monkeypatch, reader, doc, line
+    ):
+        path = write_file(json.dumps(doc), "input.json")
+        if reader == "aliases":
+            monkeypatch.setenv(ALIAS_ENV_VAR, str(path))
+            command = ["evaluate"]
+        else:
+            command = ["evaluate", reader, str(path)]
+        code, out, err = run_cli(capsys, *command)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {line}\n"
+
+    @pytest.mark.parametrize(
+        "reader, doc, line",
+        [
+            (
+                "--runs",
+                {"runs": [{"model": "m", "mode": "d",
+                           "cities": {"a/b~c": [{"neighborhood": "Austin", "kits": -1}]}}]},
+                "/runs/0/cities/a~1b~0c/0/kits: negative kits for 'austin': -1",
+            ),
+            ("--targets", {"a/b~c": []}, "/a~1b~0c: target set for 'a/b~c' is empty"),
+            ("--targets", {"~1/": ["austin", 5]}, "/~01~1/1: must be a JSON string, got 5"),
+        ],
+        ids=["runs", "targets", "targets-escape-order"],
+    )
+    def test_pointer_escapes_tilde_then_slash(self, capsys, write_file, reader, doc, line):
+        path = write_file(json.dumps(doc), "input.json")
+        code, out, err = run_cli(capsys, "evaluate", reader, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {line}\n"
 
     def test_csv_row_error_names_the_file(self, capsys, write_file):
         path = write_file(GOOD_HEADER + "\nAustin,1.0,2.0,3.0\nA,1,2,3,4,5\n", "wide.csv")
         code, out, err = run_cli(capsys, "score", "--city", "chicago", "--input", str(path))
         assert code == 2
         assert out == ""
-        assert f"{path}: error [row 3]: row has 6 fields, header has 4" in err
+        assert err == f"error: {path}: row 3: row has 6 fields, header has 4\n"
 
     def test_run_error_names_the_file(self, capsys, write_file, bundled_targets):
         runs = write_file('{"runs": [{"mode": "chat", "cities": {}}]}', "runs.json")
@@ -719,27 +797,38 @@ class TestInputBoundary:
         )
         assert code == 2
         assert out == ""
-        assert f"{runs}: error: runs[0]: missing model field" in err
+        assert err == f"error: {runs}: /runs/0/model: missing\n"
 
     def test_alias_lists_must_hold_names(self, capsys, write_file, monkeypatch):
-        monkeypatch.setenv(ALIAS_ENV_VAR, str(write_file('{"austin": 5}', "aliases.json")))
+        path = write_file('{"austin": ["a", 5]}', "aliases.json")
+        monkeypatch.setenv(ALIAS_ENV_VAR, str(path))
         code, out, err = run_cli(capsys, "evaluate")
         assert code == 2
         assert out == ""
-        assert "expected a JSON object of name lists" in err
+        assert err == f"error: {path}: /austin/1: must be a JSON string, got 5\n"
 
     @pytest.mark.parametrize(
-        "aliases",
-        [{"": ["x"]}, {"a": ["b"], "c": ["b"]}, {"old town": ["new town"], "new town": ["x"]}],
-        ids=["empty-name", "alias-of-two-names", "chained"],
+        "aliases, line",
+        [
+            ({"": ["x"]}, "/: name is empty after normalization: ''"),
+            ({"a": ["b"], "c": ["b"]}, "/c/0: alias 'b' maps to both 'a' and 'c'"),
+            ({"a": ["b", "-"]}, "/a/1: name is empty after normalization: '-'"),
+            (
+                {"old town": ["new town"], "new town": ["x"]},
+                "canonical names also appear as aliases (chained mapping): ['new town']",
+            ),
+        ],
+        ids=["empty-name", "alias-of-two-names", "empty-alias", "chained"],
     )
-    def test_rejected_alias_table_names_the_file(self, capsys, write_file, monkeypatch, aliases):
+    def test_rejected_alias_table_names_the_file(
+        self, capsys, write_file, monkeypatch, aliases, line
+    ):
         path = write_file(json.dumps(aliases), "aliases.json")
         monkeypatch.setenv(ALIAS_ENV_VAR, str(path))
         code, out, err = run_cli(capsys, "evaluate")
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: alias file {path}: ")
+        assert err == f"error: {path}: {line}\n"
 
 
 def test_score_streams_its_table(tmp_path, monkeypatch):

@@ -2,7 +2,9 @@
 
 Every reader may reject a file only with a ``LeadAllocError`` (or an
 ``OSError`` from the file system), and ``main()`` answers every file and
-every argv with exit code 0 or 2, never 1 ("internal error").
+every argv with exit code 0 or 2, never 1 ("internal error"). A file broken
+at one entry is rejected with one ``error: <file>: <JSON Pointer>: ...``
+line naming that entry.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import io
 import json
 import os
 import re
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -29,8 +33,8 @@ from leadalloc.ingest import (
     parse_targets,
     write_ranking,
 )
-from leadalloc.model import CORE_COLUMNS, AliasTable, Strategy
-from leadalloc.scoring import score_city
+from leadalloc.model import CORE_COLUMNS, AliasTable, PriorityRanking, Strategy
+from leadalloc.scoring import derive_weights, score_city
 
 # Small budgets keep the whole suite near its usual run time; the examples
 # Hypothesis keeps in its database make later runs search further.
@@ -171,20 +175,34 @@ def command_argv(draw, command, files):
     return ["evaluate", *_flags(draw, [], ["--k"])]
 
 
+def run_main(argv):
+    """``main(argv)``'s exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def assert_error_lines_well_formed(argv, stderr):
+    """Each stderr line that mentions an error starts ``error: `` and says "error" once."""
+    for line in stderr.splitlines():
+        if "error" in line:
+            assert line.startswith("error: ") and line.count("error") == 1, f"{argv}: {line}"
+
+
 def assert_answered(argv, files):
-    """``main(argv)`` exits 0, or 2 with one ``error:`` line that names a value or a file.
+    """``main(argv)`` exits 0, or 2 with one well-formed ``error:`` line naming a value or a file.
 
     A value is named as argparse quotes it, or as a word of the line that
     is the value as the flag's type reads it.
     """
-    stderr = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    assert code in (0, 2), f"{argv}: {stderr.getvalue()}"
+    code, _, stderr = run_main(argv)
+    assert code in (0, 2), f"{argv}: {stderr}"
     if code == 0:
         return
-    errors = [line for line in stderr.getvalue().splitlines() if "error:" in line]
-    assert len(errors) == 1, f"{argv}: {stderr.getvalue()}"
+    assert_error_lines_well_formed(argv, stderr)
+    errors = [line for line in stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1, f"{argv}: {stderr}"
     line = errors[0]
     words = set(re.split(r"[\s,()\[\]]+", line))
     named = any(arg in line for arg in argv if arg in files)
@@ -218,3 +236,110 @@ def test_allocate_names_a_bad_number(argv_files, flags):
 def test_score_names_a_bad_number(argv_files, flag):
     csv = argv_files["csv"][0]
     assert_answered(["score", "--city", "demo", "--input", csv, flag], (csv,))
+
+
+def assert_one_error_line_at(argv, path, pointer):
+    """``main(argv)`` exits 2 with one stderr line, ``error: <path>: <pointer>: ...``."""
+    code, out, stderr = run_main(argv)
+    assert (code, out) == (2, ""), f"{argv}: {stderr}"
+    assert len(stderr.splitlines()) == 1, stderr
+    assert stderr.startswith(f"error: {path}: {pointer}: "), stderr
+    assert_error_lines_well_formed(argv, stderr.replace(str(path), "<file>"))
+
+
+# Names and city keys without "error" in them, so only the prefix says it.
+ENTRY_NAMES = st.text(alphabet="abc xyz-", max_size=4).map("n".__add__)
+WRONG_TYPES = {
+    "string": st.sampled_from([5, 1.5, None, True, ["a"], {"a": 1}]),
+    "number": st.sampled_from(["0.5", "", None, True, False, [1.0], {"x": 1.0}]),
+    "integer": st.sampled_from(["5", 1.5, 2.0, None, True, [5]]),
+}
+
+
+@FUZZ
+@given(
+    st.lists(
+        st.tuples(ENTRY_NAMES, st.floats(0.0, 1e300) | st.sampled_from([0.0, 0.5, 1.0])),
+        min_size=1,
+        max_size=8,
+        unique_by=lambda item: item[0],
+    ),
+    st.data(),
+)
+def test_a_ranking_broken_at_one_entry_is_rejected_at_that_entry(scored, data):
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    ranking = PriorityRanking("demo", derive_weights(0.6), *zip(*scored))
+    faults = ["wrong type", "missing", "negative"] + (["out of order"] if len(ranking) > 1 else [])
+    fault = data.draw(st.sampled_from(faults), label="fault")
+    index = data.draw(st.integers(0, len(ranking) - 1), label="index")
+    key, kind = data.draw(
+        st.sampled_from([("neighborhood", "string"), ("raw_score", "number"),
+                         ("scaled_score", "number")]),
+        label="field",
+    )
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "ranking.json"
+        write_ranking(ranking, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        entries = doc["entries"]
+        pointer = f"/entries/{index}/{key}"
+        if fault == "wrong type":
+            entries[index][key] = data.draw(WRONG_TYPES[kind], label="value")
+        elif fault == "missing":
+            del entries[index][key]
+        elif fault == "negative":
+            entries[index]["raw_score"] = -1.0
+            pointer = f"/entries/{index}"
+        else:
+            index = min(index, len(entries) - 2)
+            entries[index], entries[index + 1] = entries[index + 1], entries[index]
+            pointer = f"/entries/{index + 1}"
+        path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+        argv = ["allocate", "--kits", "10", "--ranking", str(path)]
+        assert_one_error_line_at(argv, path, pointer)
+
+
+# City keys distinct once trimmed and lowercased; two need RFC 6901 escapes.
+CITY_KEYS = ["chicago", "New York", "a/b~c", "~1"]
+
+
+@st.composite
+def runs_documents(draw):
+    """A valid runs document of one to three runs, each naming some cities' recommendations."""
+    recommendation = st.fixed_dictionaries(
+        {"neighborhood": ENTRY_NAMES, "kits": st.integers(0, 10**6)}
+    )
+    cities = st.dictionaries(
+        st.sampled_from(CITY_KEYS), st.lists(recommendation, min_size=1, max_size=3),
+        min_size=1,
+    )
+    runs = st.fixed_dictionaries(
+        {"model": st.sampled_from(["m", "ChatGPT 5"]), "mode": st.just("chat"), "cities": cities}
+    )
+    return {"runs": draw(st.lists(runs, min_size=1, max_size=3))}
+
+
+@FUZZ
+@given(runs_documents(), st.data())
+def test_a_runs_file_broken_at_one_recommendation_is_rejected_at_it(doc, data):
+    run = data.draw(st.integers(0, len(doc["runs"]) - 1), label="run")
+    cities = doc["runs"][run]["cities"]
+    city = data.draw(st.sampled_from(sorted(cities)), label="city")
+    position = data.draw(st.integers(0, len(cities[city]) - 1), label="position")
+    item = cities[city][position]
+    fault = data.draw(st.sampled_from(["wrong type", "missing", "negative"]), label="fault")
+    key, kind = data.draw(
+        st.sampled_from([("neighborhood", "string"), ("kits", "integer")]), label="field"
+    )
+    if fault == "wrong type":
+        item[key] = data.draw(WRONG_TYPES[kind], label="value")
+    elif fault == "missing":
+        del item[key]
+    else:
+        key, item["kits"] = "kits", -data.draw(st.integers(1, 10**6), label="kits")
+    escaped = city.replace("~", "~0").replace("/", "~1")
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "runs.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        pointer = f"/runs/{run}/cities/{escaped}/{position}/{key}"
+        assert_one_error_line_at(["evaluate", "--runs", str(path)], path, pointer)

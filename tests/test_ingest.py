@@ -26,6 +26,7 @@ from leadalloc.errors import (
     UnknownCityError,
 )
 from leadalloc.ingest import (
+    ValidationIssue,
     dump_plan,
     dump_ranking,
     parse_city_dataset,
@@ -116,8 +117,8 @@ class TestParseCityDataset:
             parse_city_dataset(path, "chicago")
         with pytest.raises(DatasetValidationError) as read:
             read_text(path)
-        message = f"{path}: not UTF-8 text (invalid continuation byte at byte offset {offset})"
-        assert str(parsed.value) == str(read.value) == f"input rejected: error: {message}"
+        message = f"not UTF-8 text (invalid continuation byte at byte offset {offset})"
+        assert str(parsed.value) == str(read.value) == f"error: {path}: {message}"
 
     def test_parse_holds_each_row_once(self, tmp_path):
         # At 20,000 rows with one extra factor, a copy of the whole file
@@ -162,9 +163,9 @@ class TestParseCityDataset:
         )
         with pytest.raises(DatasetValidationError) as excinfo:
             parse_city_dataset(path, "chicago")
-        message = str(excinfo.value)
-        assert "percentage out of range [0,100]: untested_pct" in message
-        assert "[row 2]" in message
+        assert str(excinfo.value) == (
+            f"error: {path}: row 2: percentage out of range [0,100]: untested_pct"
+        )
 
     def test_duplicate_names_after_canonicalization(self, write_file):
         path = write_file(
@@ -237,7 +238,7 @@ class TestParseCityDataset:
         dataset, report = parse_city_dataset(path, "chicago")
         assert dataset.names == ("austin", "west englewood")
         (warning,) = report.warnings()
-        assert warning.row == 2
+        assert warning.location == "row 2"
         assert "missing untested_pct" in warning.message
 
     def test_strict_mode_turns_exclusions_into_errors(self, write_file):
@@ -409,10 +410,13 @@ class TestParseModelRuns:
                 }
             )
         )
-        with pytest.raises(DatasetValidationError, match="must be an integer"):
+        with pytest.raises(DatasetValidationError) as excinfo:
             parse_model_runs(path)
+        assert str(excinfo.value) == (
+            f"error: {path}: /runs/0/cities/chicago/0/kits: must be a JSON integer, got True"
+        )
 
-    def test_missing_fields_reported_per_run(self, write_file):
+    def test_the_first_missing_field_rejects_the_file(self, write_file):
         path = write_file(
             json.dumps(
                 {
@@ -425,13 +429,12 @@ class TestParseModelRuns:
         )
         with pytest.raises(DatasetValidationError) as excinfo:
             parse_model_runs(path)
-        message = str(excinfo.value)
-        assert "runs[0]: missing model field" in message
-        assert "runs[1]: missing mode field" in message
+        # A JSON file stops at its first fault: run 1's missing mode is not reached.
+        assert str(excinfo.value) == f"error: {path}: /runs/0/model: missing"
 
     def test_runs_must_be_a_list(self, write_file):
         path = write_file(json.dumps({"runs": "nope"}))
-        with pytest.raises(DatasetValidationError, match='"runs" list'):
+        with pytest.raises(DatasetValidationError, match="/runs: must be a JSON array, got 'nope'"):
             parse_model_runs(path)
 
     def test_empty_city_list_warns_but_run_survives(self, write_file):
@@ -454,7 +457,9 @@ class TestParseModelRuns:
         runs, report = parse_model_runs(path)
         assert len(runs) == 1
         assert runs[0].per_city["chicago"] == ()
-        assert any("no recommendations" in str(issue) for issue in report.warnings())
+        assert report.warnings() == [
+            ValidationIssue("warning", "/runs/0/cities/chicago", "no recommendations")
+        ]
 
     def test_malformed_json_rejected(self, write_file):
         with pytest.raises(DatasetValidationError, match="malformed JSON"):
@@ -493,9 +498,9 @@ class TestParseModelRuns:
         path = write_file(json.dumps({"runs": [run]}))
         with pytest.raises(DatasetValidationError) as excinfo:
             parse_model_runs(path)
-        assert (
-            f"{path}: error: runs[0].cities: keys 'chicago' and ' Chicago' both name city 'chicago'"
-            in str(excinfo.value)
+        assert str(excinfo.value) == (
+            f"error: {path}: /runs/0/cities/ Chicago: "
+            "keys 'chicago' and ' Chicago' both name city 'chicago'"
         )
 
     @pytest.mark.parametrize("key", ["", " "])
@@ -505,7 +510,9 @@ class TestParseModelRuns:
         path = write_file(json.dumps({"runs": [run]}))
         with pytest.raises(DatasetValidationError) as excinfo:
             parse_model_runs(path)
-        assert f"{path}: error: runs[0].cities: key {key!r} names no city" in str(excinfo.value)
+        assert str(excinfo.value) == (
+            f"error: {path}: /runs/0/cities/{key}: key {key!r} names no city"
+        )
 
 
 class TestParseTargets:
@@ -529,18 +536,21 @@ class TestParseTargets:
 
     def test_empty_city_list_rejected(self, write_file):
         path = write_file(json.dumps({"chicago": []}))
-        with pytest.raises(DatasetValidationError, match="non-empty list"):
+        with pytest.raises(DatasetValidationError) as excinfo:
             parse_targets(path)
+        assert str(excinfo.value) == f"error: {path}: /chicago: target set for 'chicago' is empty"
 
     def test_non_string_target_rejected(self, write_file):
         path = write_file(json.dumps({"chicago": ["Austin", 42]}))
-        with pytest.raises(DatasetValidationError, match="expected a string"):
+        with pytest.raises(DatasetValidationError) as excinfo:
             parse_targets(path)
+        assert str(excinfo.value) == f"error: {path}: /chicago/1: must be a JSON string, got 42"
 
     def test_empty_document_rejected(self, write_file):
         path = write_file(json.dumps({}))
-        with pytest.raises(DatasetValidationError, match="non-empty object"):
+        with pytest.raises(DatasetValidationError) as excinfo:
             parse_targets(path)
+        assert str(excinfo.value) == f"error: {path}: target set lists no cities"
 
     def test_city_keys_naming_one_city_are_rejected(self, write_file):
         path = write_file(
@@ -548,9 +558,8 @@ class TestParseTargets:
         )
         with pytest.raises(DatasetValidationError) as excinfo:
             parse_targets(path)
-        assert (
-            f"{path}: error: targets: keys 'chicago' and 'Chicago' both name city 'chicago'"
-            in str(excinfo.value)
+        assert str(excinfo.value) == (
+            f"error: {path}: /Chicago: keys 'chicago' and 'Chicago' both name city 'chicago'"
         )
 
     @pytest.mark.parametrize("key", ["", " "])
@@ -558,7 +567,7 @@ class TestParseTargets:
         path = write_file(json.dumps({key: ["west englewood"], "chicago": ["west englewood"]}))
         with pytest.raises(DatasetValidationError) as excinfo:
             parse_targets(path)
-        assert f"{path}: error: targets: key {key!r} names no city" in str(excinfo.value)
+        assert str(excinfo.value) == f"error: {path}: /{key}: key {key!r} names no city"
 
 
 class TestRankingRoundTrip:
@@ -575,8 +584,9 @@ class TestRankingRoundTrip:
         assert ranking_from_dict(ranking_to_dict(ranking)) == ranking
 
     def test_malformed_document_rejected(self):
-        with pytest.raises(DomainValidationError, match="malformed ranking"):
+        with pytest.raises(DomainValidationError, match="^missing$") as rejected:
             ranking_from_dict({"city": "demo"})
+        assert rejected.value.at == ("weights",)
 
     def test_parse_holds_no_dict_per_entry(self, tmp_path):
         # parse_ranking decodes each entry object straight into a RankingEntry.
@@ -608,8 +618,9 @@ class TestRankingRoundTrip:
         doc["weights"] = {"neighborhood": "a", "raw_score": 0.5, "scaled_score": 0.5}
         path = tmp_path / "ranking.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(DatasetValidationError, match="malformed ranking document"):
+        with pytest.raises(DatasetValidationError) as rejected:
             parse_ranking(path)
+        assert str(rejected.value) == f"error: {path}: /weights/alpha: missing"
 
     def test_blank_name_is_rejected_with_the_file(self, tmp_path):
         doc = ranking_to_dict(ranking_from_scores({"a": 2.0, "b": 1.0}))
@@ -619,7 +630,7 @@ class TestRankingRoundTrip:
         with pytest.raises(DatasetValidationError) as rejected:
             parse_ranking(path)
         assert str(rejected.value) == (
-            f"input rejected: error: {path}: neighborhood name must be non-empty"
+            f"error: {path}: /entries/1: neighborhood name must be non-empty"
         )
 
     def test_integral_scores_read_as_floats(self):
@@ -642,11 +653,13 @@ class TestRankingRoundTrip:
     def test_scaled_score_must_be_derived_exactly(self, scores, name, scaled, expected):
         doc = ranking_to_dict(ranking_from_scores(scores))
         next(e for e in doc["entries"] if e["neighborhood"] == name)["scaled_score"] = scaled
+        index = next(i for i, e in enumerate(doc["entries"]) if e["neighborhood"] == name)
         with pytest.raises(DomainValidationError) as rejected:
             ranking_from_dict(doc)
         assert str(rejected.value) == (
             f"demo: scaled_score of {name!r} is {scaled!r}; 10 × raw / top raw is {expected!r}"
         )
+        assert rejected.value.at == ("entries", index, "scaled_score")
 
     @given(
         st.lists(
@@ -670,7 +683,10 @@ class TestRankingRoundTrip:
             path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
             with pytest.raises(DatasetValidationError) as rejected:
                 parse_ranking(path)
-        assert f"{path}: demo: scaled_score of {entry['neighborhood']!r} is " in str(rejected.value)
+        assert str(rejected.value).startswith(
+            f"error: {path}: /entries/{index}/scaled_score: "
+            f"demo: scaled_score of {entry['neighborhood']!r} is "
+        )
 
     @given(
         st.lists(
@@ -771,5 +787,5 @@ class TestIssueFormatting:
             """
         )
         _, report = parse_city_dataset(path, "chicago")
-        rendered = [str(issue) for issue in report.issues]
-        assert rendered == ["warning [row 2]: row excluded: missing untested_pct"]
+        rendered = [report.describe(issue) for issue in report.issues]
+        assert rendered == [f"warning: {path}: row 2: row excluded: missing untested_pct"]

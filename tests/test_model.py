@@ -150,8 +150,11 @@ class TestAliasTable:
 
     def test_from_file_rejects_non_object(self, write_file):
         path = write_file('["not", "a", "mapping"]', "aliases.json")
-        with pytest.raises(DomainValidationError, match="JSON object"):
+        with pytest.raises(DatasetValidationError) as rejected:
             AliasTable.from_file(path)
+        assert str(rejected.value) == (
+            f"error: {path}: must be a JSON object, got ['not', 'a', 'mapping']"
+        )
 
     def test_from_file_rejects_malformed_json(self, write_file):
         path = write_file("{nope", "aliases.json")
@@ -475,7 +478,7 @@ _SCORES = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.nan, math.inf, -1.0]) 
     st.booleans(),
 )
 def test_columnar_check_agrees_with_the_entry_by_entry_check(pairs, presort):
-    """Both checks accept the same rankings and reject the others with the same message.
+    """Both checks accept the same rankings and reject the others with the same message and entry.
 
     The cases cover ties, -0.0, NaN, repeated names and unsorted entries.
     """
@@ -486,7 +489,7 @@ def test_columnar_check_agrees_with_the_entry_by_entry_check(pairs, presort):
         try:
             check()
         except DomainValidationError as exc:
-            return str(exc)
+            return str(exc), exc.at
         return None
 
     expected = outcome(lambda: check_ranking_entry_by_entry("demo", pairs))
@@ -745,13 +748,13 @@ def test_replace_validates_like_construction():
 
 def test_validation_report_is_a_mutable_record():
     report = ValidationReport(strict=True, source="city.csv")
-    report.warning("row excluded", row=3)
-    assert report.issues == [ValidationIssue("error", 3, "row excluded")]
+    report.warning("row excluded", "row 3")
+    assert report.issues == [ValidationIssue("error", "row 3", "row excluded")]
     assert report == ValidationReport(True, "city.csv", list(report.issues))
     assert report != ValidationReport(strict=True, source="other.csv", issues=report.issues)
     assert repr(ValidationReport()) == "ValidationReport(strict=False, source=None, issues=[])"
     report.source = "renamed.csv"
-    assert report.describe(report.issues[0]) == "renamed.csv: error [row 3]: row excluded"
+    assert report.describe(report.issues[0]) == "error: renamed.csv: row 3: row excluded"
 
 
 @st.composite
