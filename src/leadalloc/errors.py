@@ -28,11 +28,15 @@ class UnknownCityError(LeadAllocError):
 
 
 class DatasetValidationError(LeadAllocError):
-    """An input file was rejected; carries the full report, and ``str()`` is its error lines."""
+    """An input file was rejected; carries the full report.
+
+    ``str()`` is one line per issue, warnings as well as errors, in the
+    order the parse found them, which in a CSV is row order.
+    """
 
     def __init__(self, report):
         self.report = report
-        super().__init__("\n".join(map(report.describe, report.errors())))
+        super().__init__("\n".join(map(report.describe, report.issues)))
 
 
 class DataQualityWarning(UserWarning):

@@ -160,7 +160,7 @@ def parse_city_dataset(
 
 def _parse_records(
     lines: TextIO, unit_kind: UnitKind, aliases: AliasTable | None, report: ValidationReport
-) -> tuple[list[str], dict[str, array]]:
+) -> tuple[tuple[str, ...], dict[str, array]]:
     """The names and value columns of a city dataset read from ``lines``.
 
     Each accepted row appends its name, and its value to the column of each
@@ -188,8 +188,10 @@ def _parse_records(
     value_cells = itemgetter(*map(header.index, value_columns))
     columns = [array("d") for _ in value_columns]
 
-    names: list[str] = []
-    seen_rows: dict[str, int] = {}
+    # The kept names, in file order: a dict, as a name's repeat must be found in O(1).
+    names: dict[str, None] = {}
+    rows_kept = array("q")  # each kept name's row; not a dict's int object per row
+    first_rows: dict[str, int] | None = None  # each kept name's row, made at the first repeat
     width = len(header)
     zip_codes = unit_kind is UnitKind.ZIP_CODE
     for line, cells in rows:
@@ -204,24 +206,28 @@ def _parse_records(
         if parsed is None:
             continue
         name, values = parsed
-        if name in seen_rows:
+        if name in names:
+            if first_rows is None:  # only a rejected file's messages need the rows
+                first_rows = dict(zip(names, rows_kept))
             report.error(
-                f"duplicate neighborhood {name!r} (first seen at row {seen_rows[name]})",
+                f"duplicate neighborhood {name!r} (first seen at row {first_rows[name]})",
                 f"row {line}",
             )
             continue
         if zip_codes and not is_zip_code(name):
             report.error(f"{name!r} is not a 5-digit ZIP code", f"row {line}")
             continue
-        seen_rows[name] = line
-        names.append(name)
+        names[name] = None
+        rows_kept.append(line)
+        if first_rows is not None:
+            first_rows[name] = line
         for column, value in zip(columns, values):
             column.append(value)
 
     if not names and report.accepted:
         report.error("no usable data rows")
     report.raise_if_rejected()
-    return names, dict(zip(value_columns, columns))
+    return tuple(names), dict(zip(value_columns, columns))
 
 
 def _leading_directives(lines: TextIO, report: ValidationReport) -> tuple[str, int, list[str]]:
@@ -514,7 +520,7 @@ _COLLECTED = object()  # what the object hook of parse_ranking leaves of an entr
 _ENTRY_FIELDS = (("neighborhood", "string"), ("raw_score", "number"), ("scaled_score", "number"))
 
 
-def ranking_from_dict(doc, collected: tuple[list, ...] | None = None) -> PriorityRanking:
+def ranking_from_dict(doc, collected: tuple[list, array, array] | None = None) -> PriorityRanking:
     """The ranking of a decoded document; ``collected`` is for ``parse_ranking`` alone.
 
     Each entry's ``scaled_score`` must equal the ranking's derived one exactly.
@@ -533,8 +539,10 @@ def ranking_from_dict(doc, collected: tuple[list, ...] | None = None) -> Priorit
         located(("weights", "variant"), WeightVariant, variant), source_correlation, normalized,
     )
     if collected is None:  # integral scores are read as floats
+        from array import array  # deferred: only a parse builds columns
+
         entries = _json_field(doc, ("entries",), "array")
-        collected = ([], [], [])
+        collected = ([], array("d"), array("d"))
         for index in range(len(entries)):
             entry = _json_field(entries, ("entries", index), "object")
             for column, (key, kind) in zip(collected, _ENTRY_FIELDS):
@@ -542,13 +550,14 @@ def ranking_from_dict(doc, collected: tuple[list, ...] | None = None) -> Priorit
     city = _json_field(doc, ("city",), "string")
     names, raw_scores, scaled_scores = collected
     ranking = located(("entries",), PriorityRanking, city, weights, names, raw_scores)
-    for name, given, derived in zip(ranking.names, scaled_scores, ranking.scaled_scores):
-        if given != derived:
-            raise DomainValidationError(
-                f"{city}: scaled_score of {name!r} is {given!r}; "
-                f"10 × raw / top raw is {derived!r}",
-                at=("entries", ranking.names.index(name), "scaled_score"),
-            )
+    derived = ranking.scaled_scores
+    if derived != scaled_scores:  # one C-level pass, comparing the columns by value
+        index = next(i for i, pair in enumerate(zip(scaled_scores, derived)) if pair[0] != pair[1])
+        raise DomainValidationError(
+            f"{city}: scaled_score of {names[index]!r} is {scaled_scores[index]!r}; "
+            f"10 × raw / top raw is {derived[index]!r}",
+            at=("entries", index, "scaled_score"),
+        )
     return ranking
 
 
@@ -600,14 +609,17 @@ def _dump_document(head: dict, key: str, items: Iterator[str], fh: TextIO) -> No
     fh.write("\n  ]\n}\n")
 
 
-def _entry_collector() -> tuple[Callable[[dict], object], tuple[list, list, list]]:
+def _entry_collector() -> tuple[Callable[[dict], object], tuple[list, array, array]]:
     """An object hook for :func:`load_json`, and the name and score columns it fills.
 
     The hook appends each object of exactly the three well-typed fields
     ``dump_ranking`` writes for an entry to the columns and returns
-    ``_COLLECTED`` in its place, so no entry is held as a dict or an object.
+    ``_COLLECTED`` in its place, so no entry is held as a dict or an object,
+    and no score as a float object: the scores go into ``array('d')`` columns.
     """
-    columns = names, raw_scores, scaled_scores = [], [], []
+    from array import array  # deferred: only a parse builds columns
+
+    columns = names, raw_scores, scaled_scores = [], array("d"), array("d")
     add_name, add_raw, add_scaled = names.append, raw_scores.append, scaled_scores.append
 
     def collect(obj: dict) -> object:

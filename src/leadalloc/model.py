@@ -7,11 +7,14 @@ iterate and compare equal to plain tuples of their field values. The types
 with a length of their own, :class:`AliasTable`, :class:`CityDataset`,
 :class:`PriorityRanking` and :class:`AllocationPlan`, are slotted
 :class:`Value` classes instead; the last three hold their neighborhoods as
-columns, one per field, not as records. A checked type of either kind has
-one constructor, its class call: a ``NamedTuple`` under :func:`validated`,
-a :class:`Value` through :meth:`Value._init`, and both run its
-``__post_init__``. Neither kind uses ``dataclasses``: importing it and
-building frozen dataclasses would cost more than the rest of the CLI's
+columns, one per field, not as records. Names, and a plan's kit counts,
+which are unbounded ints, are tuples; a dataset's metrics and a ranking's
+scores are read-only float64 views of an ``array('d')``, 8 bytes a value,
+compared by their bytes (see :class:`_Columnar`). A checked type of either
+kind has one constructor, its class call: a ``NamedTuple`` under
+:func:`validated`, a :class:`Value` through :meth:`Value._init`, and both
+run its ``__post_init__``. Neither kind uses ``dataclasses``: importing it
+and building frozen dataclasses would cost more than the rest of the CLI's
 start-up.
 """
 
@@ -22,7 +25,7 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from itertools import compress, islice, repeat
-from operator import eq, ge, le
+from operator import eq, ge, le, mul, truediv
 from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
@@ -116,6 +119,12 @@ class _Columnar(Value):
     ``names``, a tuple of the canonical names in the value's order, is one
     of its fields; a blank name is refused, as a record refuses it, before
     the subclass's own checks. A failing neighborhood's index is the error's ``at``.
+
+    Each float column is a read-only view of an ``array('d')`` made by
+    :meth:`_column`, so a value costs 8 bytes, not a float object; a field
+    may also be a mapping of such columns. Equality and hashing compare each
+    column's bytes, so -0.0 differs from 0.0, and ``repr`` and ``_replace``
+    see each column as a list and a mapping of columns as a dict in key order.
     """
 
     __slots__ = ()
@@ -126,6 +135,39 @@ class _Columnar(Value):
             index = next(i for i, name in enumerate(names) if not name.strip())
             raise InvalidNameError("neighborhood name must be non-empty", at=(index,))
         super()._init(*values)
+
+    @staticmethod
+    def _column(values: Iterable[float]) -> memoryview:
+        """A read-only float64 column copied from ``values``, with one NaN for every NaN given.
+
+        Equality compares bytes, so every NaN is made the same NaN.
+        """
+        from array import array  # deferred: only building columns needs it
+
+        column = array("d", values)
+        for row in compress(range(len(column)), map(math.isnan, column)):
+            column[row] = math.nan
+        return memoryview(column).toreadonly()
+
+    def _values(self) -> tuple:
+        """The fields with each column as a list: a memoryview's ``repr`` is its address."""
+        return tuple(
+            {key: value[key].tolist() for key in sorted(value)} if isinstance(value, Mapping)
+            else value.tolist() if isinstance(value, memoryview) else value
+            for value in super()._values()
+        )
+
+    def _key(self) -> tuple:
+        """The fields with each column as bytes: memoryviews do not hash, and NaN is unequal.
+
+        A mapping of columns compares as a set of pairs, so its order does not count.
+        """
+        return tuple(
+            frozenset((key, column.tobytes()) for key, column in value.items())
+            if isinstance(value, Mapping)
+            else value.tobytes() if isinstance(value, memoryview) else value
+            for value in super()._values()
+        )
 
     def __len__(self) -> int:
         return len(self.names)
@@ -379,21 +421,13 @@ class CityDataset(_Columnar):
         bll_threshold_ug_dl: float,
         unit_kind: UnitKind,
     ) -> None:
-        from array import array  # deferred: only building columns needs it
-
-        def frozen(values: Iterable[float]) -> memoryview:
-            column = array("d", values)
-            for row in compress(range(len(column)), map(math.isnan, column)):
-                column[row] = math.nan  # one NaN for every blank cell, as _key needs
-            return memoryview(column).toreadonly()
-
-        extras = {factor: frozen(values) for factor, values in extra_columns.items()}
+        extras = {factor: self._column(values) for factor, values in extra_columns.items()}
         self._init(
             city,
             tuple(names),
-            frozen(prevalence),
-            frozen(untested_pct),
-            frozen(public_coverage_pct),
+            self._column(prevalence),
+            self._column(untested_pct),
+            self._column(public_coverage_pct),
             # A factor no neighborhood has is no column, as it is no record's factor.
             MappingProxyType(
                 {
@@ -405,21 +439,6 @@ class CityDataset(_Columnar):
             bll_threshold_ug_dl,
             unit_kind,
         )
-
-    def _values(self) -> tuple:
-        """The fields with each column as a list and the extra columns in factor order.
-
-        A memoryview's ``repr`` is its address, and equality ignores the order of the extras.
-        """
-        city, names, *core, extras, threshold, unit_kind = super()._values()
-        lists = {factor: extras[factor].tolist() for factor in sorted(extras)}
-        return city, names, *(values.tolist() for values in core), lists, threshold, unit_kind
-
-    def _key(self) -> tuple:
-        """The fields with each column as bytes: memoryviews do not hash, and NaN is unequal."""
-        city, names, *core, extras, threshold, unit_kind = super()._values()
-        extra_bytes = frozenset((factor, values.tobytes()) for factor, values in extras.items())
-        return city, names, *map(memoryview.tobytes, core), extra_bytes, threshold, unit_kind
 
     def __post_init__(self) -> None:
         """Raise on a broken invariant; the common, valid case takes C-level passes only."""
@@ -554,11 +573,14 @@ class RankingEntry(NamedTuple):
 class PriorityRanking(_Columnar):
     """Descending-ordered priority list for one city, held as columns.
 
-    ``names`` and ``raw_scores`` are tuples in ranking order; a tuple given
-    is held, not copied. :meth:`__post_init__` checks the ranking once,
-    over the columns. ``scaled_scores`` and ``entries`` are derived from
-    them on every access, in O(n): they are not for hot paths. ``len()`` is
-    the number of entries.
+    ``names`` is a tuple in ranking order; a tuple given is held, not
+    copied. ``raw_scores`` is a read-only float64 view of an ``array('d')``
+    copied from the scores given, as a :class:`CityDataset` holds its
+    columns: compare it with ``list(...)``, and equality and hashing compare
+    its bytes. :meth:`__post_init__` checks the ranking once, over the
+    columns. ``scaled_scores``, a column of the same kind, and ``entries``
+    are derived from them on every access, in O(n): they are not for hot
+    paths. ``len()`` is the number of entries.
     """
 
     __slots__ = _fields = ("city", "weights", "names", "raw_scores")
@@ -566,7 +588,7 @@ class PriorityRanking(_Columnar):
     def __init__(
         self, city: str, weights: WeightConfig, names: Iterable[str], raw_scores: Iterable[float]
     ) -> None:
-        self._init(city, weights, tuple(names), tuple(raw_scores))
+        self._init(city, weights, tuple(names), self._column(raw_scores))
 
     def __post_init__(self) -> None:
         """Raise on a broken invariant, as checking entry by entry would; ``at`` names the entry."""
@@ -599,10 +621,16 @@ class PriorityRanking(_Columnar):
         self._check_distinct()
 
     @property
-    def scaled_scores(self) -> tuple[float, ...]:
-        """The 0-10 display scores: the top entry reads exactly 10.0, or all 0.0 if its raw is 0."""
+    def scaled_scores(self) -> memoryview:
+        """The 0-10 display scores, ``10.0 * (raw / top raw)``: the top reads exactly 10.0.
+
+        If the top raw score is 0, every scaled score is 0.0.
+        """
         raw = self.raw_scores
-        return tuple(10.0 * (score / raw[0]) for score in raw) if raw[0] else (0.0,) * len(raw)
+        top = raw[0]
+        if not top:
+            return self._column(repeat(0.0, len(raw)))
+        return self._column(map(mul, repeat(10.0), map(truediv, raw, repeat(top))))
 
     @property
     def entries(self) -> tuple[RankingEntry, ...]:

@@ -101,27 +101,30 @@ def score_city(
     r = r_override if r_override is not None else pearson(coverage, prevalence)
     weights = derive_weights(r, alpha, variant, normalize=normalize_weights)
 
+    from array import array  # deferred: only scoring builds the column
+
     # Each score is alpha·P + beta·U + gamma·H, summed in that order. The
-    # normalized columns are read as the sum is made, so none is held.
+    # normalized columns are read as the sum is made, so none is held, and
+    # the scores go into a float64 column, not float objects.
     columns = (prevalence, dataset.untested_pct, coverage)
     p, u, h = (map(mul, repeat(w), _min_max_scaled(c)) for w, c in zip(weights[:3], columns))
-    raw = list(map(add, map(add, p, u), h))
+    raw = array("d", map(add, map(add, p, u), h))
 
     # Raw score descending, ties by name: sorts are stable, even in reverse,
-    # so sort by name first. Neither pass builds a key object per record.
+    # so sort by name first.
     names = dataset.names
     order = sorted(range(len(raw)), key=names.__getitem__)
     order.sort(key=raw.__getitem__, reverse=True)
-    pick = itemgetter(*order)  # at least 2 positions, so it picks tuples
-    names, raw = pick(names), pick(raw)
-    del order, pick  # n index ints, freed before the ranking's checks build a list
+    names = itemgetter(*order)(names)  # at least 2 positions, so it picks a tuple
+    raw = array("d", map(raw.__getitem__, order))
+    del order  # n index ints, freed before the ranking's checks build a list
     if raw[0] <= 0:
         warnings.warn(
             f"{dataset.city}: all raw priority scores are zero; scaled scores set to 0",
             DataQualityWarning,
             stacklevel=2,
         )
-        raw = (0.0,) * len(raw)
+        raw = repeat(0.0, len(raw))
     return PriorityRanking(dataset.city, weights, names, raw)
 
 

@@ -36,10 +36,13 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     if n < 2:
         raise UndefinedCorrelationError(f"need at least 2 points, got {n}")
+    from array import array  # deferred: only a correlation builds these columns
+
     mean_x = math.fsum(x) / n
     mean_y = math.fsum(y) / n
-    dx = list(map(sub, x, repeat(mean_x)))
-    dy = list(map(sub, y, repeat(mean_y)))
+    # Float64 columns, not lists: a float object costs 32 bytes, a column's value 8.
+    dx = array("d", map(sub, x, repeat(mean_x)))
+    dy = array("d", map(sub, y, repeat(mean_y)))
     sxx = math.fsum(map(pow, dx, repeat(2)))
     syy = math.fsum(map(pow, dy, repeat(2)))
     if sxx == 0.0 or syy == 0.0:

@@ -274,6 +274,14 @@ class TestScore:
         assert out == golden("score_demo.txt")
         assert err == ""
 
+    def test_demo_json_matches_golden(self, capsys, golden, demo_csv):
+        code, out, err = run_cli(
+            capsys, "score", "--input", str(demo_csv), "--city", "demo", "--json"
+        )
+        assert code == 0
+        assert out == golden("score_demo.json")
+        assert err == ""
+
     def test_top_entry_scaled_to_ten(self, capsys, demo_csv):
         code, out, _ = run_cli(
             capsys, "score", "--input", str(demo_csv), "--city", "demo", "--json"
@@ -404,6 +412,14 @@ class TestAllocate:
         )
         assert code == 0
         assert out == golden("allocate_demo.txt")
+        assert err == ""
+
+    def test_demo_json_matches_golden(self, capsys, golden, demo_ranking):
+        code, out, err = run_cli(
+            capsys, "allocate", "--ranking", str(demo_ranking), "--kits", "1000", "--json"
+        )
+        assert code == 0
+        assert out == golden("allocate_demo.json")
         assert err == ""
 
     def test_kits_conserved(self, capsys, demo_ranking):
@@ -789,6 +805,19 @@ class TestInputBoundary:
         assert code == 2
         assert out == ""
         assert err == f"error: {path}: row 3: row has 6 fields, header has 4\n"
+
+    def test_rejected_csv_prints_its_warnings_among_its_errors_in_row_order(
+        self, capsys, write_file
+    ):
+        rows = "\nAustin,1.0,200,3.0\nLoop,2.0,,4.0\nHyde Park,x,5,6\n"
+        path = write_file(GOOD_HEADER + rows, "c.csv")
+        code, out, err = run_cli(capsys, "score", "--city", "chicago", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: {path}: row 2: percentage out of range [0,100]: untested_pct",
+            f"warning: {path}: row 3: row excluded: missing untested_pct",
+            f"error: {path}: row 4: non-numeric value 'x' in column prevalence_per_1000",
+        ]
 
     def test_run_error_names_the_file(self, capsys, write_file, bundled_targets):
         runs = write_file('{"runs": [{"mode": "chat", "cities": {}}]}', "runs.json")

@@ -361,7 +361,7 @@ class TestPriorityRanking:
         ranking = ranking_of_entries(
             city="demo", weights=derive_weights(0.6), entries=(("a", 2.0), ("b", 1.0), ("c", 0.3))
         )
-        assert ranking.scaled_scores == (10.0, 5.0, 10.0 * (0.3 / 2.0))
+        assert list(ranking.scaled_scores) == [10.0, 5.0, 10.0 * (0.3 / 2.0)]
         assert PriorityRanking._fields == ("city", "weights", "names", "raw_scores")
 
     def test_all_zero_raw_scores_scale_to_all_zero(self):
@@ -369,11 +369,44 @@ class TestPriorityRanking:
             city="demo", weights=derive_weights(0.6), entries=(("a", 0.0), ("b", 0.0))
         )
         assert ranking.names == ("a", "b")
-        assert ranking.scaled_scores == (0.0, 0.0)
+        assert list(ranking.scaled_scores) == [0.0, 0.0]
 
     def test_negative_raw_score_rejected(self):
         with pytest.raises(DomainValidationError, match="negative raw score"):
             ranking_of_entries(city="demo", weights=derive_weights(0.6), entries=(("a", -1.0),))
+
+
+class TestRankingColumns:
+    def test_columns_are_read_only_float64_copies(self):
+        raw = [2.0, 1.0]
+        ranking = PriorityRanking("demo", derive_weights(0.6), ["b", "a"], raw)
+        raw[0] = 5.0
+        assert list(ranking.raw_scores) == [2.0, 1.0]
+        for column in (ranking.raw_scores, ranking.scaled_scores):
+            assert type(column) is memoryview and column.format == "d" and column.readonly
+            with pytest.raises(TypeError):
+                column[0] = 0.0
+
+    def test_equality_and_hash_agree(self):
+        weights = derive_weights(0.6)
+        ranking = PriorityRanking("demo", weights, ["b", "a"], [2.0, 1.0])
+        again = PriorityRanking("demo", weights, ("b", "a"), (2, 1))
+        assert ranking == again and again == ranking
+        assert hash(ranking) == hash(again)
+        assert ranking != PriorityRanking("demo", weights, ["b", "a"], [2.0, 0.5])
+        assert len({ranking, again}) == 1
+
+    def test_a_signed_zero_makes_the_columns_unequal(self):
+        weights = derive_weights(0.6)
+        zero = PriorityRanking("demo", weights, ["a", "b"], [1.0, 0.0])
+        negative_zero = PriorityRanking("demo", weights, ["a", "b"], [1.0, -0.0])
+        assert zero.entries == negative_zero.entries
+        assert zero != negative_zero
+
+    def test_repr_shows_the_columns_as_lists(self):
+        ranking = PriorityRanking("demo", derive_weights(0.6), ["b", "a"], [2.0, 1.0])
+        assert repr(ranking).startswith("PriorityRanking(city='demo', weights=WeightConfig(")
+        assert repr(ranking).endswith("names=('b', 'a'), raw_scores=[2.0, 1.0])")
 
 
 class TestAllocationPlan:
@@ -518,7 +551,7 @@ def test_ranking_and_plan_hold_columns():
     weights = derive_weights(0.6)
     ranking = PriorityRanking("demo", weights, ["b", "a"], [2.0, 1.0])
     assert ranking.names == ("b", "a")
-    assert (ranking.raw_scores, ranking.scaled_scores) == ((2.0, 1.0), (10.0, 5.0))
+    assert (list(ranking.raw_scores), list(ranking.scaled_scores)) == ([2.0, 1.0], [10.0, 5.0])
     assert ranking.entries == (RankingEntry("b", 2.0, 10.0), RankingEntry("a", 1.0, 5.0))
     assert ranking == PriorityRanking("demo", weights, ("b", "a"), (2.0, 1.0))
     assert len(ranking) == 2 and not isinstance(ranking, tuple)
@@ -617,7 +650,7 @@ def _value_cases():
                 city="demo",
                 weights=WeightConfig(**weights),
                 names=("b", "a"),
-                raw_scores=(2.0, 1.0),
+                raw_scores=[2.0, 1.0],
             ),
             dict(names=("b",), raw_scores=(2.0,)),
         ),

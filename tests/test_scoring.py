@@ -175,9 +175,10 @@ def test_score_holds_no_normalized_column(tmp_path):
     # At 20,000 rows with one extra factor, holding the three normalized
     # columns as lists while summing the raw scores peaked 2.61 MB above the
     # 2.01 MB the dataset holds, under tracemalloc here; reading them as the
-    # sum is made peaks 2.07 MB above it, in the ranking's own checks. The
-    # bound is absolute: the dataset's size is too close to that peak to
-    # bound it by.
+    # sum is made peaked 1.93 MB above it, and holding the raw scores and the
+    # correlation's deviations as float64 columns, not float objects, peaks
+    # 1.76 MB above it. The bound is absolute: the dataset's size is too close
+    # to that peak to bound it by.
     path = tmp_path / "city.csv"
     rows = (
         f"area {i},{i % 41 / 2},{5 + i % 61},{min(100, i % 41 + i % 7)},{i % 90}\n"
