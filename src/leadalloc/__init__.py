@@ -28,7 +28,6 @@ from .ingest import (
     parse_model_runs,
     parse_ranking,
     parse_targets,
-    write_city_dataset,
     write_ranking,
 )
 from .model import (
@@ -49,7 +48,6 @@ from .model import (
     WeightVariant,
     canonicalize_name,
     city_profile,
-    known_cities,
     register_city,
 )
 from .scoring import derive_weights, score_city, top_k

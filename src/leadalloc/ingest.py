@@ -23,8 +23,8 @@ import csv
 import json
 import math
 from collections import Counter
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import itemgetter, mul
 from pathlib import Path
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, TextIO
@@ -34,11 +34,9 @@ from .model import (
     AliasTable,
     AllocationPlan,
     CityDataset,
-    COL_COVERAGE,
     COL_NEIGHBORHOOD,
-    COL_PREVALENCE,
-    COL_UNTESTED,
     CORE_COLUMNS,
+    METRIC_CAPS,
     ModelRun,
     PriorityRanking,
     Recommendation,
@@ -48,7 +46,9 @@ from .model import (
     WeightVariant,
     canonicalize_name,
     city_profile,
+    duplicate_name,
     is_zip_code,
+    value_fault,
 )
 
 if TYPE_CHECKING:
@@ -118,7 +118,7 @@ class ValidationReport:
             raise DatasetValidationError(self)
 
 
-_VALUE_COLUMNS = (COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE)
+_VALUE_COLUMNS = tuple(METRIC_CAPS)
 
 
 def parse_city_dataset(
@@ -187,6 +187,8 @@ def _parse_records(
     name_index = header.index(COL_NEIGHBORHOOD)
     value_cells = itemgetter(*map(header.index, value_columns))
     columns = [array("d") for _ in value_columns]
+    # Each core metric's cap in the file's unit: under unit=fraction a percentage's is 1.
+    caps = tuple(cap / 100 if unit == "fraction" else cap for cap in METRIC_CAPS.values())
 
     # The kept names, in file order: a dict, as a name's repeat must be found in O(1).
     names: dict[str, None] = {}
@@ -201,7 +203,7 @@ def _parse_records(
                 continue
             cells += [""] * (width - len(cells))  # a short row's missing cells are blank
         parsed = _parse_row(
-            cells, line, unit, name_index, value_cells, value_columns, aliases, report
+            cells, line, caps, name_index, value_cells, value_columns, aliases, report
         )
         if parsed is None:
             continue
@@ -210,8 +212,7 @@ def _parse_records(
             if first_rows is None:  # only a rejected file's messages need the rows
                 first_rows = dict(zip(names, rows_kept))
             report.error(
-                f"duplicate neighborhood {name!r} (first seen at row {first_rows[name]})",
-                f"row {line}",
+                f"{duplicate_name(name)} (first seen at row {first_rows[name]})", f"row {line}"
             )
             continue
         if zip_codes and not is_zip_code(name):
@@ -227,6 +228,9 @@ def _parse_records(
     if not names and report.accepted:
         report.error("no usable data rows")
     report.raise_if_rejected()
+    if unit == "fraction":
+        for index in (1, 2):  # the percentages, read in [0, 1]
+            columns[index] = array("d", map(mul, columns[index], repeat(100.0)))
     return tuple(names), dict(zip(value_columns, columns))
 
 
@@ -276,7 +280,7 @@ def _csv_rows(lines: Iterable[str], first_line: int, report: ValidationReport):
 def _parse_row(
     cells: list[str],
     line: int,
-    unit: str,
+    caps: tuple[float, ...],
     name_index: int,
     value_cells: itemgetter,
     value_columns: tuple[str, ...],
@@ -287,7 +291,7 @@ def _parse_row(
 
     ``value_cells`` picks the cells of ``value_columns`` from ``cells``: the
     three core metrics, then the extra factors. A blank extra cell's value
-    is NaN.
+    is NaN. ``caps`` holds the core metrics' caps in the file's unit.
     """
     raw_name = cells[name_index].strip()
     if not raw_name:
@@ -300,40 +304,32 @@ def _parse_row(
         return None
 
     # float() ignores the whitespace around a number, so a row of finite
-    # numbers needs no per-cell work; any other row goes cell by cell.
+    # numbers within their caps needs no per-cell work; any other row goes
+    # cell by cell.
     try:
         values = list(map(float, value_cells(cells)))
     except ValueError:
         values = None
-    if values is None or not all(map(math.isfinite, values)):
-        values = _cell_values(value_columns, value_cells(cells), line, report)
-        if values is None:
-            return None
-
-    prevalence, untested, coverage = values[:3]
-    if prevalence < 0:
-        report.error(f"{COL_PREVALENCE} must be non-negative, got {prevalence}", f"row {line}")
-        return None
-    upper = 1.0 if unit == "fraction" else 100.0
-    if not (0 <= untested <= upper and 0 <= coverage <= upper):
-        bounds_label = "[0,1] (unit=fraction)" if unit == "fraction" else "[0,100]"
-        for column, value in ((COL_UNTESTED, untested), (COL_COVERAGE, coverage)):
-            if not 0 <= value <= upper:
-                report.error(f"percentage out of range {bounds_label}: {column}", f"row {line}")
-        return None
-    if unit == "fraction":
-        values[1] = untested * 100.0
-        values[2] = coverage * 100.0
-    return name, values
+    if values is not None and all(map(math.isfinite, values)):
+        p, u, h = values[:3]  # the prevalence, untested and coverage values
+        p_cap, u_cap, h_cap = caps
+        if 0 <= p <= p_cap and 0 <= u <= u_cap and 0 <= h <= h_cap:
+            return name, values
+    values = _cell_values(value_columns, value_cells(cells), caps, line, report)
+    return None if values is None else (name, values)
 
 
 def _cell_values(
-    columns: tuple[str, ...], cells: tuple[str, ...], line: int, report: ValidationReport
+    columns: tuple[str, ...], cells: tuple[str, ...], caps: tuple[float, ...], line: int,
+    report: ValidationReport,
 ) -> list[float] | None:
-    """Each cell's number, NaN for a blank cell; None if any cell excludes the row."""
+    """Each cell's number, NaN for a blank cell; None if any cell excludes the row.
+
+    Each cell that breaks a rule of :func:`model.value_fault` is reported.
+    """
     issues_before = len(report.issues)
     values: list[float] = []
-    for column, cell in zip(columns, cells):
+    for column, cell, cap in zip(columns, cells, chain(caps, repeat(None))):
         cell = cell.strip()
         values.append(math.nan)
         if not cell:
@@ -345,27 +341,12 @@ def _cell_values(
         except ValueError:
             report.error(f"non-numeric value {cell!r} in column {column}", f"row {line}")
             continue
-        if not math.isfinite(value):
-            report.error(f"non-finite value {cell!r} in column {column}", f"row {line}")
+        fault = value_fault(column, value, cap)
+        if fault:
+            report.error(fault, f"row {line}")
             continue
         values[-1] = value
     return None if len(report.issues) > issues_before else values
-
-
-def write_city_dataset(dataset: CityDataset, path: str | Path) -> None:
-    """Serialize a dataset back to the canonical CSV schema; a blank extra cell stays blank."""
-    extras = dataset.factor_names()[2:]
-    columns = [
-        dataset.prevalence,
-        dataset.untested_pct,
-        dataset.public_coverage_pct,
-        *map(dataset.extra_columns.__getitem__, extras),
-    ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*CORE_COLUMNS, *extras])
-        for name, *values in zip(dataset.names, *columns):
-            writer.writerow([name, *("" if math.isnan(value) else repr(value) for value in values)])
 
 
 def parse_model_runs(

@@ -16,6 +16,12 @@ kind has one constructor, its class call: a ``NamedTuple`` under
 run its ``__post_init__``. Neither kind uses ``dataclasses``: importing it
 and building frozen dataclasses would cost more than the rest of the CLI's
 start-up.
+
+Each input rule lives here once, and every reader or type that checks it
+words its faults here: the metric bounds in :data:`METRIC_CAPS` and
+:func:`value_fault`; the name rules, non-blank and distinct, in
+:class:`_Columnar` and :func:`duplicate_name`; the weight limits, ``alpha``
+in (0, 1) and ``r`` in [-1, 1], in :class:`WeightConfig`.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import math
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from operator import eq, ge, le, mul, truediv
 from pathlib import Path
 from types import MappingProxyType
@@ -38,6 +44,28 @@ COL_PREVALENCE = "prevalence_per_1000"
 COL_UNTESTED = "untested_pct"
 COL_COVERAGE = "public_coverage_pct"
 CORE_COLUMNS = (COL_NEIGHBORHOOD, COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE)
+# The bounds of the core metrics, in CSV column order: every value is finite and
+# at least 0; prevalence has no cap, and a percentage is at most 100.
+METRIC_CAPS = MappingProxyType({COL_PREVALENCE: math.inf, COL_UNTESTED: 100.0, COL_COVERAGE: 100.0})
+
+
+def value_fault(column: str, value: float, cap: float | None = None) -> str | None:
+    """Why ``value`` may not stand in ``column``, or None: every value fault is worded here.
+
+    A core metric's value lies in [0, ``cap``], its cap in :data:`METRIC_CAPS`
+    or that cap in a file's own unit. With no cap, ``column`` is an extra
+    factor, whose value need only be finite.
+    """
+    if math.isfinite(value) and (cap is None or 0 <= value <= cap):
+        return None
+    if cap is None:
+        return f"extra factor {column!r} must be finite, got {value}"
+    return f"{column} out of range [0, {cap:g}{')' if cap == math.inf else ']'}, got {value}"
+
+
+def duplicate_name(name: str) -> str:
+    """The fault of a name that repeats in one value, worded once for every check of it."""
+    return f"duplicate neighborhood {name!r}"
 
 
 def validated(cls):
@@ -117,8 +145,11 @@ class _Columnar(Value):
     """A value that holds one entry per neighborhood as columns; ``len()`` counts them.
 
     ``names``, a tuple of the canonical names in the value's order, is one
-    of its fields; a blank name is refused, as a record refuses it, before
-    the subclass's own checks. A failing neighborhood's index is the error's ``at``.
+    of its fields. The name rules live here and bind every columnar type:
+    :meth:`_init` refuses a blank name before the subclass's own checks,
+    as a record refuses one, and a repeated name after them, so a ranking
+    reports a bad score, then its order, then a repeat. A failing
+    neighborhood's index is the error's ``at``.
 
     Each float column is a read-only view of an ``array('d')`` made by
     :meth:`_column`, so a value costs 8 bytes, not a float object; a field
@@ -130,11 +161,16 @@ class _Columnar(Value):
     __slots__ = ()
 
     def _init(self, *values) -> None:
-        names = values[self.__slots__.index("names")]
+        self._refuse_blank(values[self.__slots__.index("names")])
+        super()._init(*values)
+        self._check_distinct()
+
+    @staticmethod
+    def _refuse_blank(names: Sequence[str]) -> None:
+        """Raise on a blank name; ``at`` is its index."""
         if not all(map(str.strip, names)):
             index = next(i for i, name in enumerate(names) if not name.strip())
             raise InvalidNameError("neighborhood name must be non-empty", at=(index,))
-        super()._init(*values)
 
     @staticmethod
     def _column(values: Iterable[float]) -> memoryview:
@@ -180,9 +216,7 @@ class _Columnar(Value):
             seen: set[str] = set()
             for index, name in enumerate(names):
                 if name in seen:
-                    raise DomainValidationError(
-                        f"{self.city}: duplicate neighborhood {name!r}", at=(index,)
-                    )
+                    raise DomainValidationError(f"{self.city}: {duplicate_name(name)}", at=(index,))
                 seen.add(name)
 
 
@@ -316,10 +350,6 @@ _CITY_REGISTRY: dict[str, CityProfile] = {
 }
 
 
-def known_cities() -> tuple[str, ...]:
-    return tuple(_CITY_REGISTRY)
-
-
 def city_profile(city: str) -> CityProfile:
     key = city.strip().lower()
     try:
@@ -350,7 +380,8 @@ class NeighborhoodRecord(NamedTuple):
 
     ``name`` is expected in canonical form (see :func:`canonicalize_name`);
     ``extra_factors`` holds any additional named numeric columns, kept as a
-    read-only copy. Every value must be finite.
+    read-only copy. The values obey :data:`METRIC_CAPS`, the name
+    :class:`_Columnar`'s blank-name rule, each worded as a dataset words it.
     """
 
     name: str
@@ -360,23 +391,16 @@ class NeighborhoodRecord(NamedTuple):
     extra_factors: Mapping[str, float] = MappingProxyType({})
 
     def __post_init__(self) -> NeighborhoodRecord:
-        name, prevalence, untested_pct, public_coverage_pct, extra_factors = self
-        if not name.strip():
-            raise InvalidNameError("neighborhood name must be non-empty")
-        if not math.isfinite(prevalence) or prevalence < 0:
-            raise DomainValidationError(
-                f"{name}: prevalence must be a non-negative real, got {prevalence}"
-            )
-        # Comparisons with NaN are false, so the range test also rejects non-finite values.
-        for label, value in ((COL_UNTESTED, untested_pct), (COL_COVERAGE, public_coverage_pct)):
-            if not 0 <= value <= 100:
-                raise DomainValidationError(f"{name}: {label} out of range [0,100], got {value}")
+        name, *metrics, extra_factors = self
+        _Columnar._refuse_blank((name,))
         extra_factors = dict(extra_factors)
-        for factor, value in extra_factors.items():
-            if not math.isfinite(value):
-                raise DomainValidationError(
-                    f"{name}: extra factor {factor!r} must be finite, got {value}"
-                )
+        faults = chain(
+            map(value_fault, METRIC_CAPS, metrics, METRIC_CAPS.values()),
+            map(value_fault, extra_factors, extra_factors.values()),
+        )
+        fault = next(filter(None, faults), None)
+        if fault:
+            raise DomainValidationError(f"{name}: {fault}")
         return tuple.__new__(type(self), (*self[:4], MappingProxyType(extra_factors)))
 
 
@@ -448,21 +472,18 @@ class CityDataset(_Columnar):
         columns = (self.prevalence, self.untested_pct, self.public_coverage_pct)
         if any(len(values) != len(names) for values in (*columns, *self.extra_columns.values())):
             raise DomainValidationError(f"{self.city}: every column needs one value per name")
-        self._check_distinct()
         if self.unit_kind is UnitKind.ZIP_CODE and not all(map(is_zip_code, names)):
             name = next(name for name in names if not is_zip_code(name))
             raise DomainValidationError(f"{self.city}: {name!r} is not a 5-digit ZIP code")
-        for label, values, upper in zip(CORE_COLUMNS[1:], columns, (math.inf, 100, 100)):
-            if not all(map(math.isfinite, values)) or min(values) < 0 or max(values) > upper:
-                row = next(
-                    i for i, value in enumerate(values)
-                    if not (math.isfinite(value) and 0 <= value <= upper)
-                )
-                self._reject(row, f"{label} out of range [0, {upper}], got {values[row]}")
+        for (label, cap), values in zip(METRIC_CAPS.items(), columns):
+            if not all(map(math.isfinite, values)) or min(values) < 0 or max(values) > cap:
+                faults = map(value_fault, repeat(label), values, repeat(cap))
+                self._reject(*next((row, f) for row, f in enumerate(faults) if f))
         for factor, values in self.extra_columns.items():
+            # NaN is a blank cell, so only an infinity breaks the rule.
             if any(map(math.isinf, values)):
                 row = next(i for i, value in enumerate(values) if math.isinf(value))
-                self._reject(row, f"extra factor {factor!r} must be finite, got {values[row]}")
+                self._reject(row, value_fault(factor, values[row]))
 
     def _reject(self, row: int, problem: str) -> None:
         raise DomainValidationError(f"{self.city}: {self.names[row]}: {problem}", at=(row,))
@@ -617,8 +638,6 @@ class PriorityRanking(_Columnar):
                 "with canonical-name tie-break",
                 at=(index,),
             )
-        del tied
-        self._check_distinct()
 
     @property
     def scaled_scores(self) -> memoryview:

@@ -41,39 +41,24 @@ def derive_weights(
 ) -> WeightConfig:
     """Derive (beta, gamma) from the coverage-prevalence correlation ``r``.
 
-    Negative correlations are clamped to zero (with a warning) instead of
-    producing a negative coverage weight, which would invert the metric's
-    intent.
+    :class:`WeightConfig` checks ``alpha`` and ``r``, before any warning or
+    rescaling. Negative correlations are clamped to zero (with a warning)
+    instead of producing a negative coverage weight, which would invert the
+    metric's intent.
     """
     variant = WeightVariant(variant)
-    if not 0 < alpha < 1:
-        raise DomainValidationError(f"alpha must be in the open interval (0, 1), got {alpha}")
-    if not -1 <= r <= 1:
-        raise DomainValidationError(f"correlation must lie in [-1, 1], got {r}")
+    weights = WeightConfig(alpha, *derived_beta_gamma(r, alpha, variant), variant, r)
     if r < 0:
         warnings.warn(
             f"negative correlation {r} clamped to 0 for weight derivation",
             DataQualityWarning,
             stacklevel=2,
         )
-    beta, gamma = derived_beta_gamma(r, alpha, variant)
-    if normalize:
-        total = alpha + beta + gamma
-        return WeightConfig(
-            alpha=alpha / total,
-            beta=beta / total,
-            gamma=gamma / total,
-            variant=variant,
-            source_correlation=r,
-            normalized=True,
-        )
-    return WeightConfig(
-        alpha=alpha,
-        beta=beta,
-        gamma=gamma,
-        variant=variant,
-        source_correlation=r,
-    )
+    if not normalize:
+        return weights
+    alpha, beta, gamma = weights[:3]
+    total = alpha + beta + gamma
+    return WeightConfig(alpha / total, beta / total, gamma / total, variant, r, normalized=True)
 
 
 def score_city(

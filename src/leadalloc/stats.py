@@ -28,7 +28,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     Raises :class:`UndefinedCorrelationError` when fewer than two points
     are given or either input has zero variance, and
     :class:`DomainValidationError` on a value that is not finite; never
-    returns a default.
+    returns a default. Any finite values work: each column is first scaled
+    by a power of two (see :func:`_centered`), which leaves r unchanged.
     """
     if len(x) != len(y):
         raise DomainValidationError(f"length mismatch: {len(x)} vs {len(y)}")
@@ -36,20 +37,30 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(x)
     if n < 2:
         raise UndefinedCorrelationError(f"need at least 2 points, got {n}")
-    from array import array  # deferred: only a correlation builds these columns
-
-    mean_x = math.fsum(x) / n
-    mean_y = math.fsum(y) / n
-    # Float64 columns, not lists: a float object costs 32 bytes, a column's value 8.
-    dx = array("d", map(sub, x, repeat(mean_x)))
-    dy = array("d", map(sub, y, repeat(mean_y)))
-    sxx = math.fsum(map(pow, dx, repeat(2)))
-    syy = math.fsum(map(pow, dy, repeat(2)))
+    dx, dy = _centered(x), _centered(y)
+    # Products, not pow(d, 2): a product is correctly rounded, so exact under the scaling.
+    sxx = math.fsum(map(mul, dx, dx))
+    syy = math.fsum(map(mul, dy, dy))
     if sxx == 0.0 or syy == 0.0:
         raise UndefinedCorrelationError("zero variance makes correlation undefined")
     sxy = math.fsum(map(mul, dx, dy))
     r = sxy / math.sqrt(sxx * syy)
     return min(1.0, max(-1.0, r))
+
+
+def _centered(values: Sequence[float]) -> Sequence[float]:
+    """``values`` less their mean, once scaled so that the largest magnitude is in [0.5, 1).
+
+    A power-of-two scale is exact unless a value becomes subnormal. Below 1,
+    no sum, square or product in :func:`pearson` overflows, and a column
+    that varies keeps a variance above 0.
+    """
+    from array import array  # deferred: only a correlation builds these columns
+
+    shift = -math.frexp(max(map(abs, values)))[1]
+    mean = math.fsum(map(math.ldexp, values, repeat(shift))) / len(values)
+    # A float64 column, not a list: a float object costs 32 bytes, a column's value 8.
+    return array("d", map(sub, map(math.ldexp, values, repeat(shift)), repeat(mean)))
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:

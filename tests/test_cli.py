@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import json
+import math
 import os
 import subprocess
 import sys
@@ -381,6 +382,32 @@ class TestScore:
         assert code == 2
         assert "alpha" in err
 
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--alpha", "2"], "alpha must be in (0, 1), got 2.0"),
+            # Checked after normalizing, these weights would sum to 0.0 and divide by it.
+            (
+                ["--alpha", "2", "--r-override", "0.5", "--normalize-weights"],
+                "alpha must be in (0, 1), got 2.0",
+            ),
+            (["--r-override", "1.5"], "source correlation must lie in [-1, 1], got 1.5"),
+        ],
+    )
+    def test_weight_limits_read_as_in_a_ranking_file(
+        self, capsys, demo_csv, demo_ranking, flags, message
+    ):
+        code, out, err = run_cli(
+            capsys, "score", "--input", str(demo_csv), "--city", "demo", *flags
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        doc = json.loads(demo_ranking.read_text(encoding="utf-8"))
+        doc["weights"]["alpha"] = 2.0 if "--alpha" in flags else 0.5
+        doc["weights"]["source_correlation"] = 1.5 if "--r-override" in flags else 0.5
+        demo_ranking.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "allocate", "--ranking", str(demo_ranking), "--kits", "9")
+        assert (code, out, err) == (2, "", f"error: {demo_ranking}: /weights: {message}\n")
+
     def test_degenerate_columns_warn_on_stderr(self, capsys, write_file):
         path = write_file(
             """
@@ -567,6 +594,44 @@ class TestUndecodableInput:
 
 
 GOOD_HEADER = "neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct"
+
+
+class TestFiniteExtremes:
+    """Any finite values are scored and correlated: a correlation is never an internal error."""
+
+    def test_score_with_the_largest_prevalences(self, capsys, write_file):
+        # fsum overflowed summing the prevalence column: exit 1.
+        rows = "\na,1.7e308,10,20\nb,1.7e308,20,30\nc,1,30,10\n"
+        path = write_file(GOOD_HEADER + rows)
+        code, out, err = run_cli(
+            capsys, "score", "--input", str(path), "--city", "demo", "--json"
+        )
+        assert (code, err) == (0, "")
+        r = json.loads(out)["weights"]["source_correlation"]
+        assert r == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
+
+    def test_correlate_an_extra_factor_of_largest_magnitude(self, capsys, write_file):
+        # pow overflowed squaring a deviation: exit 1.
+        rows = "\na,1,10,20,1e308\nb,2,20,30,-1e308\nc,3,30,10,0\n"
+        path = write_file(GOOD_HEADER + ",f" + rows)
+        code, out, err = run_cli(
+            capsys, "correlate", "--input", str(path), "--city", "demo", "--json",
+            "--factors", "f",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["correlations"] == [{"factor": "f", "r": -0.5, "n": 3}]
+
+    def test_score_with_a_subnormal_prevalence(self, capsys, write_file):
+        # The squared deviations underflowed, and a varying column read as constant: exit 2.
+        rows = "\na,5e-324,10,10\nb,0,20,30\nc,0,30,20\n"
+        path = write_file(GOOD_HEADER + rows)
+        code, out, err = run_cli(
+            capsys, "score", "--input", str(path), "--city", "demo", "--json"
+        )
+        assert code == 0
+        assert err.startswith("warning: negative correlation")
+        r = json.loads(out)["weights"]["source_correlation"]
+        assert r == pytest.approx(-math.sqrt(3) / 2, abs=1e-15)
 
 
 class TestInputBoundary:
@@ -814,7 +879,7 @@ class TestInputBoundary:
         code, out, err = run_cli(capsys, "score", "--city", "chicago", "--input", str(path))
         assert (code, out) == (2, "")
         assert err.splitlines() == [
-            f"error: {path}: row 2: percentage out of range [0,100]: untested_pct",
+            f"error: {path}: row 2: untested_pct out of range [0, 100], got 200.0",
             f"warning: {path}: row 3: row excluded: missing untested_pct",
             f"error: {path}: row 4: non-numeric value 'x' in column prevalence_per_1000",
         ]

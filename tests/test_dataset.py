@@ -4,14 +4,22 @@ from __future__ import annotations
 
 import math
 import struct
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import dataset_of_records, metric, ranking_of_entries, record
-from leadalloc.errors import DomainValidationError, LeadAllocError, UndefinedCorrelationError
+from leadalloc.errors import (
+    DatasetValidationError,
+    DomainValidationError,
+    LeadAllocError,
+    UndefinedCorrelationError,
+)
+from leadalloc.ingest import parse_city_dataset
 from leadalloc.model import (
     CityDataset,
     NeighborhoodRecord,
@@ -214,7 +222,7 @@ class TestColumns:
             ((["a", "b", "a"], [1, 2, 3], [3, 4, 5], [5, 6, 7]), "duplicate neighborhood 'a'"),
             ((["a", "b"], [1, math.nan], [3, 4], [5, 6]), r"b: prevalence_per_1000 out of range"),
             ((["a", "b"], [-1, 2], [3, 4], [5, 6]), r"a: prevalence_per_1000 out of range"),
-            ((["a", "b"], [1, math.inf], [3, 4], [5, 6]), r"range \[0, inf\], got inf"),
+            ((["a", "b"], [1, math.inf], [3, 4], [5, 6]), r"range \[0, inf\), got inf"),
             ((["a", "b"], [1, 2], [3, 101], [5, 6]), r"b: untested_pct out of range \[0, 100\]"),
             ((["a", "b"], [1, 2], [3, 4], [math.nan, 6]), "a: public_coverage_pct out of range"),
             ((["a", "b"], [1, 2], [3, 4], [5, -0.5]), "b: public_coverage_pct out of range"),
@@ -303,3 +311,45 @@ def test_equality_hash_and_repr_build_no_record(monkeypatch):
 
 def test_a_signed_zero_makes_the_columns_unequal():
     assert columns_dataset(["a"], [0.0], [1], [2]) != columns_dataset(["a"], [-0.0], [1], [2])
+
+
+# Values at and past every bound, and any float besides.
+_EDGES = st.sampled_from(
+    [0.0, -0.0, -5e-324, 5e-324, 1.0, 100.0, 100.00000000000001, 1e308, -1e308,
+     math.inf, -math.inf, math.nan]
+)
+
+
+@given(st.tuples(*[st.floats() | _EDGES] * 3), st.floats(allow_nan=False) | _EDGES.filter(
+    lambda value: not math.isnan(value)  # NaN in a dataset's extra column is a blank cell
+))
+def test_a_csv_row_a_record_and_a_dataset_give_one_verdict_per_value(metrics, extra):
+    """All three accept the values, or all reject them with the same fault text."""
+    verdicts = []
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "city.csv"
+        path.write_text(
+            "neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct,f\n"
+            + ",".join(["a", *map(repr, (*metrics, extra))]) + "\n",
+            encoding="utf-8",
+        )
+        try:
+            parsed, _ = parse_city_dataset(path, "demo")
+        except DatasetValidationError as exc:
+            verdicts.append(exc.report.errors()[0].message)
+        else:
+            verdicts.append(None)
+    try:
+        record("a", *metrics, f=extra)
+    except DomainValidationError as exc:
+        verdicts.append(str(exc).removeprefix("a: "))
+    else:
+        verdicts.append(None)
+    try:
+        built = columns_dataset(["a"], *([value] for value in metrics), {"f": [extra]})
+    except DomainValidationError as exc:
+        verdicts.append(str(exc).removeprefix("demo: a: "))
+    else:
+        verdicts.append(None)
+        assert parsed == built
+    assert verdicts[0] == verdicts[1] == verdicts[2]

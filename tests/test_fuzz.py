@@ -33,7 +33,15 @@ from leadalloc.ingest import (
     parse_targets,
     write_ranking,
 )
-from leadalloc.model import CORE_COLUMNS, AliasTable, PriorityRanking, Strategy
+from leadalloc.model import (
+    COL_COVERAGE,
+    COL_PREVALENCE,
+    COL_UNTESTED,
+    CORE_COLUMNS,
+    AliasTable,
+    PriorityRanking,
+    Strategy,
+)
 from leadalloc.scoring import derive_weights, score_city
 
 # Small budgets keep the whole suite near its usual run time; the examples
@@ -236,6 +244,31 @@ def test_allocate_names_a_bad_number(argv_files, flags):
 def test_score_names_a_bad_number(argv_files, flag):
     csv = argv_files["csv"][0]
     assert_answered(["score", "--city", "demo", "--input", csv, flag], (csv,))
+
+
+# Finite floats, the extremes among them: the largest, the subnormals and their negations.
+# A core column draws mostly values within its bounds, so that most rows reach a correlation.
+EXTREMES = st.sampled_from([1.7976931348623157e308, 1e308, 1.7e308, 5e-324, 1e-310, 2.2e-308])
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | EXTREMES | EXTREMES.map(float.__neg__)
+PREVALENCE = st.floats(0, allow_infinity=False) | EXTREMES | FINITE
+PERCENTAGE = st.floats(0, 100) | st.sampled_from([0.0, 5e-324, 2.2e-308, 100.0]) | FINITE
+
+
+# More examples than FUZZ: on the old code, which overflowed, two of three seeded runs of
+# 40 examples passed, and two of eight runs of 100.
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(PERCENTAGE, PERCENTAGE, PREVALENCE, FINITE), min_size=2, max_size=5))
+def test_score_and_correlate_answer_any_finite_values_with_0_or_2(rows):
+    """A correlation of any finite values is an r or a named fault, never an internal error."""
+    lines = [f"{CORE_COLUMNS[0]},{COL_COVERAGE},{COL_UNTESTED},{COL_PREVALENCE},f"]
+    lines += [f"n{i},{h!r},{u!r},{p!r},{f!r}" for i, (h, u, p, f) in enumerate(rows)]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "city.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for command in ("score", "correlate"):
+            argv = [command, "--city", "demo", "--input", str(path)]
+            code, _, stderr = run_main(argv)
+            assert code in (0, 2) and "internal error" not in stderr, f"{argv}: {stderr}"
 
 
 def assert_one_error_line_at(argv, path, pointer):

@@ -35,7 +35,6 @@ from leadalloc.ingest import (
     parse_targets,
     ranking_from_dict,
     read_text,
-    write_city_dataset,
     write_ranking,
 )
 from leadalloc.model import (
@@ -164,7 +163,7 @@ class TestParseCityDataset:
         with pytest.raises(DatasetValidationError) as excinfo:
             parse_city_dataset(path, "chicago")
         assert str(excinfo.value) == (
-            f"error: {path}: row 2: percentage out of range [0,100]: untested_pct"
+            f"error: {path}: row 2: untested_pct out of range [0, 100], got 120.0"
         )
 
     def test_duplicate_names_after_canonicalization(self, write_file):
@@ -225,7 +224,7 @@ class TestParseCityDataset:
             Austin,10.2,0.46,0.44
             """
         )
-        with pytest.raises(DatasetValidationError, match=r"\[0,1\]"):
+        with pytest.raises(DatasetValidationError, match=r"row 3: untested_pct out of range \[0, 1\], got 48.0"):
             parse_city_dataset(path, "chicago")
 
     def test_unknown_unit_rejected(self, write_file):
@@ -305,7 +304,7 @@ class TestParseCityDataset:
             Englewood,inf,48.0,41.0
             """
         )
-        with pytest.raises(DatasetValidationError, match="non-finite"):
+        with pytest.raises(DatasetValidationError, match=r"prevalence_per_1000 out of range \[0, inf\), got inf"):
             parse_city_dataset(path, "chicago")
 
     def test_negative_prevalence_is_an_error(self, write_file):
@@ -315,7 +314,7 @@ class TestParseCityDataset:
             Englewood,-2.0,48.0,41.0
             """
         )
-        with pytest.raises(DatasetValidationError, match="non-negative"):
+        with pytest.raises(DatasetValidationError, match=r"prevalence_per_1000 out of range \[0, inf\), got -2.0"):
             parse_city_dataset(path, "chicago")
 
     def test_empty_file_rejected(self, write_file):
@@ -364,14 +363,6 @@ class TestParseCityDataset:
         aliases = AliasTable.from_mapping({"bedford stuyvesant": ["bed stuy"]})
         dataset, _ = parse_city_dataset(path, "nyc", aliases=aliases)
         assert dataset.names == ("bedford stuyvesant", "greenpoint")
-
-    def test_round_trip_preserves_values_exactly(self, demo_csv, tmp_path):
-        original, _ = parse_city_dataset(demo_csv, "demo")
-        out = tmp_path / "roundtrip.csv"
-        write_city_dataset(original, out)
-        reparsed, report = parse_city_dataset(out, "demo")
-        assert report.accepted
-        assert reparsed == original
 
 
 class TestParseModelRuns:
@@ -794,7 +785,12 @@ class TestStreamingWriters:
 
     @given(
         st.text(),
-        st.lists(st.tuples(NAMES, st.integers(0, 10**30)), min_size=1, max_size=8),
+        st.lists(
+            st.tuples(NAMES, st.integers(0, 10**30)),
+            min_size=1,
+            max_size=8,
+            unique_by=lambda item: item[0],  # a plan names each neighborhood once
+        ),
         st.sampled_from(list(Strategy)),
     )
     def test_plan_matches_json_dump(self, city, allocations, strategy):

@@ -46,9 +46,9 @@ from leadalloc.model import (
     Value,
     WeightConfig,
     WeightVariant,
+    _Columnar,
     canonicalize_name,
     city_profile,
-    known_cities,
     register_city,
 )
 from leadalloc.scoring import derive_weights
@@ -163,9 +163,6 @@ class TestAliasTable:
 
 
 class TestCityRegistry:
-    def test_known_cities_include_the_three_supported_plus_demo(self):
-        assert set(known_cities()) >= {"chicago", "nyc", "dc", "demo"}
-
     def test_profiles(self):
         assert city_profile("chicago").bll_threshold_ug_dl == 5.0
         assert city_profile("DC").unit_kind is UnitKind.ZIP_CODE
@@ -248,17 +245,17 @@ class TestNeighborhoodRecord:
             (
                 ("austin", -0.1, 2.0, 3.0, {}),
                 DomainValidationError,
-                "austin: prevalence must be a non-negative real, got -0.1",
+                "austin: prevalence_per_1000 out of range [0, inf), got -0.1",
             ),
             (
                 ("austin", 1.0, 120.0, 3.0, {}),
                 DomainValidationError,
-                "austin: untested_pct out of range [0,100], got 120.0",
+                "austin: untested_pct out of range [0, 100], got 120.0",
             ),
             (
                 ("austin", 1.0, 2.0, math.nan, {}),
                 DomainValidationError,
-                "austin: public_coverage_pct out of range [0,100], got nan",
+                "austin: public_coverage_pct out of range [0, 100], got nan",
             ),
             (
                 ("austin", 1.0, 2.0, 3.0, {"f": 1.0, "g": math.inf}),
@@ -268,7 +265,7 @@ class TestNeighborhoodRecord:
             (
                 ("austin", -0.1, 120.0, 3.0, {}),
                 DomainValidationError,
-                "austin: prevalence must be a non-negative real, got -0.1",
+                "austin: prevalence_per_1000 out of range [0, inf), got -0.1",
             ),
         ],
         ids=["empty-name", "prevalence", "untested", "nan-coverage", "extra", "first-check-wins"],
@@ -570,7 +567,7 @@ def test_ranking_and_plan_hold_columns():
         plan._replace(kits=(3, 1))
 
 
-@pytest.mark.parametrize(
+EACH_COLUMNAR_TYPE = pytest.mark.parametrize(
     "build",
     [
         lambda names: CityDataset(
@@ -584,11 +581,28 @@ def test_ranking_and_plan_hold_columns():
     ],
     ids=["dataset", "ranking", "plan"],
 )
+
+
+@EACH_COLUMNAR_TYPE
 @pytest.mark.parametrize("names", [["", "Old-Town"], ["b", " "], ["a", "\t\n", "b"]])
 def test_columnar_values_refuse_a_blank_name(build, names):
     # As a record refuses one: a blank name would only fail later, in ``records``.
     with pytest.raises(InvalidNameError, match="^neighborhood name must be non-empty$"):
         build(names)
+
+
+@EACH_COLUMNAR_TYPE
+def test_columnar_values_refuse_a_repeated_name_through_one_check(build, monkeypatch):
+    checks = []
+    check_distinct = _Columnar._check_distinct
+    monkeypatch.setattr(
+        _Columnar, "_check_distinct", lambda self: checks.append(check_distinct(self))
+    )
+    build(["a", "b", "c"])
+    assert len(checks) == 1
+    with pytest.raises(DomainValidationError) as raised:
+        build(["a", "b", "b"])
+    assert (str(raised.value), raised.value.at) == ("demo: duplicate neighborhood 'b'", (2,))
 
 
 def _value_cases():

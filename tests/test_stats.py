@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import pytest
 from hypothesis import given
@@ -106,6 +107,52 @@ class TestPearson:
         r = pearson(x, y)
         transformed = pearson([a * v + b for v in x], y)
         assert transformed == pytest.approx(math.copysign(1.0, a) * r, abs=1e-12)
+
+
+    @pytest.mark.parametrize(
+        ("x", "y", "r"),
+        [
+            # fsum overflowed on the sum of the prevalence column.
+            ([20.0, 30.0, 10.0], [1.7e308, 1.7e308, 1.0], math.sqrt(3) / 2),
+            # pow overflowed on a squared deviation.
+            ([1e308, -1e308, 0.0], [1.0, 2.0, 3.0], -0.5),
+            # The squared deviations underflowed to zero variance.
+            ([10.0, 30.0, 20.0], [5e-324, 0.0, 0.0], -math.sqrt(3) / 2),
+            # sxx * syy overflowed to inf, and r read 0.0.
+            ([1e100, 2e100, 4e100], [3e100, 6e100, 12e100], 1.0),
+        ],
+    )
+    def test_finite_extremes_give_r(self, x, y, r):
+        assert pearson(x, y) == pytest.approx(r, abs=1e-15)
+        assert pearson(y, x) == pytest.approx(r, abs=1e-15)
+
+    @given(st.data(), st.integers(2, 12))
+    def test_scaling_keeps_the_unscaled_formulas_bits(self, data, n):
+        """Bit for bit the unscaled two-pass formula, on magnitudes that stay normal.
+
+        That formula squared with ``pow``, which C libraries round to within
+        about half an ulp but not always correctly; a product is correctly
+        rounded, so exact under a power-of-two scale. Against ``pow`` r
+        moves by a few ulps at most.
+        """
+        ordinary = st.just(0.0) | st.floats(1e-30, 1e30) | st.floats(-1e30, -1e-30)
+        x, y = (data.draw(st.lists(ordinary, min_size=n, max_size=n)) for _ in "xy")
+        try:
+            r = pearson(x, y)
+        except UndefinedCorrelationError:
+            assert len(set(x)) == 1 or len(set(y)) == 1
+            return
+        assert r == _unscaled_pearson(x, y, lambda d: d * d)
+        assert abs(r - _unscaled_pearson(x, y, lambda d: pow(d, 2))) <= 4 * math.ulp(r)
+
+
+def _unscaled_pearson(x, y, square):
+    """The two-pass formula on the values as given, each deviation squared by ``square``."""
+    mean_x, mean_y = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx, dy = [v - mean_x for v in x], [v - mean_y for v in y]
+    sxx, syy = math.fsum(map(square, dx)), math.fsum(map(square, dy))
+    r = math.fsum(map(mul, dx, dy)) / math.sqrt(sxx * syy)
+    return min(1.0, max(-1.0, r))
 
 
 class TestSpearman:
