@@ -16,9 +16,7 @@ from operator import add, eq, floordiv, gt, mod, mul
 from typing import Sequence
 
 from .errors import DataQualityWarning, DomainValidationError
-from .model import AllocationPlan, PriorityRanking, Strategy
-
-DEFAULT_TOP_K = 3
+from .model import DEFAULT_TOP_K, AllocationPlan, PriorityRanking, Strategy
 
 # Fraction bits of the rank_weighted screen. Any width gives the exact plan;
 # a wider one leaves fewer entries whose remainder must be computed exactly.

@@ -26,9 +26,7 @@ from itertools import accumulate, repeat
 from operator import truediv
 
 from . import __version__, resources
-from .allocation import DEFAULT_TOP_K, allocate
-from .errors import DatasetValidationError, LeadAllocError
-from .evaluation import DEFAULT_K, build_report, format_report_table, report_to_dict, table_lines
+from .errors import DatasetValidationError, LeadAllocError, UndefinedCorrelationError
 from .ingest import (
     ValidationReport,
     dump_plan,
@@ -39,9 +37,7 @@ from .ingest import (
     parse_targets,
     write_ranking,
 )
-from .model import AliasTable, Strategy, WeightVariant
-from .scoring import DEFAULT_ALPHA, score_city
-from .stats import correlate_factors
+from .model import DEFAULT_ALPHA, DEFAULT_K, DEFAULT_TOP_K, AliasTable, Strategy, WeightVariant
 
 ALIAS_ENV_VAR = "LEADALLOC_ALIAS_FILE"
 
@@ -179,12 +175,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
+    from .stats import correlate_factors  # deferred: each command loads only its own modules
+
     dataset, report = parse_city_dataset(
         args.input, args.city, aliases=_alias_table(), strict=args.strict
     )
     _emit_report(report)
     factors = _split_factors(args.factors) if args.factors else list(dataset.factor_names())
-    results = correlate_factors(dataset, factors, estimator=args.estimator)
+    try:
+        results = correlate_factors(dataset, factors, estimator=args.estimator)
+    except UndefinedCorrelationError as exc:
+        raise ValidationReport(source=args.input).reject(str(exc)) from None
     if args.json:
         doc = {
             "city": dataset.city,
@@ -195,23 +196,25 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc, indent=2))
         return 0
+    from .evaluation import table_lines  # deferred: only a table needs it
+
     columns = list(zip(*results))  # factor, r, n
     sys.stdout.writelines(table_lines(("factor", "r", "n"), columns, ("", ".2f", "d"), left={0}))
     return 0
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from .scoring import score_city  # deferred: each command loads only its own modules
+
     dataset, report = parse_city_dataset(
         args.input, args.city, aliases=_alias_table(), strict=args.strict
     )
     _emit_report(report)
-    ranking = score_city(
-        dataset,
-        alpha=args.alpha,
-        variant=args.variant,
-        r_override=args.r_override,
-        normalize_weights=args.normalize_weights,
-    )
+    try:
+        ranking = score_city(dataset, args.alpha, args.variant, args.r_override,
+                             normalize_weights=args.normalize_weights)
+    except UndefinedCorrelationError as exc:
+        raise ValidationReport(source=args.input).reject(str(exc)) from None
     if args.out:
         write_ranking(ranking, args.out)
     if args.json:
@@ -221,6 +224,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     print(f"city: {ranking.city}  variant: {w.variant.value}  r: {w.source_correlation:g}")
     print(f"weights: alpha={w.alpha:g} beta={w.beta:g} gamma={w.gamma:g}")
     from array import array
+    from .evaluation import table_lines  # deferred: only a table needs it
 
     names = ranking.names
     position = dict(zip(dataset.names, range(len(dataset))))
@@ -237,12 +241,15 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_allocate(args: argparse.Namespace) -> int:
+    from .allocation import allocate  # deferred: each command loads only its own modules
+
     ranking = parse_ranking(args.ranking)
     plan = allocate(ranking, args.kits, args.strategy, k=args.k, floor=args.floor)
     if args.json:
         dump_plan(plan, sys.stdout)
         return 0
     from array import array
+    from .evaluation import table_lines  # deferred: only a table needs it
 
     kits = plan.kits
     shares = array("d", map(truediv, accumulate(kits), repeat(plan.total_kits)))
@@ -254,6 +261,8 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import evaluation  # deferred: each command loads only its own modules
+
     aliases = _alias_table()
     runs_path = args.runs if args.runs else resources.model_runs_path()
     targets_path = args.targets if args.targets else resources.targets_path()
@@ -261,11 +270,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _emit_report(runs_report)
     targets, targets_report = parse_targets(targets_path, aliases=aliases)
     _emit_report(targets_report)
-    report = build_report(runs, targets, k=args.k)
+    report = evaluation.build_report(runs, targets, k=args.k)
     if args.format == "json":
-        print(json.dumps(report_to_dict(report), indent=2))
+        print(json.dumps(evaluation.report_to_dict(report), indent=2))
     else:
-        sys.stdout.write(format_report_table(report))
+        sys.stdout.write(evaluation.format_report_table(report))
     return 0
 
 

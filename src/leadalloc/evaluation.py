@@ -20,14 +20,12 @@ from typing import (
 )
 
 from .errors import DomainValidationError
-from .model import ModelRun, TargetSet, validated
+from .model import DEFAULT_K, ModelRun, TargetSet, validated
 
 if TYPE_CHECKING:
     # Imported where used at run time: ``fractions`` loads ``decimal``, which
     # no command needs before it evaluates accuracies.
     from fractions import Fraction
-
-DEFAULT_K = 3
 
 
 def truncate_display(value: Fraction | int, places: int = 2) -> str:

@@ -19,7 +19,6 @@ given in [0, 1] and converts them to 0-100 on load.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter
@@ -268,6 +267,8 @@ def _leading_directives(lines: TextIO, report: ValidationReport) -> tuple[str, i
 
 def _csv_rows(lines: Iterable[str], first_line: int, report: ValidationReport):
     """Yield (row number, cells) for each non-blank row up to the first unreadable one."""
+    import csv  # deferred: only a CSV parse reads rows
+
     reader = csv.reader(lines)
     try:
         for cells in reader:

@@ -47,6 +47,8 @@ CORE_COLUMNS = (COL_NEIGHBORHOOD, COL_PREVALENCE, COL_UNTESTED, COL_COVERAGE)
 # The bounds of the core metrics, in CSV column order: every value is finite and
 # at least 0; prevalence has no cap, and a percentage is at most 100.
 METRIC_CAPS = MappingProxyType({COL_PREVALENCE: math.inf, COL_UNTESTED: 100.0, COL_COVERAGE: 100.0})
+# Defaults of alpha, top_k_equal's group size and the audit's top k (the parser reads them here).
+DEFAULT_ALPHA, DEFAULT_TOP_K, DEFAULT_K = 0.5, 3, 3
 
 
 def value_fault(column: str, value: float, cap: float | None = None) -> str | None:
@@ -278,10 +280,10 @@ class AliasTable(Value):
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Iterable[str]]) -> "AliasTable":
         alias_to_canonical: dict[str, str] = {}
-        canonicals = set()
+        canonicals: dict[str, str] = {}  # each canonical name's first key
         for canonical_raw, alias_list in mapping.items():
             canonical = located((canonical_raw,), canonicalize_name, canonical_raw)
-            canonicals.add(canonical)
+            canonicals.setdefault(canonical, canonical_raw)
             for position, alias_raw in enumerate(alias_list):
                 alias = located((canonical_raw, position), canonicalize_name, alias_raw)
                 if alias == canonical:
@@ -293,10 +295,11 @@ class AliasTable(Value):
                         at=(canonical_raw, position),
                     )
                 alias_to_canonical[alias] = canonical
-        chained = canonicals & alias_to_canonical.keys()
+        chained = [name for name in canonicals if name in alias_to_canonical]
         if chained:
             raise DomainValidationError(
-                f"canonical names also appear as aliases (chained mapping): {sorted(chained)}"
+                f"canonical names also appear as aliases (chained mapping): {sorted(chained)}",
+                at=(canonicals[chained[0]],),
             )
         return cls(alias_to_canonical)
 
@@ -523,6 +526,12 @@ class CityDataset(_Columnar):
         return (COL_UNTESTED, COL_COVERAGE, *sorted(self.extra_columns))
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a prevalence weight that is not an int or float in (0, 1), before any use of it."""
+    if not (isinstance(alpha, (int, float)) and 0 < alpha < 1):
+        raise DomainValidationError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def derived_beta_gamma(r: float, alpha: float, variant: WeightVariant) -> tuple[float, float]:
     """(beta, gamma) under ``variant``'s rule, with ``r`` clamped to [0, 1].
 
@@ -546,8 +555,7 @@ class WeightConfig(NamedTuple):
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        if not 0 < self.alpha < 1:
-            raise DomainValidationError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         if self.beta < 0 or self.gamma < 0:
             raise DomainValidationError("beta and gamma must be non-negative")
         if not -1 <= self.source_correlation <= 1:

@@ -21,15 +21,16 @@ from operator import add, itemgetter, mul
 
 from .errors import DataQualityWarning, DomainValidationError
 from .model import (
+    COL_COVERAGE,
+    DEFAULT_ALPHA,
     CityDataset,
     PriorityRanking,
     WeightConfig,
     WeightVariant,
+    check_alpha,
     derived_beta_gamma,
 )
-from .stats import _min_max_scaled, pearson
-
-DEFAULT_ALPHA = 0.5
+from .stats import _min_max_scaled, _named, pearson
 
 
 def derive_weights(
@@ -41,12 +42,13 @@ def derive_weights(
 ) -> WeightConfig:
     """Derive (beta, gamma) from the coverage-prevalence correlation ``r``.
 
-    :class:`WeightConfig` checks ``alpha`` and ``r``, before any warning or
-    rescaling. Negative correlations are clamped to zero (with a warning)
-    instead of producing a negative coverage weight, which would invert the
-    metric's intent.
+    ``alpha`` is checked before the derivation and ``r`` by :class:`WeightConfig`,
+    both before any warning or rescaling. Negative correlations are clamped to
+    zero (with a warning) instead of producing a negative coverage weight,
+    which would invert the metric's intent.
     """
     variant = WeightVariant(variant)
+    check_alpha(alpha)  # first: an int past float range overflows the derivation
     weights = WeightConfig(alpha, *derived_beta_gamma(r, alpha, variant), variant, r)
     if r < 0:
         warnings.warn(
@@ -83,7 +85,7 @@ def score_city(
     prevalence = dataset.prevalence
     coverage = dataset.public_coverage_pct
 
-    r = r_override if r_override is not None else pearson(coverage, prevalence)
+    r = _named(pearson, coverage, prevalence, COL_COVERAGE) if r_override is None else r_override
     weights = derive_weights(r, alpha, variant, normalize=normalize_weights)
 
     from array import array  # deferred: only scoring builds the column

@@ -133,8 +133,16 @@ def correlate_factors(
             raise UndefinedCorrelationError(
                 f"factor {factor!r} overlaps prevalence on only {len(xs)} row(s)"
             )
-        results.append(CorrelationResult(factor, corr(xs, ys), len(xs)))
+        results.append(CorrelationResult(factor, _named(corr, xs, ys, factor), len(xs)))
     return results
+
+
+def _named(corr, xs: Sequence[float], ys: Sequence[float], factor: str) -> float:
+    """``corr(xs, ys)`` of ``factor`` and prevalence; an undefined one names the pair."""
+    try:
+        return corr(xs, ys)
+    except UndefinedCorrelationError as exc:
+        raise UndefinedCorrelationError(f"{factor} vs {COL_PREVALENCE}: {exc}") from None
 
 
 def min_max_normalize(values: Sequence[float]) -> list[float]:

@@ -15,7 +15,7 @@ import pytest
 
 import leadalloc
 from helpers import ranking_from_scores
-from leadalloc import cli, resources
+from leadalloc import cli, evaluation, resources
 from leadalloc.cli import ALIAS_ENV_VAR, main
 from leadalloc.ingest import parse_ranking, write_ranking
 from leadalloc.model import CORE_COLUMNS
@@ -150,7 +150,7 @@ class TestEvaluate:
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(cli, "build_report", boom)
+        monkeypatch.setattr(evaluation, "build_report", boom)
         code, out, err = run_cli(capsys, "evaluate")
         assert code == 1
         assert "internal error: boom" in err
@@ -636,6 +636,21 @@ class TestFiniteExtremes:
 
 class TestInputBoundary:
     @pytest.mark.parametrize(
+        ("command", "header", "rows", "column"),
+        [
+            ("correlate", GOOD_HEADER + ",f", "a,1,10,20,5\nb,2,20,30,5\nc,4,30,10,5", "f"),
+            ("score", GOOD_HEADER, "a,1,10,40\nb,2,20,40\nc,4,30,40", "public_coverage_pct"),
+        ],
+    )
+    def test_a_constant_column_names_its_pair_and_the_file(
+        self, capsys, write_file, command, header, rows, column
+    ):
+        path = write_file(f"{header}\n{rows}\n", "flat.csv")
+        code, out, err = run_cli(capsys, command, "--input", str(path), "--city", "demo")
+        message = f"{column} vs prevalence_per_1000: zero variance makes correlation undefined"
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
+    @pytest.mark.parametrize(
         "command, source",
         [
             (["score", "--city", "demo", "--input"], "demo_csv"),
@@ -909,10 +924,16 @@ class TestInputBoundary:
             ({"a": ["b", "-"]}, "/a/1: name is empty after normalization: '-'"),
             (
                 {"old town": ["new town"], "new town": ["x"]},
-                "canonical names also appear as aliases (chained mapping): ['new town']",
+                "/new town: canonical names also appear as aliases (chained mapping): ['new town']",
+            ),
+            (
+                {"mill east": ["mill-e"], "mill e": ["x"]},
+                "/mill e: canonical names also appear as aliases (chained mapping): ['mill e']",
             ),
         ],
-        ids=["empty-name", "alias-of-two-names", "empty-alias", "chained"],
+        ids=[
+            "empty-name", "alias-of-two-names", "empty-alias", "chained", "chained-once-canonical"
+        ],
     )
     def test_rejected_alias_table_names_the_file(
         self, capsys, write_file, monkeypatch, aliases, line
@@ -989,6 +1010,34 @@ def test_allocate_json_holds_the_ranking_once(tmp_path, monkeypatch):
     assert peak < 8_500_000
 
 
+# The names the package imported from its submodules before it loaded them lazily.
+EAGER_EXPORTS = (
+    "allocate", "largest_remainder",
+    "DataQualityWarning", "DatasetValidationError", "DomainValidationError", "InvalidNameError",
+    "LeadAllocError", "UndefinedCorrelationError", "UnknownCityError",
+    "AccuracyReport", "RunAccuracy", "build_report", "city_hits", "format_report_table",
+    "report_to_dict", "truncate_display",
+    "ValidationIssue", "ValidationReport", "parse_city_dataset", "parse_model_runs",
+    "parse_ranking", "parse_targets", "write_ranking",
+    "AliasTable", "AllocationEntry", "AllocationPlan", "CityDataset", "CityProfile", "ModelRun",
+    "NeighborhoodRecord", "PriorityRanking", "RankingEntry", "Recommendation", "Strategy",
+    "TargetSet", "UnitKind", "WeightConfig", "WeightVariant", "canonicalize_name",
+    "city_profile", "register_city",
+    "derive_weights", "score_city", "top_k",
+    "CorrelationResult", "correlate_factors", "min_max_normalize", "pearson", "spearman",
+)
+
+
+def loaded_after(statement: str, modules: tuple[str, ...]) -> str:
+    """A probe that runs ``statement``, stdout silenced, then prints which ``modules`` it loaded."""
+    return (
+        "import os, sys, leadalloc.cli\n"
+        "with open(os.devnull, 'w') as sys.stdout:\n"
+        f"    {statement}\n"
+        f"print(*[m for m in {modules!r} if m in sys.modules], file=sys.__stdout__)"
+    )
+
+
 class TestParserBasics:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
@@ -1047,17 +1096,51 @@ class TestParserBasics:
             child.stderr.close()
         assert "error:" not in stderr and "Exception ignored" not in stderr
 
-    def test_import_loads_no_start_up_heavy_modules(self):
-        # dataclasses (with inspect, ast, dis and tokenize), fractions (with
-        # decimal) and importlib.resources cost about 30 ms of start-up that no
-        # command needs to begin; array, about 0.6 ms, is for building columns.
-        heavy = (
-            "dataclasses", "inspect", "fractions", "decimal", "importlib.resources", "array"
-        )
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            # dataclasses (with inspect, ast, dis and tokenize), fractions (with
+            # decimal) and importlib.resources cost about 30 ms of start-up that no
+            # command needs to begin; array, about 0.6 ms, is for building columns.
+            loaded_after(
+                "import leadalloc.cli",
+                ("dataclasses", "inspect", "fractions", "decimal", "importlib.resources", "array"),
+            ),
+            # A command loads only its own modules, and csv only to read a CSV.
+            loaded_after(
+                "assert leadalloc.cli.main("
+                "['allocate', '--ranking', RANKING, '--kits', '1000', '--json']) == 0",
+                ("csv", "leadalloc.stats", "leadalloc.scoring", "leadalloc.evaluation"),
+            ),
+            loaded_after(
+                "assert leadalloc.cli.main(['evaluate']) == 0",
+                ("csv", "leadalloc.stats", "leadalloc.scoring", "leadalloc.allocation"),
+            ),
+            # The package loads each submodule when one of its names is first used.
+            "import leadalloc, sys\n"
+            "loaded = [m for m in sys.modules if m.startswith('leadalloc.')]\n"
+            "print(*[m for m in loaded if m != 'leadalloc.errors'])",
+            # ... and still exports every name it did when it imported them all up front,
+            # and no submodule by its name.
+            "import leadalloc\n"
+            "bound = {}\n"
+            "exec('from leadalloc import *', bound)\n"
+            f"names = {set(EAGER_EXPORTS)!r}\n"
+            "bound.pop('__builtins__')\n"
+            "print(*sorted((names - set(dir(leadalloc))) | (names ^ bound.keys())))",
+        ],
+        ids=["import-cli", "allocate-json", "evaluate", "import-package", "public-names"],
+    )
+    def test_import_loads_no_start_up_heavy_modules(self, tmp_path, capsys, demo_csv, probe):
+        ranking = tmp_path / "ranking.json"
+        if "RANKING" in probe:
+            argv = ["score", "--input", str(demo_csv), "--city", "demo", "--out", str(ranking)]
+            assert main(argv) == 0
+            capsys.readouterr()
+        # The child imports the same leadalloc as this test, installed or not.
         package_root = str(Path(leadalloc.__file__).resolve().parents[1])
-        probe = f"import sys, leadalloc.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
         result = subprocess.run(
-            [sys.executable, "-S", "-c", probe],
+            [sys.executable, "-S", "-c", f"RANKING = {str(ranking)!r}\n{probe}"],
             capture_output=True,
             text=True,
             timeout=60,

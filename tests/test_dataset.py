@@ -60,12 +60,23 @@ def rebuilt(dataset):
 # kept as references: the columns must give the same bits.
 
 
+def named_pair(corr, xs, ys, factor):
+    """``corr(xs, ys)``; an undefined correlation names the factor and prevalence."""
+    try:
+        return corr(xs, ys)
+    except UndefinedCorrelationError as exc:
+        raise UndefinedCorrelationError(f"{factor} vs prevalence_per_1000: {exc}") from None
+
+
 def score_city_by_records(dataset, alpha, variant, r_override, normalize):
     prevalence = [record.prevalence for record in dataset.records]
     untested = [record.untested_pct for record in dataset.records]
     coverage = [record.public_coverage_pct for record in dataset.records]
 
-    r = r_override if r_override is not None else pearson(coverage, prevalence)
+    if r_override is None:
+        r = named_pair(pearson, coverage, prevalence, "public_coverage_pct")
+    else:
+        r = r_override
     weights = derive_weights(r, alpha, variant, normalize=normalize)
 
     raw = [
@@ -96,7 +107,7 @@ def correlate_by_records(dataset, factors, estimator):
                 f"factor {factor!r} overlaps prevalence on only {len(pairs)} row(s)"
             )
         xs, ys = zip(*pairs)
-        results.append(CorrelationResult(factor, corr(xs, ys), len(pairs)))
+        results.append(CorrelationResult(factor, named_pair(corr, xs, ys, factor), len(pairs)))
     return results
 
 

@@ -16,6 +16,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -252,14 +253,29 @@ EXTREMES = st.sampled_from([1.7976931348623157e308, 1e308, 1.7e308, 5e-324, 1e-3
 FINITE = st.floats(allow_nan=False, allow_infinity=False) | EXTREMES | EXTREMES.map(float.__neg__)
 PREVALENCE = st.floats(0, allow_infinity=False) | EXTREMES | FINITE
 PERCENTAGE = st.floats(0, 100) | st.sampled_from([0.0, 5e-324, 2.2e-308, 100.0]) | FINITE
+# Any int or float, the ones past float range and the non-finite ones among them.
+NUMBER = st.integers() | st.floats() | st.sampled_from([10**400, -(10**400), 0.5])
 
 
 # More examples than FUZZ: on the old code, which overflowed, two of three seeded runs of
 # 40 examples passed, and two of eight runs of 100.
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(PERCENTAGE, PERCENTAGE, PREVALENCE, FINITE), min_size=2, max_size=5))
-def test_score_and_correlate_answer_any_finite_values_with_0_or_2(rows):
-    """A correlation of any finite values is an r or a named fault, never an internal error."""
+@given(
+    st.lists(st.tuples(PERCENTAGE, PERCENTAGE, PREVALENCE, FINITE), min_size=2, max_size=5),
+    NUMBER,
+    NUMBER,
+    st.booleans(),
+)
+def test_score_and_correlate_answer_any_finite_values_with_0_or_2(rows, r, alpha, normalize):
+    """A correlation of any finite values is an r or a named fault, never an internal error.
+
+    So is a library call of ``derive_weights`` with any int or float: only the
+    package's errors escape it.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with contextlib.suppress(LeadAllocError):
+            derive_weights(r, alpha, normalize=normalize)
     lines = [f"{CORE_COLUMNS[0]},{COL_COVERAGE},{COL_UNTESTED},{COL_PREVALENCE},f"]
     lines += [f"n{i},{h!r},{u!r},{p!r},{f!r}" for i, (h, u, p, f) in enumerate(rows)]
     with tempfile.TemporaryDirectory() as directory:

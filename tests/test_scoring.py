@@ -44,10 +44,12 @@ class TestDeriveWeights:
         assert (config.beta, config.gamma) == (0.5, 0.0)
         assert config.source_correlation == -0.3
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 2.0])
+    # 10**400 is past float range, and "0.5" is no number: both are checked before use.
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -1.0, 2.0, 10**400, "0.5"])
     def test_alpha_must_be_in_open_interval(self, alpha):
-        with pytest.raises(DomainValidationError, match="alpha"):
+        with pytest.raises(DomainValidationError) as caught:
             derive_weights(0.6, alpha=alpha)
+        assert str(caught.value) == f"alpha must be in (0, 1), got {alpha}"
 
     @pytest.mark.parametrize("r", [-1.5, 1.5])
     def test_correlation_must_be_in_unit_interval(self, r):
