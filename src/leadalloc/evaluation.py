@@ -28,16 +28,15 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def truncate_display(value: Fraction | int, places: int = 2) -> str:
-    """Format a non-negative rational truncated toward zero."""
+def truncate_display(value: Fraction | int) -> str:
+    """Format a non-negative rational truncated toward zero to two decimals."""
     from fractions import Fraction
 
     value = Fraction(value)
     if value < 0:
         raise DomainValidationError(f"display truncation expects a non-negative value, got {value}")
-    scale = 10**places
-    units = value.numerator * scale // value.denominator
-    return f"{units // scale}.{units % scale:0{places}d}"
+    hundredths = value.numerator * 100 // value.denominator
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 def city_hits(recommended: Sequence[str], targets: AbstractSet[str], k: int = DEFAULT_K) -> int:
@@ -53,31 +52,38 @@ def city_hits(recommended: Sequence[str], targets: AbstractSet[str], k: int = DE
 
 @validated
 class RunAccuracy(NamedTuple):
+    """One run's hits per target city; its total and accuracy are derived from them."""
+
     model: str
     mode: str
     hits_per_city: Mapping[str, int]
-    total_hits: int
     denominator: int
-    accuracy_exact: Fraction
-    accuracy_display: str
 
     def __post_init__(self) -> RunAccuracy:
-        return tuple.__new__(
-            type(self),
-            (
-                self.model,
-                self.mode,
-                MappingProxyType(dict(self.hits_per_city)),
-                self.total_hits,
-                self.denominator,
-                self.accuracy_exact,
-                self.accuracy_display,
-            ),
-        )
+        hits = MappingProxyType(dict(self.hits_per_city))
+        fits = min(hits.values(), default=0) >= 0 and sum(hits.values()) <= self.denominator
+        if not fits or self.denominator < 1:
+            raise DomainValidationError(f"hits {dict(hits)} do not fit in {self.denominator} targets")
+        return tuple.__new__(type(self), (self.model, self.mode, hits, self.denominator))
+
+    @property
+    def total_hits(self) -> int:
+        return sum(self.hits_per_city.values())
+
+    @property
+    def accuracy_exact(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.total_hits, self.denominator)
+
+    @property
+    def accuracy_display(self) -> str:
+        return truncate_display(self.accuracy_exact)
 
 
+@validated
 class AccuracyReport(NamedTuple):
-    """Per-run accuracies plus two overall statistics.
+    """Per-run accuracies plus two overall statistics derived from them.
 
     ``overall_mean`` pools hits over the pooled denominator; ``run_mean``
     is the arithmetic mean of per-run accuracies. They coincide whenever
@@ -86,20 +92,41 @@ class AccuracyReport(NamedTuple):
 
     k: int
     per_run: tuple[RunAccuracy, ...]
-    pooled_hits: int
-    pooled_denominator: int
-    overall_mean_exact: Fraction
-    overall_mean_display: str
-    run_mean_exact: Fraction
-    run_mean_display: str
+
+    def __post_init__(self) -> AccuracyReport:
+        if not self.per_run:
+            raise DomainValidationError("cannot build a report from zero runs")
+        return tuple.__new__(type(self), (self.k, tuple(self.per_run)))
+
+    @property
+    def pooled_hits(self) -> int:
+        return sum(r.total_hits for r in self.per_run)
+
+    @property
+    def pooled_denominator(self) -> int:
+        return sum(r.denominator for r in self.per_run)
+
+    @property
+    def overall_mean_exact(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.pooled_hits, self.pooled_denominator)
+
+    @property
+    def overall_mean_display(self) -> str:
+        return truncate_display(self.overall_mean_exact)
+
+    @property
+    def run_mean_exact(self) -> Fraction:
+        return sum(r.accuracy_exact for r in self.per_run) / len(self.per_run)
+
+    @property
+    def run_mean_display(self) -> str:
+        return truncate_display(self.run_mean_exact)
 
 
 def build_report(runs: Sequence[ModelRun], targets: TargetSet, k: int = DEFAULT_K) -> AccuracyReport:
-    """Evaluate runs in input order and summarize overall accuracy."""
-    from fractions import Fraction
-
-    if not runs:
-        raise DomainValidationError("cannot build a report from zero runs")
+    """Count each run's hits per target city, runs in input order."""
     denominator = targets.total_targets()
     per_run = []
     for run in runs:
@@ -108,33 +135,8 @@ def build_report(runs: Sequence[ModelRun], targets: TargetSet, k: int = DEFAULT_
             city: city_hits([rec.name for rec in run.per_city.get(city, ())], names, k)
             for city, names in targets.per_city.items()
         }
-        total = sum(hits.values())
-        exact = Fraction(total, denominator)
-        per_run.append(
-            RunAccuracy(
-                model=run.model,
-                mode=run.mode,
-                hits_per_city=hits,
-                total_hits=total,
-                denominator=denominator,
-                accuracy_exact=exact,
-                accuracy_display=truncate_display(exact),
-            )
-        )
-    pooled_hits = sum(r.total_hits for r in per_run)
-    pooled_denominator = sum(r.denominator for r in per_run)
-    overall = Fraction(pooled_hits, pooled_denominator)
-    run_mean = sum(r.accuracy_exact for r in per_run) / len(per_run)
-    return AccuracyReport(
-        k=k,
-        per_run=tuple(per_run),
-        pooled_hits=pooled_hits,
-        pooled_denominator=pooled_denominator,
-        overall_mean_exact=overall,
-        overall_mean_display=truncate_display(overall),
-        run_mean_exact=run_mean,
-        run_mean_display=truncate_display(run_mean),
-    )
+        per_run.append(RunAccuracy(run.model, run.mode, hits, denominator))
+    return AccuracyReport(k, tuple(per_run))
 
 
 def table_lines(

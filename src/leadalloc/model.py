@@ -532,6 +532,12 @@ def check_alpha(alpha: float) -> None:
         raise DomainValidationError(f"alpha must be in (0, 1), got {alpha}")
 
 
+def check_correlation(r: float) -> None:
+    """Reject a source correlation that is not an int or float in [-1, 1]; a bool is neither."""
+    if isinstance(r, bool) or not (isinstance(r, (int, float)) and -1 <= r <= 1):
+        raise DomainValidationError(f"source correlation must lie in [-1, 1], got {r}")
+
+
 def derived_beta_gamma(r: float, alpha: float, variant: WeightVariant) -> tuple[float, float]:
     """(beta, gamma) under ``variant``'s rule, with ``r`` clamped to [0, 1].
 
@@ -558,10 +564,7 @@ class WeightConfig(NamedTuple):
         check_alpha(self.alpha)
         if self.beta < 0 or self.gamma < 0:
             raise DomainValidationError("beta and gamma must be non-negative")
-        if not -1 <= self.source_correlation <= 1:
-            raise DomainValidationError(
-                f"source correlation must lie in [-1, 1], got {self.source_correlation}"
-            )
+        check_correlation(self.source_correlation)
         if self.normalized:
             total = self.alpha + self.beta + self.gamma
             if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
@@ -741,10 +744,6 @@ class ModelRun(NamedTuple):
         }
         return tuple.__new__(type(self), (self.model, self.mode, MappingProxyType(frozen)))
 
-    @property
-    def label(self) -> str:
-        return f"{self.model} ({self.mode})"
-
 
 @validated
 class TargetSet(NamedTuple):
@@ -760,9 +759,6 @@ class TargetSet(NamedTuple):
             if not names:
                 raise DomainValidationError(f"target set for {city!r} is empty", at=(city,))
         return tuple.__new__(type(self), (MappingProxyType(frozen),))
-
-    def cities(self) -> tuple[str, ...]:
-        return tuple(self.per_city)
 
     def total_targets(self) -> int:
         return sum(len(names) for names in self.per_city.values())

@@ -28,6 +28,7 @@ from .model import (
     WeightConfig,
     WeightVariant,
     check_alpha,
+    check_correlation,
     derived_beta_gamma,
 )
 from .stats import _min_max_scaled, _named, pearson
@@ -42,13 +43,14 @@ def derive_weights(
 ) -> WeightConfig:
     """Derive (beta, gamma) from the coverage-prevalence correlation ``r``.
 
-    ``alpha`` is checked before the derivation and ``r`` by :class:`WeightConfig`,
-    both before any warning or rescaling. Negative correlations are clamped to
-    zero (with a warning) instead of producing a negative coverage weight,
-    which would invert the metric's intent.
+    ``alpha`` and ``r`` are checked before the derivation, and so before any
+    warning or rescaling. Negative correlations are clamped to zero (with a
+    warning) instead of producing a negative coverage weight, which would
+    invert the metric's intent.
     """
     variant = WeightVariant(variant)
     check_alpha(alpha)  # first: an int past float range overflows the derivation
+    check_correlation(r)
     weights = WeightConfig(alpha, *derived_beta_gamma(r, alpha, variant), variant, r)
     if r < 0:
         warnings.warn(

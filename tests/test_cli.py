@@ -1112,6 +1112,11 @@ class TestParserBasics:
                 "['allocate', '--ranking', RANKING, '--kits', '1000', '--json']) == 0",
                 ("csv", "leadalloc.stats", "leadalloc.scoring", "leadalloc.evaluation"),
             ),
+            # A table loads the audit module for its layout, but no exact arithmetic.
+            loaded_after(
+                "assert leadalloc.cli.main(['allocate', '--ranking', RANKING, '--kits', '1000']) == 0",
+                ("fractions", "decimal"),
+            ),
             loaded_after(
                 "assert leadalloc.cli.main(['evaluate']) == 0",
                 ("csv", "leadalloc.stats", "leadalloc.scoring", "leadalloc.allocation"),
@@ -1129,7 +1134,10 @@ class TestParserBasics:
             "bound.pop('__builtins__')\n"
             "print(*sorted((names - set(dir(leadalloc))) | (names ^ bound.keys())))",
         ],
-        ids=["import-cli", "allocate-json", "evaluate", "import-package", "public-names"],
+        ids=[
+            "import-cli", "allocate-json", "allocate-table", "evaluate", "import-package",
+            "public-names",
+        ],
     )
     def test_import_loads_no_start_up_heavy_modules(self, tmp_path, capsys, demo_csv, probe):
         ranking = tmp_path / "ranking.json"

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from leadalloc.errors import DomainValidationError
 from leadalloc.evaluation import (
+    AccuracyReport,
+    RunAccuracy,
     build_report,
     city_hits,
     format_report_table,
@@ -52,10 +54,6 @@ class TestTruncateDisplay:
 
     def test_integer_inputs(self):
         assert truncate_display(2) == "2.00"
-
-    def test_places_parameter(self):
-        assert truncate_display(Fraction(1, 3), places=4) == "0.3333"
-        assert truncate_display(Fraction(2, 3), places=1) == "0.6"
 
     def test_negative_rejected(self):
         with pytest.raises(DomainValidationError, match="non-negative"):
@@ -123,6 +121,54 @@ class TestRunAccuracy:
         targets = TargetSet(per_city={"chicago": frozenset({"austin"})})
         assert build_report([run], targets).per_run[0].accuracy_exact == Fraction(1, 1)
 
+    def test_only_the_counts_are_fields(self):
+        assert RunAccuracy._fields == ("model", "mode", "hits_per_city", "denominator")
+        assert AccuracyReport._fields == ("k", "per_run")
+        run = RunAccuracy("m", "d", {"chicago": 0}, 3)
+        for removed in ("total_hits", "accuracy_exact", "accuracy_display"):
+            with pytest.raises(TypeError):
+                RunAccuracy("m", "d", {"chicago": 0}, 3, **{removed: run.total_hits})
+        for removed in (
+            "pooled_hits",
+            "pooled_denominator",
+            "overall_mean_exact",
+            "overall_mean_display",
+            "run_mean_exact",
+            "run_mean_display",
+        ):
+            with pytest.raises(TypeError):
+                AccuracyReport(3, (run,), **{removed: run.total_hits})
+
+    @pytest.mark.parametrize(
+        ("hits", "denominator"),
+        [({"chicago": 4}, 3), ({"chicago": -1, "dc": 2}, 3), ({"chicago": 0}, 0), ({}, -1)],
+    )
+    def test_hits_must_fit_the_denominator(self, hits, denominator):
+        with pytest.raises(DomainValidationError, match="do not fit"):
+            RunAccuracy("m", "d", hits, denominator)
+
+
+HITS = st.dictionaries(st.sampled_from(["chicago", "nyc", "dc"]), st.integers(0, 40), min_size=1)
+
+
+@given(HITS, HITS, st.integers(0, 40))
+def test_totals_and_accuracies_follow_from_the_hits(hits, other, spare):
+    denominator = max(sum(hits.values()), sum(other.values()), 1) + spare
+    run = RunAccuracy("m", "d", hits, denominator)
+    replaced = run._replace(hits_per_city=other)
+    for value, drawn in ((run, hits), (replaced, other)):
+        total = sum(drawn.values())
+        hundredths = total * 100 // denominator
+        assert value.total_hits == total
+        assert value.accuracy_exact == Fraction(total, denominator)
+        assert value.accuracy_display == f"{hundredths // 100}.{hundredths % 100:02d}"
+    report = AccuracyReport(3, [run, replaced])
+    pooled = sum(hits.values()) + sum(other.values())
+    assert report.per_run == (run, replaced)
+    assert (report.pooled_hits, report.pooled_denominator) == (pooled, 2 * denominator)
+    assert report.overall_mean_exact == report.run_mean_exact == Fraction(pooled, 2 * denominator)
+    assert report.overall_mean_display == truncate_display(Fraction(pooled, 2 * denominator))
+
 
 class TestBuildReport:
     def test_bundled_fixture_reproduces_recorded_accuracies(self, bundled):
@@ -162,6 +208,8 @@ class TestBuildReport:
         _, targets = bundled
         with pytest.raises(DomainValidationError, match="zero runs"):
             build_report([], targets)
+        with pytest.raises(DomainValidationError, match="zero runs"):
+            AccuracyReport(3, ())
 
     def test_run_order_is_preserved(self, bundled):
         runs, targets = bundled

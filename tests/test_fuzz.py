@@ -262,20 +262,25 @@ NUMBER = st.integers() | st.floats() | st.sampled_from([10**400, -(10**400), 0.5
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.tuples(PERCENTAGE, PERCENTAGE, PREVALENCE, FINITE), min_size=2, max_size=5),
-    NUMBER,
+    NUMBER | st.text(max_size=3) | st.none() | st.booleans(),
     NUMBER,
     st.booleans(),
 )
 def test_score_and_correlate_answer_any_finite_values_with_0_or_2(rows, r, alpha, normalize):
     """A correlation of any finite values is an r or a named fault, never an internal error.
 
-    So is a library call of ``derive_weights`` with any int or float: only the
-    package's errors escape it.
+    So is a library call of ``derive_weights``: only the package's errors
+    escape it, and an ``r`` that is not an int or float (a bool is not one
+    here) always raises one.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with contextlib.suppress(LeadAllocError):
+        try:
             derive_weights(r, alpha, normalize=normalize)
+        except LeadAllocError:
+            pass
+        else:
+            assert isinstance(r, (int, float)) and not isinstance(r, bool), r
     lines = [f"{CORE_COLUMNS[0]},{COL_COVERAGE},{COL_UNTESTED},{COL_PREVALENCE},f"]
     lines += [f"n{i},{h!r},{u!r},{p!r},{f!r}" for i, (h, u, p, f) in enumerate(rows)]
     with tempfile.TemporaryDirectory() as directory:

@@ -369,12 +369,12 @@ class TestParseModelRuns:
     def test_bundled_runs(self, bundled_runs):
         runs, report = parse_model_runs(bundled_runs)
         assert report.accepted
-        assert [run.label for run in runs] == [
-            "ChatGPT 5 (Deep research)",
-            "ChatGPT 5 (Agent mode)",
-            "Claude 4.5 (Deep research)",
-            "Claude 4.5 (Extended thinking)",
-            "Gemini 2.5 Flash (Deep research)",
+        assert [(run.model, run.mode) for run in runs] == [
+            ("ChatGPT 5", "Deep research"),
+            ("ChatGPT 5", "Agent mode"),
+            ("Claude 4.5", "Deep research"),
+            ("Claude 4.5", "Extended thinking"),
+            ("Gemini 2.5 Flash", "Deep research"),
         ]
         for run in runs:
             assert set(run.per_city) == {"chicago", "nyc", "dc"}
@@ -533,7 +533,7 @@ class TestParseTargets:
     def test_bundled_targets(self, bundled_targets):
         targets, report = parse_targets(bundled_targets)
         assert report.accepted
-        assert set(targets.cities()) == {"chicago", "nyc", "dc"}
+        assert set(targets.per_city) == {"chicago", "nyc", "dc"}
         assert targets.total_targets() == 9
         assert targets.per_city["chicago"] == {"englewood", "west englewood", "austin"}
         assert "bedford stuyvesant" in targets.per_city["nyc"]
