@@ -19,10 +19,9 @@ _EXPORTS = {
         "parse_ranking", "parse_targets", "write_ranking",
     ),
     "model": (
-        "AliasTable", "AllocationEntry", "AllocationPlan", "CityDataset", "CityProfile", "ModelRun",
-        "NeighborhoodRecord", "PriorityRanking", "RankingEntry", "Recommendation", "Strategy",
-        "TargetSet", "UnitKind", "WeightConfig", "WeightVariant", "canonicalize_name",
-        "city_profile", "register_city",
+        "AliasTable", "AllocationPlan", "CityDataset", "CityProfile", "ModelRun", "PriorityRanking",
+        "Recommendation", "Strategy", "TargetSet", "UnitKind", "WeightConfig", "WeightVariant",
+        "canonicalize_name", "city_profile", "register_city",
     ),
     "scoring": ("derive_weights", "score_city", "top_k"),
     "stats": ("CorrelationResult", "correlate_factors", "min_max_normalize", "pearson", "spearman"),

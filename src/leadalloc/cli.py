@@ -35,6 +35,7 @@ from .ingest import (
     parse_model_runs,
     parse_ranking,
     parse_targets,
+    table_lines,
     write_ranking,
 )
 from .model import DEFAULT_ALPHA, DEFAULT_K, DEFAULT_TOP_K, AliasTable, Strategy, WeightVariant
@@ -196,7 +197,6 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         }
         print(json.dumps(doc, indent=2))
         return 0
-    from .evaluation import table_lines  # deferred: only a table needs it
 
     columns = list(zip(*results))  # factor, r, n
     sys.stdout.writelines(table_lines(("factor", "r", "n"), columns, ("", ".2f", "d"), left={0}))
@@ -224,7 +224,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     print(f"city: {ranking.city}  variant: {w.variant.value}  r: {w.source_correlation:g}")
     print(f"weights: alpha={w.alpha:g} beta={w.beta:g} gamma={w.gamma:g}")
     from array import array
-    from .evaluation import table_lines  # deferred: only a table needs it
 
     names = ranking.names
     position = dict(zip(dataset.names, range(len(dataset))))
@@ -249,7 +248,6 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         dump_plan(plan, sys.stdout)
         return 0
     from array import array
-    from .evaluation import table_lines  # deferred: only a table needs it
 
     kits = plan.kits
     shares = array("d", map(truediv, accumulate(kits), repeat(plan.total_kits)))

@@ -8,16 +8,8 @@ rounded) to two decimals, so 6/9 renders as ``0.66``.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
 from types import MappingProxyType
-from typing import (
-    TYPE_CHECKING,
-    AbstractSet,
-    Iterator,
-    Mapping,
-    NamedTuple,
-    Sequence,
-)
+from typing import TYPE_CHECKING, AbstractSet, Mapping, NamedTuple, Sequence
 
 from .errors import DomainValidationError
 from .model import DEFAULT_K, ModelRun, TargetSet, validated
@@ -139,41 +131,10 @@ def build_report(runs: Sequence[ModelRun], targets: TargetSet, k: int = DEFAULT_
     return AccuracyReport(k, tuple(per_run))
 
 
-def table_lines(
-    headers: Sequence[str],
-    columns: Sequence[Sequence],
-    formats: Sequence[str],
-    left: AbstractSet[int],
-) -> Iterator[str]:
-    """Fixed-width text table, one newline-terminated line at a time.
-
-    Column ``i`` lists ``columns[i]``, each value formatted with the spec
-    ``formats[i]``: a precision and type only, such as ``".2f"``, ``"d"``,
-    or ``""`` for strings. Columns in ``left`` are left-aligned, the others
-    right-aligned. Each column is iterated twice, first for its width and
-    then for the lines, so it must be a sequence, not an iterator.
-
-    A width comes from formatting every value of the column. The lines come
-    from one printf-style template, applied through ``map`` to each row of
-    ``zip(*columns)``, so no Python code runs per row. Each spec means the
-    same as a ``%`` conversion: ``"%.2f" % x == format(x, ".2f")``, and
-    ``""`` becomes ``%s``.
-    """
-    widths = [
-        max(map(len, map(format, column, repeat(spec))), default=0)
-        for column, spec in zip(columns, formats)
-    ]
-    widths = list(map(max, map(len, headers), widths))
-    aligns = ["<" if col in left else ">" for col in range(len(headers))]
-    head = "  ".join(map(format, headers, map("{}{}".format, aligns, widths))).rstrip() + "\n"
-    flags = ["-" if align == "<" else "" for align in aligns]
-    template = "  ".join(map("%{}{}{}".format, flags, widths, [spec or "s" for spec in formats]))
-    rows = map(str.rstrip, map(template.__mod__, zip(*columns)))
-    return chain((head,), map(str.__add__, rows, repeat("\n")))
-
-
 def format_report_table(report: AccuracyReport) -> str:
     """Fixed-width text table: one row per run plus the overall lines."""
+    from .ingest import table_lines  # deferred: only the table needs the writers
+
     rows = [
         (r.model, r.mode, f"{r.total_hits}/{r.denominator}", r.accuracy_display)
         for r in report.per_run

@@ -1,4 +1,5 @@
-"""File ingestion: city dataset CSV, model-run JSON, target-set JSON.
+"""File ingestion and output: city dataset CSV, model-run JSON, target-set JSON,
+and the writers of what the commands print, ranking and plan JSON and text tables.
 
 Parsers are deterministic pure functions of the input bytes. Each returns
 the parsed value together with a :class:`ValidationReport`; inputs with
@@ -26,7 +27,9 @@ from itertools import chain, repeat
 from operator import itemgetter, mul
 from pathlib import Path
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, TextIO
+from typing import (
+    TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO,
+)
 
 from .errors import DatasetValidationError, DomainValidationError, InvalidNameError, located
 from .model import (
@@ -589,6 +592,39 @@ def _dump_document(head: dict, key: str, items: Iterator[str], fh: TextIO) -> No
     for item in items:
         fh.write(f",\n    {item}")
     fh.write("\n  ]\n}\n")
+
+
+def table_lines(
+    headers: Sequence[str],
+    columns: Sequence[Sequence],
+    formats: Sequence[str],
+    left: AbstractSet[int],
+) -> Iterator[str]:
+    """Fixed-width text table, one newline-terminated line at a time.
+
+    Column ``i`` lists ``columns[i]``, each value formatted with the spec
+    ``formats[i]``: a precision and type only, such as ``".2f"``, ``"d"``,
+    or ``""`` for strings. Columns in ``left`` are left-aligned, the others
+    right-aligned. Each column is iterated twice, first for its width and
+    then for the lines, so it must be a sequence, not an iterator.
+
+    A width comes from formatting every value of the column. The lines come
+    from one printf-style template, applied through ``map`` to each row of
+    ``zip(*columns)``, so no Python code runs per row. Each spec means the
+    same as a ``%`` conversion: ``"%.2f" % x == format(x, ".2f")``, and
+    ``""`` becomes ``%s``.
+    """
+    widths = [
+        max(map(len, map(format, column, repeat(spec))), default=0)
+        for column, spec in zip(columns, formats)
+    ]
+    widths = list(map(max, map(len, headers), widths))
+    aligns = ["<" if col in left else ">" for col in range(len(headers))]
+    head = "  ".join(map(format, headers, map("{}{}".format, aligns, widths))).rstrip() + "\n"
+    flags = ["-" if align == "<" else "" for align in aligns]
+    template = "  ".join(map("%{}{}{}".format, flags, widths, [spec or "s" for spec in formats]))
+    rows = map(str.rstrip, map(template.__mod__, zip(*columns)))
+    return chain((head,), map(str.__add__, rows, repeat("\n")))
 
 
 def _entry_collector() -> tuple[Callable[[dict], object], tuple[list, array, array]]:

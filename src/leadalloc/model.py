@@ -1,4 +1,4 @@
-"""Shared domain types: neighborhood records, datasets, weights, rankings.
+"""Shared domain types: datasets, weights, rankings, plans and recorded runs.
 
 Everything here is immutable after construction and validated on
 construction; downstream modules can rely on the invariants without
@@ -30,7 +30,7 @@ import math
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from operator import eq, ge, le, mul, truediv
 from pathlib import Path
 from types import MappingProxyType
@@ -148,10 +148,10 @@ class _Columnar(Value):
 
     ``names``, a tuple of the canonical names in the value's order, is one
     of its fields. The name rules live here and bind every columnar type:
-    :meth:`_init` refuses a blank name before the subclass's own checks,
-    as a record refuses one, and a repeated name after them, so a ranking
-    reports a bad score, then its order, then a repeat. A failing
-    neighborhood's index is the error's ``at``.
+    :meth:`_init` refuses a blank name before the subclass's own checks
+    and a repeated name after them, so a ranking reports a bad score, then
+    its order, then a repeat. A failing neighborhood's index is the error's
+    ``at``.
 
     Each float column is a read-only view of an ``array('d')`` made by
     :meth:`_column`, so a value costs 8 bytes, not a float object; a field
@@ -163,16 +163,12 @@ class _Columnar(Value):
     __slots__ = ()
 
     def _init(self, *values) -> None:
-        self._refuse_blank(values[self.__slots__.index("names")])
-        super()._init(*values)
-        self._check_distinct()
-
-    @staticmethod
-    def _refuse_blank(names: Sequence[str]) -> None:
-        """Raise on a blank name; ``at`` is its index."""
+        names = values[self.__slots__.index("names")]
         if not all(map(str.strip, names)):
             index = next(i for i, name in enumerate(names) if not name.strip())
             raise InvalidNameError("neighborhood name must be non-empty", at=(index,))
+        super()._init(*values)
+        self._check_distinct()
 
     @staticmethod
     def _column(values: Iterable[float]) -> memoryview:
@@ -377,36 +373,6 @@ def register_city(
     return profile
 
 
-@validated
-class NeighborhoodRecord(NamedTuple):
-    """One neighborhood's raw metrics.
-
-    ``name`` is expected in canonical form (see :func:`canonicalize_name`);
-    ``extra_factors`` holds any additional named numeric columns, kept as a
-    read-only copy. The values obey :data:`METRIC_CAPS`, the name
-    :class:`_Columnar`'s blank-name rule, each worded as a dataset words it.
-    """
-
-    name: str
-    prevalence: float
-    untested_pct: float
-    public_coverage_pct: float
-    extra_factors: Mapping[str, float] = MappingProxyType({})
-
-    def __post_init__(self) -> NeighborhoodRecord:
-        name, *metrics, extra_factors = self
-        _Columnar._refuse_blank((name,))
-        extra_factors = dict(extra_factors)
-        faults = chain(
-            map(value_fault, METRIC_CAPS, metrics, METRIC_CAPS.values()),
-            map(value_fault, extra_factors, extra_factors.values()),
-        )
-        fault = next(filter(None, faults), None)
-        if fault:
-            raise DomainValidationError(f"{name}: {fault}")
-        return tuple.__new__(type(self), (*self[:4], MappingProxyType(extra_factors)))
-
-
 class CityDataset(_Columnar):
     """Validated neighborhoods of one city, held as columns.
 
@@ -421,8 +387,8 @@ class CityDataset(_Columnar):
     The class call copies the columns given and checks them once (see
     :meth:`__post_init__`). Equality and hashing compare each column's
     bytes, so every blank cell holds the same NaN, and -0.0 differs from
-    0.0. ``records`` builds the records afresh on every access, in O(n): it
-    is for callers that want rows, not for hot paths.
+    0.0. ``records`` builds rows afresh on every access, in O(n): it is not
+    for hot paths.
     """
 
     __slots__ = _fields = (
@@ -492,11 +458,15 @@ class CityDataset(_Columnar):
         raise DomainValidationError(f"{self.city}: {self.names[row]}: {problem}", at=(row,))
 
     @property
-    def records(self) -> tuple[NeighborhoodRecord, ...]:
-        """The neighborhoods as records, built afresh on each access in O(n)."""
+    def records(self) -> tuple[tuple, ...]:
+        """Rows ``(name, prevalence, untested_pct, public_coverage_pct, {factor: value})``.
+
+        A blank extra cell is left out of its row's mapping. The rows are
+        zipped from the columns, unchecked, on each access.
+        """
         factors = tuple(self.extra_columns)
         return tuple(
-            NeighborhoodRecord(
+            (
                 name,
                 prevalence,
                 untested,
@@ -596,12 +566,6 @@ class WeightConfig(NamedTuple):
         }
 
 
-class RankingEntry(NamedTuple):
-    name: str
-    raw_score: float
-    scaled_score: float
-
-
 class PriorityRanking(_Columnar):
     """Descending-ordered priority list for one city, held as columns.
 
@@ -663,13 +627,9 @@ class PriorityRanking(_Columnar):
         return self._column(map(mul, repeat(10.0), map(truediv, raw, repeat(top))))
 
     @property
-    def entries(self) -> tuple[RankingEntry, ...]:
-        return tuple(map(RankingEntry, self.names, self.raw_scores, self.scaled_scores))
-
-
-class AllocationEntry(NamedTuple):
-    name: str
-    kits: int
+    def entries(self) -> tuple[tuple[str, float, float], ...]:
+        """Rows ``(name, raw_score, scaled_score)``, zipped from the columns."""
+        return tuple(zip(self.names, self.raw_scores, self.scaled_scores))
 
 
 class AllocationPlan(_Columnar):
@@ -677,7 +637,7 @@ class AllocationPlan(_Columnar):
 
     ``names`` is the ranking's own tuple of names, shared, and ``kits`` a
     tuple of their kit counts; a tuple given is held, not copied.
-    ``allocations`` builds the ``AllocationEntry`` tuples on every access,
+    ``allocations`` zips them into ``(name, kits)`` rows on every access,
     in O(n). ``len()`` is the number of entries.
     """
 
@@ -704,8 +664,8 @@ class AllocationPlan(_Columnar):
             )
 
     @property
-    def allocations(self) -> tuple[AllocationEntry, ...]:
-        return tuple(map(AllocationEntry, self.names, self.kits))
+    def allocations(self) -> tuple[tuple[str, int], ...]:
+        return tuple(zip(self.names, self.kits))
 
     @property
     def apportionment(self) -> str:

@@ -6,37 +6,23 @@ import math
 
 from leadalloc.errors import DomainValidationError
 from leadalloc.model import (
-    COL_COVERAGE,
-    COL_PREVALENCE,
-    COL_UNTESTED,
+    CORE_COLUMNS,
     AllocationPlan,
     CityDataset,
-    NeighborhoodRecord,
     PriorityRanking,
     UnitKind,
 )
 from leadalloc.scoring import derive_weights
 
 
-def record(name, prevalence, untested, coverage, **extras):
-    return NeighborhoodRecord(
-        name=name,
-        prevalence=prevalence,
-        untested_pct=untested,
-        public_coverage_pct=coverage,
-        extra_factors=extras,
-    )
+def row(name, prevalence, untested, coverage, **extras):
+    """One neighborhood as a dict keyed by CSV column; a factor it lacks is no key."""
+    return dict(zip(CORE_COLUMNS, (name, prevalence, untested, coverage)), **extras)
 
 
-def metric(record, factor):
-    """Value of a named metric column on ``record``, or None if the record lacks it."""
-    if factor == COL_PREVALENCE:
-        return record.prevalence
-    if factor == COL_UNTESTED:
-        return record.untested_pct
-    if factor == COL_COVERAGE:
-        return record.public_coverage_pct
-    return record.extra_factors.get(factor)
+def extra_factors(row):
+    """The cells of ``row`` beyond the four core columns."""
+    return {column: value for column, value in row.items() if column not in CORE_COLUMNS}
 
 
 def columns(rows, width):
@@ -44,18 +30,27 @@ def columns(rows, width):
     return tuple(zip(*rows)) or ((),) * width
 
 
-def dataset_of_records(city, records, bll_threshold_ug_dl=5.0, unit_kind=UnitKind.NAMED_AREA):
-    """A CityDataset of ``NeighborhoodRecord``s, with NaN where a record lacks a factor."""
-    records = tuple(records)
-    factors = dict.fromkeys(factor for record in records for factor in record.extra_factors)
-    extras = {
-        factor: [record.extra_factors.get(factor, math.nan) for record in records]
-        for factor in factors
-    }
+def rows_of(dataset):
+    """The row dicts of ``dataset``, read from its columns, leaving out each blank extra cell."""
+    metrics = zip(dataset.prevalence, dataset.untested_pct, dataset.public_coverage_pct)
+    return [
+        row(name, *values, **{
+            factor: column[index]
+            for factor, column in dataset.extra_columns.items()
+            if not math.isnan(column[index])
+        })
+        for index, (name, values) in enumerate(zip(dataset.names, metrics))
+    ]
+
+
+def dataset_of_rows(city, rows, bll_threshold_ug_dl=5.0, unit_kind=UnitKind.NAMED_AREA):
+    """A CityDataset of row dicts, with NaN where a row lacks a factor."""
+    rows = tuple(rows)
+    factors = dict.fromkeys(factor for row in rows for factor in extra_factors(row))
     return CityDataset(
         city,
-        *columns([record[:4] for record in records], 4),
-        extras,
+        *columns([[row[column] for column in CORE_COLUMNS] for row in rows], 4),
+        {factor: [row.get(factor, math.nan) for row in rows] for factor in factors},
         bll_threshold_ug_dl=bll_threshold_ug_dl,
         unit_kind=unit_kind,
     )
@@ -63,8 +58,7 @@ def dataset_of_records(city, records, bll_threshold_ug_dl=5.0, unit_kind=UnitKin
 
 def dataset(rows, city="demo"):
     """Build a CityDataset from (name, prevalence, untested, coverage[, extras]) rows."""
-    records = [record(*row[:4], **(row[4] if len(row) > 4 else {})) for row in rows]
-    return dataset_of_records(city, records)
+    return dataset_of_rows(city, [row(*cells[:4], **dict(*cells[4:])) for cells in rows])
 
 
 def ranking_of_entries(city, weights, entries):
@@ -89,12 +83,8 @@ def ranking_to_dict(ranking):
         "city": ranking.city,
         "weights": ranking.weights.as_dict(),
         "entries": [
-            {
-                "neighborhood": entry.name,
-                "raw_score": entry.raw_score,
-                "scaled_score": entry.scaled_score,
-            }
-            for entry in ranking.entries
+            {"neighborhood": name, "raw_score": raw, "scaled_score": scaled}
+            for name, raw, scaled in zip(ranking.names, ranking.raw_scores, ranking.scaled_scores)
         ],
     }
 

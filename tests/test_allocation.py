@@ -97,12 +97,12 @@ class TestAllocateProportional:
     def test_exact_proportions(self):
         ranking = ranking_from_scores({"a": 0.5, "b": 0.25, "c": 0.25})
         plan = allocate(ranking, 100)
-        assert [entry.kits for entry in plan.allocations] == [50, 25, 25]
-        assert [entry.name for entry in plan.allocations] == ["a", "b", "c"]
+        assert list(plan.kits) == [50, 25, 25]
+        assert list(plan.names) == ["a", "b", "c"]
 
     def test_single_entry_takes_everything(self):
         plan = allocate(ranking_from_scores({"solo": 1.0}), 1000)
-        assert [entry.kits for entry in plan.allocations] == [1000]
+        assert list(plan.kits) == [1000]
 
     def test_plan_metadata(self):
         plan = allocate(ranking_from_scores({"a": 2.0, "b": 1.0}), 9, "proportional")
@@ -119,7 +119,7 @@ class TestAllocateProportional:
     def test_floor_guarantees_minimum(self):
         ranking = ranking_from_scores({"a": 100.0, "b": 1.0, "c": 1.0})
         plan = allocate(ranking, 102, floor=10)
-        kits = [entry.kits for entry in plan.allocations]
+        kits = list(plan.kits)
         assert sum(kits) == 102
         assert all(k >= 10 for k in kits)
 
@@ -143,19 +143,19 @@ class TestAllocateTopKEqual:
     def test_remainder_goes_to_leading_entries(self):
         ranking = ranking_from_scores({"a": 5.0, "b": 4.0, "c": 3.0, "d": 2.0, "e": 1.0})
         plan = allocate(ranking, 1000, Strategy.TOP_K_EQUAL, k=3)
-        assert [entry.kits for entry in plan.allocations] == [334, 333, 333, 0, 0]
+        assert list(plan.kits) == [334, 333, 333, 0, 0]
         assert plan.apportionment == "even_split"
 
     def test_k_one_is_winner_take_all(self):
         ranking = ranking_from_scores({"a": 5.0, "b": 4.0})
         plan = allocate(ranking, 7, Strategy.TOP_K_EQUAL, k=1)
-        assert [entry.kits for entry in plan.allocations] == [7, 0]
+        assert list(plan.kits) == [7, 0]
 
     def test_k_beyond_ranking_warns_and_truncates(self):
         ranking = ranking_from_scores({"a": 2.0, "b": 1.0})
         with pytest.warns(DataQualityWarning, match="exceeds"):
             plan = allocate(ranking, 10, Strategy.TOP_K_EQUAL, k=5)
-        assert [entry.kits for entry in plan.allocations] == [5, 5]
+        assert list(plan.kits) == [5, 5]
 
     def test_k_must_be_positive(self):
         ranking = ranking_from_scores({"a": 1.0, "b": 1.0})
@@ -165,7 +165,7 @@ class TestAllocateTopKEqual:
     def test_floor_composes_with_top_k(self):
         ranking = ranking_from_scores({"a": 3.0, "b": 2.0, "c": 1.0})
         plan = allocate(ranking, 32, Strategy.TOP_K_EQUAL, k=2, floor=4)
-        assert [entry.kits for entry in plan.allocations] == [14, 14, 4]
+        assert list(plan.kits) == [14, 14, 4]
 
 
 class TestAllocateRankWeighted:
@@ -173,13 +173,13 @@ class TestAllocateRankWeighted:
         # Weights 1, 1/2, 1/3 over 11 kits: shares 6, 3, 2 exactly.
         ranking = ranking_from_scores({"a": 9.0, "b": 8.0, "c": 7.0})
         plan = allocate(ranking, 11, Strategy.RANK_WEIGHTED)
-        assert [entry.kits for entry in plan.allocations] == [6, 3, 2]
+        assert list(plan.kits) == [6, 3, 2]
 
     def test_position_not_score_drives_shares(self):
         close = ranking_from_scores({"a": 9.0, "b": 8.999, "c": 8.998})
         spread = ranking_from_scores({"a": 9.0, "b": 0.2, "c": 0.1})
-        kits_close = [e.kits for e in allocate(close, 600, "rank_weighted").allocations]
-        kits_spread = [e.kits for e in allocate(spread, 600, "rank_weighted").allocations]
+        kits_close = list(allocate(close, 600, "rank_weighted").kits)
+        kits_spread = list(allocate(spread, 600, "rank_weighted").kits)
         assert kits_close == kits_spread
 
 
@@ -195,16 +195,16 @@ class TestAllocateRankWeighted:
 )
 def test_every_strategy_conserves_the_budget(scores, budget, strategy):
     ranking = ranking_from_scores(scores)
-    k = max(1, min(3, len(ranking.entries)))
+    k = max(1, min(3, len(ranking)))
     plan = allocate(ranking, budget, strategy, k=k)
-    assert sum(entry.kits for entry in plan.allocations) == budget
-    assert all(entry.kits >= 0 for entry in plan.allocations)
+    assert sum(plan.kits) == budget
+    assert all(kits >= 0 for kits in plan.kits)
     assert allocate(ranking, budget, strategy, k=k) == plan
 
 
 def fraction_allocate(ranking, total_kits, strategy, k, floor):
     """Kit counts by exact rational shares: the reference the integer kernel must match."""
-    n = len(ranking.entries)
+    n = len(ranking)
     remaining = total_kits - floor * n
     if strategy is Strategy.TOP_K_EQUAL:
         k = min(k, n)
@@ -212,7 +212,7 @@ def fraction_allocate(ranking, total_kits, strategy, k, floor):
         kits = [base + 1 if i < extra else base if i < k else 0 for i in range(n)]
     else:
         if strategy is Strategy.PROPORTIONAL:
-            weights = [Fraction(entry.raw_score) for entry in ranking.entries]
+            weights = [Fraction(raw) for raw in ranking.raw_scores]
         else:
             weights = [Fraction(1, position) for position in range(1, n + 1)]
         total_weight = sum(weights)
@@ -238,14 +238,14 @@ def test_integer_kernel_matches_fraction_reference(strategy, budget, k, data):
         label="scores",
     )
     ranking = ranking_from_scores(scores)
-    n = len(ranking.entries)
+    n = len(ranking)
     assume(strategy is not Strategy.PROPORTIONAL or any(scores.values()))
     floor = data.draw(st.integers(0, budget // n), label="floor")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DataQualityWarning)
         plan = allocate(ranking, budget, strategy, k=k, floor=floor)
     expected = fraction_allocate(ranking, budget, strategy, k, floor)
-    assert [entry.kits for entry in plan.allocations] == expected
+    assert list(plan.kits) == expected
 
 
 def lcm_rank_weighted(n, total):
@@ -271,7 +271,7 @@ def test_rank_weighted_matches_lcm_weights_exhaustively():
             for floor in {0, budget // n // 2}:
                 plan = allocate(ranking, budget, Strategy.RANK_WEIGHTED, floor=floor)
                 expected = [floor + kit for kit in lcm_rank_weighted(n, budget - floor * n)]
-                assert [entry.kits for entry in plan.allocations] == expected, (n, budget, floor)
+                assert list(plan.kits) == expected, (n, budget, floor)
 
 
 @pytest.mark.parametrize("bits", [0, 1, 4])
@@ -282,7 +282,7 @@ def test_rank_weighted_is_exact_at_any_screen_width(monkeypatch, bits):
         ranking = ranking_from_scores({f"area {i:03d}": float(n - i) for i in range(n)})
         for budget in SWEEP_BUDGETS:
             plan = allocate(ranking, budget, Strategy.RANK_WEIGHTED)
-            assert [entry.kits for entry in plan.allocations] == lcm_rank_weighted(n, budget)
+            assert list(plan.kits) == lcm_rank_weighted(n, budget)
 
 
 def test_rank_weighted_memory_is_linear_in_n():

@@ -306,7 +306,7 @@ class TestScore:
         assert code == 0
         ranking = parse_ranking(out_path)
         assert ranking.city == "demo"
-        assert ranking.entries[0].scaled_score == 10.0
+        assert ranking.scaled_scores[0] == 10.0
 
     def test_json_stdout_and_out_file_are_the_same_bytes(self, capsys, demo_csv, tmp_path):
         out_path = tmp_path / "ranking.json"
@@ -1010,7 +1010,8 @@ def test_allocate_json_holds_the_ranking_once(tmp_path, monkeypatch):
     assert peak < 8_500_000
 
 
-# The names the package imported from its submodules before it loaded them lazily.
+# The names the package imported from its submodules before it loaded them lazily,
+# less the three row types since removed.
 EAGER_EXPORTS = (
     "allocate", "largest_remainder",
     "DataQualityWarning", "DatasetValidationError", "DomainValidationError", "InvalidNameError",
@@ -1019,10 +1020,9 @@ EAGER_EXPORTS = (
     "report_to_dict", "truncate_display",
     "ValidationIssue", "ValidationReport", "parse_city_dataset", "parse_model_runs",
     "parse_ranking", "parse_targets", "write_ranking",
-    "AliasTable", "AllocationEntry", "AllocationPlan", "CityDataset", "CityProfile", "ModelRun",
-    "NeighborhoodRecord", "PriorityRanking", "RankingEntry", "Recommendation", "Strategy",
-    "TargetSet", "UnitKind", "WeightConfig", "WeightVariant", "canonicalize_name",
-    "city_profile", "register_city",
+    "AliasTable", "AllocationPlan", "CityDataset", "CityProfile", "ModelRun", "PriorityRanking",
+    "Recommendation", "Strategy", "TargetSet", "UnitKind", "WeightConfig", "WeightVariant",
+    "canonicalize_name", "city_profile", "register_city",
     "derive_weights", "score_city", "top_k",
     "CorrelationResult", "correlate_factors", "min_max_normalize", "pearson", "spearman",
 )
@@ -1112,10 +1112,11 @@ class TestParserBasics:
                 "['allocate', '--ranking', RANKING, '--kits', '1000', '--json']) == 0",
                 ("csv", "leadalloc.stats", "leadalloc.scoring", "leadalloc.evaluation"),
             ),
-            # A table loads the audit module for its layout, but no exact arithmetic.
+            # A table takes its layout from ingest: it loads neither the audit
+            # module nor exact arithmetic.
             loaded_after(
                 "assert leadalloc.cli.main(['allocate', '--ranking', RANKING, '--kits', '1000']) == 0",
-                ("fractions", "decimal"),
+                ("fractions", "decimal", "leadalloc.evaluation"),
             ),
             loaded_after(
                 "assert leadalloc.cli.main(['evaluate']) == 0",

@@ -1,4 +1,4 @@
-"""The columnar CityDataset: its checks, its records view, and scoring and correlation over it."""
+"""The columnar CityDataset: its checks, its rows, and scoring and correlation over it."""
 
 from __future__ import annotations
 
@@ -6,13 +6,14 @@ import math
 import struct
 import tempfile
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import dataset_of_records, metric, ranking_of_entries, record
+from helpers import dataset_of_rows, extra_factors, ranking_of_entries, row, rows_of
 from leadalloc.errors import (
     DatasetValidationError,
     DomainValidationError,
@@ -21,11 +22,14 @@ from leadalloc.errors import (
 )
 from leadalloc.ingest import parse_city_dataset
 from leadalloc.model import (
+    METRIC_CAPS,
+    AllocationPlan,
     CityDataset,
-    NeighborhoodRecord,
     PriorityRanking,
+    Strategy,
     UnitKind,
     WeightVariant,
+    value_fault,
 )
 from leadalloc.scoring import derive_weights, score_city
 from leadalloc.stats import (
@@ -51,13 +55,13 @@ def columns_dataset(names, prevalence, untested, coverage, extras=None, *, unit_
 
 
 def rebuilt(dataset):
-    return dataset_of_records(
-        dataset.city, dataset.records, dataset.bll_threshold_ug_dl, dataset.unit_kind
+    return dataset_of_rows(
+        dataset.city, rows_of(dataset), dataset.bll_threshold_ug_dl, dataset.unit_kind
     )
 
 
 # The record-based scoring and correlation that the columnar code replaced,
-# kept as references: the columns must give the same bits.
+# kept as references over row dicts: the columns must give the same bits.
 
 
 def named_pair(corr, xs, ys, factor):
@@ -69,9 +73,10 @@ def named_pair(corr, xs, ys, factor):
 
 
 def score_city_by_records(dataset, alpha, variant, r_override, normalize):
-    prevalence = [record.prevalence for record in dataset.records]
-    untested = [record.untested_pct for record in dataset.records]
-    coverage = [record.public_coverage_pct for record in dataset.records]
+    rows = rows_of(dataset)
+    prevalence = [row["prevalence_per_1000"] for row in rows]
+    untested = [row["untested_pct"] for row in rows]
+    coverage = [row["public_coverage_pct"] for row in rows]
 
     if r_override is None:
         r = named_pair(pearson, coverage, prevalence, "public_coverage_pct")
@@ -85,7 +90,7 @@ def score_city_by_records(dataset, alpha, variant, r_override, normalize):
             min_max_normalize(prevalence), min_max_normalize(untested), min_max_normalize(coverage)
         )
     ]
-    names = tuple(record.name for record in dataset.records)
+    names = tuple(row["neighborhood"] for row in rows)
     order = sorted(range(len(raw)), key=names.__getitem__)
     order.sort(key=raw.__getitem__, reverse=True)
     all_zero = not raw[order[0]] > 0
@@ -98,9 +103,9 @@ def correlate_by_records(dataset, factors, estimator):
     results = []
     for factor in factors:
         pairs = [
-            (value, r.prevalence)
-            for r in dataset.records
-            if (value := metric(r, factor)) is not None
+            (value, r["prevalence_per_1000"])
+            for r in rows_of(dataset)
+            if (value := r.get(factor)) is not None
         ]
         if len(pairs) < 2:
             raise UndefinedCorrelationError(
@@ -121,7 +126,8 @@ def outcome(fn):
         return type(exc), str(exc)
     if isinstance(result, PriorityRanking):
         weights = tuple(v.hex() if isinstance(v, float) else v for v in result.weights)
-        return weights, [(e.name, e.raw_score.hex(), e.scaled_score.hex()) for e in result.entries]
+        scores = zip(result.names, result.raw_scores, result.scaled_scores)
+        return weights, [(name, raw.hex(), scaled.hex()) for name, raw, scaled in scores]
     return [(res.factor, res.r.hex(), res.n) for res in result]
 
 
@@ -188,10 +194,10 @@ class TestColumns:
             ["a", "b", "c"], [1, 2, 3], [4, 5, 6], [7, 8, 9],
             {"f": [0.5, math.nan, -1.0], "g": [math.nan, 2.0, math.nan]},
         )
-        assert [dict(r.extra_factors) for r in dataset.records] == [
+        assert [extra_factors(r) for r in rows_of(dataset)] == [
             {"f": 0.5}, {"g": 2.0}, {"f": -1.0}
         ]
-        assert dataset.records[0] == record("a", 1.0, 4.0, 7.0, f=0.5)
+        assert rows_of(dataset)[0] == row("a", 1.0, 4.0, 7.0, f=0.5)
         assert rebuilt(dataset) == dataset
 
     def test_equality_tells_a_blank_cell_from_a_value(self):
@@ -275,7 +281,7 @@ def small_datasets(draw):
 
 
 def _as_records(dataset):
-    return dataset.city, dataset.records, dataset.bll_threshold_ug_dl, dataset.unit_kind
+    return dataset.city, rows_of(dataset), dataset.bll_threshold_ug_dl, dataset.unit_kind
 
 
 @given(small_datasets(), small_datasets(), st.sampled_from(_NANS))
@@ -306,18 +312,26 @@ def test_equality_hash_and_repr_build_no_record(monkeypatch):
     columns = (["a", "b"], [1, 2], [3, 4], [5, 6], {"f": [math.nan, 7.0]})
     dataset, again = columns_dataset(*columns), columns_dataset(*columns)
 
-    def built(record):
-        raise AssertionError("a NeighborhoodRecord was built")
+    def built(value):
+        raise AssertionError("rows were built")
 
-    monkeypatch.setattr(NeighborhoodRecord, "__post_init__", built)
+    for cls, rows in ((CityDataset, "records"), (PriorityRanking, "entries"),
+                      (AllocationPlan, "allocations")):
+        monkeypatch.setattr(cls, rows, property(built))
     assert dataset == again and hash(dataset) == hash(again)
     assert repr(dataset) == (
         "CityDataset(city='demo', names=('a', 'b'), prevalence=[1.0, 2.0], "
         "untested_pct=[3.0, 4.0], public_coverage_pct=[5.0, 6.0], extra_columns={'f': [nan, 7.0]}, "
         "bll_threshold_ug_dl=5.0, unit_kind=<UnitKind.NAMED_AREA: 'named_area'>)"
     )
-    with pytest.raises(AssertionError, match="NeighborhoodRecord was built"):
-        dataset.records
+    ranking = PriorityRanking("demo", derive_weights(0.6), ["b", "a"], [2.0, 1.0])
+    plan = AllocationPlan("demo", 3, ranking.names, [2, 1], Strategy.PROPORTIONAL)
+    for value in (ranking, plan):
+        same = value._replace()
+        assert value == same and hash(value) == hash(same) and repr(value) == repr(same)
+    for rows in (lambda: dataset.records, lambda: ranking.entries, lambda: plan.allocations):
+        with pytest.raises(AssertionError, match="rows were built"):
+            rows()
 
 
 def test_a_signed_zero_makes_the_columns_unequal():
@@ -335,7 +349,10 @@ _EDGES = st.sampled_from(
     lambda value: not math.isnan(value)  # NaN in a dataset's extra column is a blank cell
 ))
 def test_a_csv_row_a_record_and_a_dataset_give_one_verdict_per_value(metrics, extra):
-    """All three accept the values, or all reject them with the same fault text."""
+    """All three accept the values, or all reject them with the same fault text.
+
+    The record is a row dict, checked through the ``value_fault`` calls a dataset makes.
+    """
     verdicts = []
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "city.csv"
@@ -350,12 +367,12 @@ def test_a_csv_row_a_record_and_a_dataset_give_one_verdict_per_value(metrics, ex
             verdicts.append(exc.report.errors()[0].message)
         else:
             verdicts.append(None)
-    try:
-        record("a", *metrics, f=extra)
-    except DomainValidationError as exc:
-        verdicts.append(str(exc).removeprefix("a: "))
-    else:
-        verdicts.append(None)
+    record = row("a", *metrics, f=extra)
+    faults = chain(
+        (value_fault(column, record[column], cap) for column, cap in METRIC_CAPS.items()),
+        (value_fault(factor, value) for factor, value in extra_factors(record).items()),
+    )
+    verdicts.append(next(filter(None, faults), None))
     try:
         built = columns_dataset(["a"], *([value] for value in metrics), {"f": [extra]})
     except DomainValidationError as exc:

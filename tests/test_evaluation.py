@@ -18,10 +18,9 @@ from leadalloc.evaluation import (
     city_hits,
     format_report_table,
     report_to_dict,
-    table_lines,
     truncate_display,
 )
-from leadalloc.ingest import parse_model_runs, parse_targets
+from leadalloc.ingest import parse_model_runs, parse_targets, table_lines
 from leadalloc.model import ModelRun, Recommendation, TargetSet
 from leadalloc import resources
 

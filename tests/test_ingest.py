@@ -14,11 +14,12 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import (
-    metric,
+    extra_factors,
     plan_of_allocations,
     ranking_from_scores,
     ranking_of_entries,
     ranking_to_dict,
+    rows_of,
 )
 from leadalloc.errors import (
     DatasetValidationError,
@@ -63,7 +64,7 @@ class TestParseCityDataset:
         assert report.issues == []
         assert dataset.city == "chicago"
         assert dataset.names == ("englewood", "west englewood", "austin")
-        assert dataset.records[0].prevalence == 12.4
+        assert dataset.prevalence[0] == 12.4
         assert dataset.bll_threshold_ug_dl == 5.0
         assert dataset.unit_kind is UnitKind.NAMED_AREA
 
@@ -77,8 +78,8 @@ class TestParseCityDataset:
             "avg_turbidity",
             "median_income_k",
         )
-        assert dataset.records[0].name == "riverbend"
-        assert dataset.records[0].extra_factors["median_income_k"] == 32.5
+        assert dataset.names[0] == "riverbend"
+        assert dataset.extra_columns["median_income_k"][0] == 32.5
 
     def test_blank_extra_cells_leave_the_factor_out(self, write_file):
         path = write_file(
@@ -92,15 +93,16 @@ class TestParseCityDataset:
         )
         dataset, report = parse_city_dataset(path, "chicago")
         assert report.accepted
-        assert [dict(record.extra_factors) for record in dataset.records] == [
+        rows = rows_of(dataset)
+        assert [extra_factors(row) for row in rows] == [
             {"pipe": 40.0, "lines": 7.0},
             {"lines": 8.0},
             {},
             {"pipe": 41.0, "lines": 9.0},
         ]
-        assert dataset.records[1].extra_factors == {"lines": 8.0}
-        assert metric(dataset.records[1], "pipe") is None
-        assert metric(dataset.records[3], "lines") == 9.0
+        assert extra_factors(rows[1]) == {"lines": 8.0}
+        assert rows[1].get("pipe") is None
+        assert rows[3].get("lines") == 9.0
         assert dataset.factor_names() == ("untested_pct", "public_coverage_pct", "lines", "pipe")
 
     def test_decode_error_past_the_first_chunk_names_its_file_offset(self, tmp_path):
@@ -138,7 +140,9 @@ class TestParseCityDataset:
         finally:
             tracemalloc.stop()
         assert len(dataset) == 20_000
-        assert dataset.records[-1].extra_factors == {"pipe_age_yr": 19_999 % 90}
+        assert {f: column[-1] for f, column in dataset.extra_columns.items()} == {
+            "pipe_age_yr": 19_999 % 90
+        }
         assert peak < 12_000_000
 
     def test_header_order_is_flexible(self, write_file):
@@ -212,8 +216,8 @@ class TestParseCityDataset:
             """
         )
         dataset, _ = parse_city_dataset(path, "chicago")
-        assert dataset.records[0].untested_pct == 48.0
-        assert dataset.records[0].public_coverage_pct == 41.0
+        assert dataset.untested_pct[0] == 48.0
+        assert dataset.public_coverage_pct[0] == 41.0
 
     def test_unit_fraction_bounds(self, write_file):
         path = write_file(
@@ -617,7 +621,7 @@ class TestRankingRoundTrip:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(ranking.entries) == 20_000
+        assert len(ranking) == 20_000
         assert peak < 7_000_000
 
     def test_parse_holds_no_float_object_per_score(self, tmp_path):
@@ -644,7 +648,9 @@ class TestRankingRoundTrip:
         doc["entries"][1].update(raw_score=1, scaled_score=5)
         path = tmp_path / "ranking.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert parse_ranking(path).entries == (("a", 2.0, 10.0), ("b", 1.0, 5.0))
+        ranking = parse_ranking(path)
+        assert ranking.names == ("a", "b")
+        assert (list(ranking.raw_scores), list(ranking.scaled_scores)) == ([2.0, 1.0], [10.0, 5.0])
 
     def test_weights_shaped_like_an_entry_are_rejected(self, tmp_path):
         doc = ranking_to_dict(ranking_from_scores({"a": 2.0, "b": 1.0}))
@@ -669,9 +675,10 @@ class TestRankingRoundTrip:
     def test_integral_scores_read_as_floats(self):
         doc = ranking_to_dict(ranking_from_scores({"riverbend": 1.0, "mill east": 0.25}))
         doc["entries"][0].update(raw_score=1, scaled_score=10)
-        entry = ranking_from_dict(doc).entries[0]
-        assert entry == ("riverbend", 1.0, 10.0)
-        assert (type(entry.raw_score), type(entry.scaled_score)) == (float, float)
+        ranking = ranking_from_dict(doc)
+        name, raw, scaled = ranking.names[0], ranking.raw_scores[0], ranking.scaled_scores[0]
+        assert (name, raw, scaled) == ("riverbend", 1.0, 10.0)
+        assert (type(raw), type(scaled)) == (float, float)
 
     @pytest.mark.parametrize(
         "scores, name, scaled, expected",

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from types import MappingProxyType
 
 import pytest
 from hypothesis import given
@@ -13,12 +12,13 @@ from hypothesis import strategies as st
 from helpers import (
     check_ranking_entry_by_entry,
     dataset,
-    dataset_of_records,
-    metric,
+    dataset_of_rows,
     plan_of_allocations,
     ranking_of_entries,
-    record,
+    row,
+    rows_of,
 )
+import leadalloc.model
 from leadalloc import resources
 from leadalloc.errors import (
     DatasetValidationError,
@@ -30,14 +30,11 @@ from leadalloc.evaluation import AccuracyReport, RunAccuracy
 from leadalloc.ingest import ValidationIssue, ValidationReport
 from leadalloc.model import (
     AliasTable,
-    AllocationEntry,
     AllocationPlan,
     CityDataset,
     CityProfile,
     ModelRun,
-    NeighborhoodRecord,
     PriorityRanking,
-    RankingEntry,
     Recommendation,
     Strategy,
     TargetSet,
@@ -180,63 +177,48 @@ class TestCityRegistry:
         assert city_profile("rivertown").unit_kind is UnitKind.ZIP_CODE
 
 
-class TestNeighborhoodRecord:
+class TestNeighborhoodValues:
     def test_valid_record_with_extras(self):
-        rec = record("englewood", 12.4, 48.0, 41.0, avg_turbidity=1.9)
-        assert metric(rec, "prevalence_per_1000") == 12.4
-        assert metric(rec, "untested_pct") == 48.0
-        assert metric(rec, "public_coverage_pct") == 41.0
-        assert metric(rec, "avg_turbidity") == 1.9
-        assert metric(rec, "absent_column") is None
+        rec = rows_of(dataset([("englewood", 12.4, 48.0, 41.0, {"avg_turbidity": 1.9})]))[0]
+        assert rec.get("prevalence_per_1000") == 12.4
+        assert rec.get("untested_pct") == 48.0
+        assert rec.get("public_coverage_pct") == 41.0
+        assert rec.get("avg_turbidity") == 1.9
+        assert rec.get("absent_column") is None
 
     def test_extras_may_be_negative(self):
-        rec = record("austin", 1.0, 2.0, 3.0, income_delta=-4.5)
-        assert metric(rec, "income_delta") == -4.5
+        rec = rows_of(dataset([("austin", 1.0, 2.0, 3.0, {"income_delta": -4.5})]))[0]
+        assert rec.get("income_delta") == -4.5
 
     def test_extras_are_immutable(self):
-        rec = record("austin", 1.0, 2.0, 3.0, f=1.0)
+        extras = dataset([("austin", 1.0, 2.0, 3.0, {"f": 1.0})]).extra_columns
         with pytest.raises(TypeError):
-            rec.extra_factors["f"] = 2.0
-
-    def test_extras_are_a_mapping_equal_to_the_dict_given(self):
-        given_factors = {"f": 1.0, "g": -2.5}
-        extras = record("austin", 1.0, 2.0, 3.0, **given_factors).extra_factors
-        assert isinstance(extras, Mapping)
-        assert extras == given_factors and given_factors == extras
-        assert extras == MappingProxyType(given_factors)
-        assert not extras != given_factors
-        assert extras != {"f": 1.0} and extras != {"f": 1.0, "g": 2.5}
-        assert (len(extras), list(extras), list(extras.values())) == (2, ["f", "g"], [1.0, -2.5])
-        assert ("g" in extras, "h" in extras, extras.get("h")) == (True, False, None)
-        with pytest.raises(KeyError):
-            extras["h"]
+            extras["f"] = [2.0]
         with pytest.raises(TypeError):
-            hash(extras)
-        with pytest.raises(TypeError):
-            extras < extras
+            extras["f"][0] = 2.0
 
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
     def test_prevalence_must_be_non_negative_real(self, bad):
         with pytest.raises(DomainValidationError, match="prevalence"):
-            record("austin", bad, 2.0, 3.0)
+            dataset([("austin", bad, 2.0, 3.0)])
 
     @pytest.mark.parametrize("bad", [-1.0, 120.0, float("nan")])
     def test_percentages_bounded(self, bad):
         with pytest.raises(DomainValidationError, match="out of range"):
-            record("austin", 1.0, bad, 3.0)
+            dataset([("austin", 1.0, bad, 3.0)])
         with pytest.raises(DomainValidationError, match="out of range"):
-            record("austin", 1.0, 2.0, bad)
+            dataset([("austin", 1.0, 2.0, bad)])
 
     def test_empty_name_rejected(self):
         with pytest.raises(InvalidNameError):
-            record("  ", 1.0, 2.0, 3.0)
+            dataset([("  ", 1.0, 2.0, 3.0)])
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
     def test_extras_must_be_finite(self, bad):
         with pytest.raises(DomainValidationError, match="austin: extra factor 'g' must be finite"):
-            record("austin", 1.0, 2.0, 3.0, f=1.0, g=bad)
+            dataset([("austin", 1.0, 2.0, 3.0, {"f": 1.0, "g": bad})])
 
-    @pytest.mark.parametrize("build", ["keyword", "positional", "_make", "_replace"])
+    @pytest.mark.parametrize("build", ["keyword", "positional", "_replace"])
     @pytest.mark.parametrize(
         ("fields", "error", "message"),
         [
@@ -244,38 +226,42 @@ class TestNeighborhoodRecord:
             (
                 ("austin", -0.1, 2.0, 3.0, {}),
                 DomainValidationError,
-                "austin: prevalence_per_1000 out of range [0, inf), got -0.1",
+                "demo: austin: prevalence_per_1000 out of range [0, inf), got -0.1",
             ),
             (
                 ("austin", 1.0, 120.0, 3.0, {}),
                 DomainValidationError,
-                "austin: untested_pct out of range [0, 100], got 120.0",
+                "demo: austin: untested_pct out of range [0, 100], got 120.0",
             ),
             (
                 ("austin", 1.0, 2.0, math.nan, {}),
                 DomainValidationError,
-                "austin: public_coverage_pct out of range [0, 100], got nan",
+                "demo: austin: public_coverage_pct out of range [0, 100], got nan",
             ),
             (
                 ("austin", 1.0, 2.0, 3.0, {"f": 1.0, "g": math.inf}),
                 DomainValidationError,
-                "austin: extra factor 'g' must be finite, got inf",
+                "demo: austin: extra factor 'g' must be finite, got inf",
             ),
             (
                 ("austin", -0.1, 120.0, 3.0, {}),
                 DomainValidationError,
-                "austin: prevalence_per_1000 out of range [0, inf), got -0.1",
+                "demo: austin: prevalence_per_1000 out of range [0, inf), got -0.1",
             ),
         ],
         ids=["empty-name", "prevalence", "untested", "nan-coverage", "extra", "first-check-wins"],
     )
     def test_every_construction_reports_the_same_message(self, build, fields, error, message):
-        by_name = dict(zip(NeighborhoodRecord._fields, fields))
+        *cells, extras = fields
+        by_name = dict(
+            zip(("names", "prevalence", "untested_pct", "public_coverage_pct"), zip(cells)),
+            extra_columns={factor: [value] for factor, value in extras.items()},
+        )
+        profile = dict(bll_threshold_ug_dl=5.0, unit_kind=UnitKind.NAMED_AREA)
         construct = {
-            "keyword": lambda: NeighborhoodRecord(**by_name),
-            "positional": lambda: NeighborhoodRecord(*fields),
-            "_make": lambda: NeighborhoodRecord._make(fields),
-            "_replace": lambda: NeighborhoodRecord("valid", 1.0, 2.0, 3.0)._replace(**by_name),
+            "keyword": lambda: CityDataset("demo", **by_name, **profile),
+            "positional": lambda: CityDataset("demo", *by_name.values(), **profile),
+            "_replace": lambda: dataset([("valid", 1.0, 2.0, 3.0)])._replace(**by_name),
         }[build]
         with pytest.raises(error) as raised:
             construct()
@@ -294,15 +280,15 @@ class TestCityDataset:
 
     def test_zip_city_requires_zip_names(self):
         with pytest.raises(DomainValidationError, match="ZIP"):
-            dataset_of_records(
+            dataset_of_rows(
                 city="dc",
-                records=(record("georgetown", 1, 2, 3),),
+                rows=(row("georgetown", 1, 2, 3),),
                 bll_threshold_ug_dl=3.5,
                 unit_kind=UnitKind.ZIP_CODE,
             )
-        ok = dataset_of_records(
+        ok = dataset_of_rows(
             city="dc",
-            records=(record("20011", 1, 2, 3),),
+            rows=(row("20011", 1, 2, 3),),
             bll_threshold_ug_dl=3.5,
             unit_kind=UnitKind.ZIP_CODE,
         )
@@ -396,7 +382,9 @@ class TestRankingColumns:
         weights = derive_weights(0.6)
         zero = PriorityRanking("demo", weights, ["a", "b"], [1.0, 0.0])
         negative_zero = PriorityRanking("demo", weights, ["a", "b"], [1.0, -0.0])
-        assert zero.entries == negative_zero.entries
+        assert zero.names == negative_zero.names
+        assert list(zero.raw_scores) == list(negative_zero.raw_scores)
+        assert list(zero.scaled_scores) == list(negative_zero.scaled_scores)
         assert zero != negative_zero
 
     def test_repr_shows_the_columns_as_lists(self):
@@ -411,7 +399,7 @@ class TestAllocationPlan:
             plan_of_allocations(
                 city="demo",
                 total_kits=10,
-                allocations=(AllocationEntry("a", 4), AllocationEntry("b", 4)),
+                allocations=(("a", 4), ("b", 4)),
                 strategy=Strategy.PROPORTIONAL,
             )
 
@@ -420,7 +408,7 @@ class TestAllocationPlan:
             plan_of_allocations(
                 city="demo",
                 total_kits=1,
-                allocations=(AllocationEntry("a", 2), AllocationEntry("b", -1)),
+                allocations=(("a", 2), ("b", -1)),
                 strategy=Strategy.PROPORTIONAL,
             )
 
@@ -548,14 +536,12 @@ def test_ranking_and_plan_hold_columns():
     ranking = PriorityRanking("demo", weights, ["b", "a"], [2.0, 1.0])
     assert ranking.names == ("b", "a")
     assert (list(ranking.raw_scores), list(ranking.scaled_scores)) == ([2.0, 1.0], [10.0, 5.0])
-    assert ranking.entries == (RankingEntry("b", 2.0, 10.0), RankingEntry("a", 1.0, 5.0))
     assert ranking == PriorityRanking("demo", weights, ("b", "a"), (2.0, 1.0))
     assert len(ranking) == 2 and not isinstance(ranking, tuple)
     names = ranking.names
     plan = AllocationPlan("demo", 3, names, [2, 1], Strategy.PROPORTIONAL)
     assert plan.names is names
     assert plan.kits == (2, 1)
-    assert plan.allocations == (AllocationEntry("b", 2), AllocationEntry("a", 1))
     assert len(plan) == 2 and not isinstance(plan, tuple)
     with pytest.raises(DomainValidationError, match="one score per name"):
         PriorityRanking("demo", weights, ["b", "a"], [2.0])
@@ -564,6 +550,33 @@ def test_ranking_and_plan_hold_columns():
     assert plan._replace(kits=(3, 0)).kits == (3, 0)
     with pytest.raises(DomainValidationError, match="sum to"):
         plan._replace(kits=(3, 1))
+
+
+def test_rows_are_plain_tuples_zipped_from_the_columns_with_no_check(monkeypatch):
+    data = CityDataset(
+        "demo", ["a", "b"], [1.0, 2.0], [3.0, 4.0], [5.0, 6.0],
+        {"f": [math.nan, 7.0], "g": [0.5, -1.0]},
+        bll_threshold_ug_dl=5.0, unit_kind=UnitKind.NAMED_AREA,
+    )
+    ranking = PriorityRanking("demo", derive_weights(0.6), ["b", "a"], [2.0, 1.0])
+    plan = AllocationPlan("demo", 3, ranking.names, [2, 1], Strategy.PROPORTIONAL)
+
+    def checked(*args):
+        raise AssertionError("a row's value was checked")
+
+    monkeypatch.setattr(leadalloc.model, "value_fault", checked)
+    f, g = data.extra_columns["f"], data.extra_columns["g"]
+    assert data.records == (
+        (data.names[0], data.prevalence[0], data.untested_pct[0], data.public_coverage_pct[0],
+         {"g": g[0]}),
+        (data.names[1], data.prevalence[1], data.untested_pct[1], data.public_coverage_pct[1],
+         {"f": f[1], "g": g[1]}),
+    ) == (("a", 1.0, 3.0, 5.0, {"g": 0.5}), ("b", 2.0, 4.0, 6.0, {"f": 7.0, "g": -1.0}))
+    assert ranking.entries == tuple(zip(ranking.names, ranking.raw_scores, ranking.scaled_scores))
+    assert ranking.entries == (("b", 2.0, 10.0), ("a", 1.0, 5.0))
+    assert plan.allocations == tuple(zip(plan.names, plan.kits)) == (("b", 2), ("a", 1))
+    rows = (*data.records, *ranking.entries, *plan.allocations)
+    assert {type(row) for row in rows} == {tuple}
 
 
 EACH_COLUMNAR_TYPE = pytest.mark.parametrize(
@@ -585,7 +598,7 @@ EACH_COLUMNAR_TYPE = pytest.mark.parametrize(
 @EACH_COLUMNAR_TYPE
 @pytest.mark.parametrize("names", [["", "Old-Town"], ["b", " "], ["a", "\t\n", "b"]])
 def test_columnar_values_refuse_a_blank_name(build, names):
-    # As a record refuses one: a blank name would only fail later, in ``records``.
+    # Refused at construction, before the type's own checks of its columns.
     with pytest.raises(InvalidNameError, match="^neighborhood name must be non-empty$"):
         build(names)
 
@@ -621,17 +634,6 @@ def _value_cases():
             CityProfile,
             dict(city="x", unit_kind=UnitKind.NAMED_AREA, bll_threshold_ug_dl=5.0),
             dict(bll_threshold_ug_dl=3.5),
-        ),
-        (
-            NeighborhoodRecord,
-            dict(
-                name="a",
-                prevalence=1.0,
-                untested_pct=2.0,
-                public_coverage_pct=3.0,
-                extra_factors={"f": 1.0},
-            ),
-            dict(extra_factors={"f": 2.0}),
         ),
         (
             CityDataset,
@@ -755,20 +757,23 @@ def test_construction_runs_post_init_which_tracing_can_replace(monkeypatch):
 
 def test_replace_validates_like_construction():
     ranking = PriorityRanking("demo", derive_weights(0.6), ["a"], [1.0])
-    assert type(ranking.entries[0]) is RankingEntry
     with pytest.raises(DomainValidationError, match="no entries"):
         ranking._replace(names=(), raw_scores=())
     plan = AllocationPlan("demo", 1, ["a"], [1], Strategy.PROPORTIONAL)
     with pytest.raises(DomainValidationError, match="sum to"):
         plan._replace(total_kits=2)
-    neighborhood = record("a", 1.0, 2.0, 3.0, f=1.0)
-    assert type(neighborhood._replace(prevalence=2.0).extra_factors) is type(
-        neighborhood.extra_factors
+    neighborhood = dataset([("a", 1.0, 2.0, 3.0, {"f": 1.0})])
+    assert type(neighborhood._replace(prevalence=[2.0]).extra_columns) is type(
+        neighborhood.extra_columns
     )
     with pytest.raises(DomainValidationError, match="prevalence"):
-        neighborhood._replace(prevalence=-1.0)
+        neighborhood._replace(prevalence=[-1.0])
     with pytest.raises(DomainValidationError, match="out of range"):
-        NeighborhoodRecord._make(("a", 1.0, 2.0, 101.0, {}))
+        neighborhood._replace(public_coverage_pct=[101.0])
+    with pytest.raises(DomainValidationError, match="negative kits"):
+        Recommendation._make(("a", -1))
+    with pytest.raises(DomainValidationError, match="negative kits"):
+        Recommendation("a", 1)._replace(kits=-1)
 
 
 def test_validation_report_is_a_mutable_record():
@@ -804,10 +809,19 @@ def small_plans(draw):
 @pytest.mark.parametrize(
     ("values", "rows"),
     [
-        (small_rankings(), lambda ranking: (ranking.city, ranking.weights, ranking.entries)),
+        (
+            small_rankings(),
+            lambda ranking: (
+                ranking.city,
+                ranking.weights,
+                list(zip(ranking.names, ranking.raw_scores, ranking.scaled_scores)),
+            ),
+        ),
         (
             small_plans(),
-            lambda plan: (plan.city, plan.total_kits, plan.allocations, plan.strategy),
+            lambda plan: (
+                plan.city, plan.total_kits, list(zip(plan.names, plan.kits)), plan.strategy
+            ),
         ),
     ],
     ids=["PriorityRanking", "AllocationPlan"],

@@ -83,9 +83,9 @@ class TestScoreCity:
     def test_hand_derived_ranking(self):
         ranking = score_city(dataset(LINEAR_FIXTURE), r_override=0.6)
         assert ranking.names == ("birch", "dogwood", "alder", "cedar")
-        raw = [entry.raw_score for entry in ranking.entries]
+        raw = list(ranking.raw_scores)
         assert raw == pytest.approx([0.90, 0.71, 0.65, 0.14], abs=1e-12)
-        scaled = [entry.scaled_score for entry in ranking.entries]
+        scaled = list(ranking.scaled_scores)
         assert scaled[0] == 10.0
         assert scaled[1] == pytest.approx(10 * 0.71 / 0.90, abs=1e-12)
         assert scaled[3] == pytest.approx(10 * 0.14 / 0.90, abs=1e-12)
@@ -98,8 +98,8 @@ class TestScoreCity:
     def test_correlation_computed_from_data_when_not_overridden(self):
         ds = dataset(LINEAR_FIXTURE)
         ranking = score_city(ds)
-        coverage = [rec.public_coverage_pct for rec in ds.records]
-        prevalence = [rec.prevalence for rec in ds.records]
+        coverage = list(ds.public_coverage_pct)
+        prevalence = list(ds.prevalence)
         assert ranking.weights.source_correlation == pearson(coverage, prevalence)
 
     def test_variants_can_rank_differently(self):
@@ -116,10 +116,10 @@ class TestScoreCity:
             algorithm = score_city(dataset(rows), r_override=0.6, variant="algorithm")
         assert text.names == ("cypress", "ash", "beech")
         assert algorithm.names == ("cypress", "beech", "ash")
-        assert [e.raw_score for e in text.entries] == pytest.approx(
+        assert list(text.raw_scores) == pytest.approx(
             [0.475, 0.35, 0.21], abs=1e-12
         )
-        assert [e.raw_score for e in algorithm.entries] == pytest.approx(
+        assert list(algorithm.raw_scores) == pytest.approx(
             [0.70, 0.42, 0.20], abs=1e-12
         )
 
@@ -136,8 +136,8 @@ class TestScoreCity:
         rows = [("a", 5.0, 40.0, 30.0), ("b", 5.0, 40.0, 30.0)]
         with pytest.warns(DataQualityWarning):
             ranking = score_city(dataset(rows), r_override=0.6)
-        assert all(entry.raw_score == 0.0 for entry in ranking.entries)
-        assert all(entry.scaled_score == 0.0 for entry in ranking.entries)
+        assert all(score == 0.0 for score in ranking.raw_scores)
+        assert all(score == 0.0 for score in ranking.scaled_scores)
 
     def test_needs_at_least_two_records(self):
         with pytest.raises(DomainValidationError, match="at least 2"):
@@ -149,8 +149,8 @@ class TestScoreCity:
             dataset(LINEAR_FIXTURE), r_override=0.6, normalize_weights=True
         )
         assert unit.names == plain.names
-        for a, b in zip(plain.entries, unit.entries):
-            assert b.scaled_score == pytest.approx(a.scaled_score, abs=1e-12)
+        for a, b in zip(plain.scaled_scores, unit.scaled_scores):
+            assert b == pytest.approx(a, abs=1e-12)
 
     def test_alpha_changes_emphasis(self):
         # alpha -> 1 leans entirely on prevalence: alder (max P) wins.
