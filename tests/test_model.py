@@ -15,6 +15,7 @@ from helpers import (
     dataset_of_rows,
     plan_of_allocations,
     ranking_of_entries,
+    extra_factors,
     row,
     rows_of,
 )
@@ -27,7 +28,7 @@ from leadalloc.errors import (
     UnknownCityError,
 )
 from leadalloc.evaluation import AccuracyReport, RunAccuracy
-from leadalloc.ingest import ValidationIssue, ValidationReport
+from leadalloc.ingest import ValidationIssue, ValidationReport, parse_city_dataset
 from leadalloc.model import (
     AliasTable,
     AllocationPlan,
@@ -48,6 +49,7 @@ from leadalloc.model import (
     register_city,
 )
 from leadalloc.scoring import derive_weights
+from leadalloc.stats import CorrelationResult
 
 
 def _fold_each_character(raw, aliases=None):
@@ -197,6 +199,20 @@ class TestNeighborhoodValues:
         with pytest.raises(TypeError):
             extras["f"][0] = 2.0
 
+    def test_extras_are_a_mapping_equal_to_the_dict_given(self):
+        given_factors = {"f": [1.0], "g": [-2.5]}
+        extras = dataset([("austin", 1.0, 2.0, 3.0, {"f": 1.0, "g": -2.5})]).extra_columns
+        assert isinstance(extras, Mapping)
+        assert {factor: column.tolist() for factor, column in extras.items()} == given_factors
+        assert (len(extras), list(extras)) == (2, ["f", "g"])
+        assert ("g" in extras, "h" in extras, extras.get("h")) == (True, False, None)
+        with pytest.raises(KeyError):
+            extras["h"]
+        with pytest.raises(TypeError):
+            hash(extras)
+        with pytest.raises(TypeError):
+            extras < extras
+
     @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
     def test_prevalence_must_be_non_negative_real(self, bad):
         with pytest.raises(DomainValidationError, match="prevalence"):
@@ -213,10 +229,22 @@ class TestNeighborhoodValues:
         with pytest.raises(InvalidNameError):
             dataset([("  ", 1.0, 2.0, 3.0)])
 
-    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
-    def test_extras_must_be_finite(self, bad):
-        with pytest.raises(DomainValidationError, match="austin: extra factor 'g' must be finite"):
-            dataset([("austin", 1.0, 2.0, 3.0, {"f": 1.0, "g": bad})])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_extras_must_be_finite(self, bad, tmp_path):
+        path = tmp_path / "city.csv"
+        path.write_text(f"neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct,f,g\n"
+                        f"austin,1,2,3,1,{bad!r}\n", encoding="utf-8")
+        with pytest.raises(DatasetValidationError) as raised:
+            parse_city_dataset(path, "demo")
+        fault = f"extra factor 'g' must be finite, got {bad}"
+        assert [issue.message for issue in raised.value.report.errors()] == [fault]
+        if math.isnan(bad):
+            # In a dataset's column NaN is a blank cell: the row lacks the factor.
+            built = dataset([("austin", 1.0, 2.0, 3.0, {"f": 1.0, "g": bad})])
+            assert extra_factors(rows_of(built)[0]) == {"f": 1.0}
+        else:
+            with pytest.raises(DomainValidationError, match=f"austin: {fault}"):
+                dataset([("austin", 1.0, 2.0, 3.0, {"f": 1.0, "g": bad})])
 
     @pytest.mark.parametrize("build", ["keyword", "positional", "_replace"])
     @pytest.mark.parametrize(
@@ -678,8 +706,15 @@ def _value_cases():
             dict(per_city={"chicago": (Recommendation("a", 2),)}),
         ),
         (TargetSet, dict(per_city={"chicago": frozenset({"a"})}), dict(per_city={"dc": {"20011"}})),
+        (Recommendation, dict(name="a", kits=1), dict(kits=2)),
         (RunAccuracy, run_fields, dict(hits_per_city={"chicago": 0})),
         (AccuracyReport, dict(k=3, per_run=(run,)), dict(k=5)),
+        (CorrelationResult, dict(factor="f", r=0.5, n=3), dict(r=-0.5)),
+        (
+            ValidationIssue,
+            dict(severity="error", location="row 2", message="m"),
+            dict(location=None),
+        ),
     ]
 
 
