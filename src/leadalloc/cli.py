@@ -198,7 +198,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
         print(json.dumps(doc, indent=2))
         return 0
 
-    columns = list(zip(*results))  # factor, r, n
+    columns = [[getattr(res, field) for res in results] for field in ("factor", "r", "n")]
     sys.stdout.writelines(table_lines(("factor", "r", "n"), columns, ("", ".2f", "d"), left={0}))
     return 0
 

@@ -9,10 +9,10 @@ rounded) to two decimals, so 6/9 renders as ``0.66``.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import TYPE_CHECKING, AbstractSet, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import DomainValidationError
-from .model import DEFAULT_K, ModelRun, TargetSet, validated
+from .model import DEFAULT_K, ModelRun, TargetSet, Value
 
 if TYPE_CHECKING:
     # Imported where used at run time: ``fractions`` loads ``decimal``, which
@@ -42,21 +42,21 @@ def city_hits(recommended: Sequence[str], targets: AbstractSet[str], k: int = DE
     return len(set(recommended[:k]) & set(targets))
 
 
-@validated
-class RunAccuracy(NamedTuple):
+class RunAccuracy(Value):
     """One run's hits per target city; its total and accuracy are derived from them."""
 
-    model: str
-    mode: str
-    hits_per_city: Mapping[str, int]
-    denominator: int
+    __slots__ = _fields = ("model", "mode", "hits_per_city", "denominator")
 
-    def __post_init__(self) -> RunAccuracy:
-        hits = MappingProxyType(dict(self.hits_per_city))
+    def __init__(
+        self, model: str, mode: str, hits_per_city: Mapping[str, int], denominator: int
+    ) -> None:
+        self._init(model, mode, MappingProxyType(dict(hits_per_city)), denominator)
+
+    def __post_init__(self) -> None:
+        hits = self.hits_per_city
         fits = min(hits.values(), default=0) >= 0 and sum(hits.values()) <= self.denominator
         if not fits or self.denominator < 1:
             raise DomainValidationError(f"hits {dict(hits)} do not fit in {self.denominator} targets")
-        return tuple.__new__(type(self), (self.model, self.mode, hits, self.denominator))
 
     @property
     def total_hits(self) -> int:
@@ -73,8 +73,7 @@ class RunAccuracy(NamedTuple):
         return truncate_display(self.accuracy_exact)
 
 
-@validated
-class AccuracyReport(NamedTuple):
+class AccuracyReport(Value):
     """Per-run accuracies plus two overall statistics derived from them.
 
     ``overall_mean`` pools hits over the pooled denominator; ``run_mean``
@@ -82,13 +81,14 @@ class AccuracyReport(NamedTuple):
     every run has the same denominator.
     """
 
-    k: int
-    per_run: tuple[RunAccuracy, ...]
+    __slots__ = _fields = ("k", "per_run")
 
-    def __post_init__(self) -> AccuracyReport:
+    def __init__(self, k: int, per_run: Iterable[RunAccuracy]) -> None:
+        self._init(k, tuple(per_run))
+
+    def __post_init__(self) -> None:
         if not self.per_run:
             raise DomainValidationError("cannot build a report from zero runs")
-        return tuple.__new__(type(self), (self.k, tuple(self.per_run)))
 
     @property
     def pooled_hits(self) -> int:

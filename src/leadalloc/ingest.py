@@ -27,9 +27,7 @@ from itertools import chain, repeat
 from operator import itemgetter, mul
 from pathlib import Path
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import (
-    TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO,
-)
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import DatasetValidationError, DomainValidationError, InvalidNameError, located
 from .model import (
@@ -44,6 +42,7 @@ from .model import (
     Recommendation,
     TargetSet,
     UnitKind,
+    Value,
     WeightConfig,
     WeightVariant,
     canonicalize_name,
@@ -57,10 +56,13 @@ if TYPE_CHECKING:
     from array import array
 
 
-class ValidationIssue(NamedTuple):
-    severity: str  # "error" | "warning"
-    location: str | None  # "row N" in a CSV, a JSON Pointer in JSON; None for the whole file
-    message: str
+class ValidationIssue(Value):
+    """One parse issue: "error" or "warning", at "row N", a JSON Pointer or None (the file)."""
+
+    __slots__ = _fields = ("severity", "location", "message")
+
+    def __init__(self, severity: str, location: str | None, message: str) -> None:
+        self._init(severity, location, message)
 
 
 class ValidationReport:

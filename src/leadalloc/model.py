@@ -1,21 +1,19 @@
 """Shared domain types: datasets, weights, rankings, plans and recorded runs.
 
-Everything here is immutable after construction and validated on
+Everything here is immutable after construction and checked on
 construction; downstream modules can rely on the invariants without
-re-checking them. Most types are ``NamedTuple``s, so they also unpack,
-iterate and compare equal to plain tuples of their field values. The types
-with a length of their own, :class:`AliasTable`, :class:`CityDataset`,
-:class:`PriorityRanking` and :class:`AllocationPlan`, are slotted
-:class:`Value` classes instead; the last three hold their neighborhoods as
-columns, one per field, not as records. Names, and a plan's kit counts,
-which are unbounded ints, are tuples; a dataset's metrics and a ranking's
-scores are read-only float64 views of an ``array('d')``, 8 bytes a value,
-compared by their bytes (see :class:`_Columnar`). A checked type of either
-kind has one constructor, its class call: a ``NamedTuple`` under
-:func:`validated`, a :class:`Value` through :meth:`Value._init`, and both
-run its ``__post_init__``. Neither kind uses ``dataclasses``: importing it
-and building frozen dataclasses would cost more than the rest of the CLI's
-start-up.
+re-checking them. Every checked type is a slotted :class:`Value`: its class
+call, the one constructor, normalizes what it is given and sets the slots
+through :meth:`Value._init`, which runs the type's ``__post_init__``. The
+types with a length of their own, :class:`AliasTable`, :class:`CityDataset`,
+:class:`PriorityRanking` and :class:`AllocationPlan`, say so with
+``__len__``; the last three hold their neighborhoods as columns, one per
+field, not as records. Names, and a plan's kit counts, which are unbounded
+ints, are tuples; a dataset's metrics and a ranking's scores are read-only
+float64 views of an ``array('d')``, 8 bytes a value, compared by their bytes
+(see :class:`_Columnar`). No type is a named tuple or a dataclass:
+building either kind of class at import costs more than the rest of the
+CLI's start-up.
 
 Each input rule lives here once, and every reader or type that checks it
 words its faults here: the metric bounds in :data:`METRIC_CAPS` and
@@ -34,7 +32,6 @@ from itertools import compress, islice, repeat
 from operator import eq, ge, le, mul, truediv
 from pathlib import Path
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .errors import DomainValidationError, InvalidNameError, UnknownCityError, located
 
@@ -70,39 +67,17 @@ def duplicate_name(name: str) -> str:
     return f"duplicate neighborhood {name!r}"
 
 
-def validated(cls):
-    """Make every construction of the ``NamedTuple`` ``cls`` run its ``__post_init__``.
-
-    ``__post_init__`` raises on a broken invariant. It returns None, or an
-    instance with normalized fields (a tuple for any iterable, a read-only
-    view of a mapping's copy), which construction returns instead; it builds
-    that instance with ``tuple.__new__``, which runs no check. ``_make`` and
-    ``_replace`` construct through the same path, so no instance skips the
-    checks. A construction that normalizes builds the tuple twice, which
-    is cheap for the few values the CLI builds this way.
-    """
-    make_fields = cls.__new__
-
-    def __new__(klass, *args, **kwargs):
-        self = make_fields(klass, *args, **kwargs)
-        normalized = self.__post_init__()
-        return self if normalized is None else normalized
-
-    cls.__new__ = staticmethod(__new__)
-    cls._make = classmethod(lambda klass, values: klass(*values))
-    return cls
-
-
 class Value:
-    """Base of the immutable types that cannot be tuples because they have a length.
+    """Base of every immutable domain type.
 
     A subclass names its fields in ``_fields`` and keeps each in the slot of
     the same name: ``__slots__ == _fields``. Its class call, the one way to
-    build it, sets the slots with :meth:`_init`, which checks the value with
-    ``__post_init__``; any later assignment raises ``AttributeError``.
-    Equality and hashing go by :meth:`_key`, and ``repr`` and ``_replace``
-    by :meth:`_values`; both are the field values unless a subclass says
-    otherwise.
+    build it, normalizes what it is given and sets the slots with
+    :meth:`_init`, which checks the value with ``__post_init__``; any later
+    assignment raises ``AttributeError``. A value is no tuple: it does not
+    index, unpack or equal one. Equality and hashing go by :meth:`_key`, and
+    ``repr`` and ``_replace`` by :meth:`_values`; both are the field values
+    unless a subclass says otherwise.
     """
 
     __slots__ = ()
@@ -119,6 +94,9 @@ class Value:
         for slot, value in zip(self.__slots__, values):
             object.__setattr__(self, slot, value)
         self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Raise on a broken invariant; a type with no rule keeps this one, which has none."""
 
     def _replace(self, **changes):
         """A copy with the named fields changed, built and checked as a new value is."""
@@ -316,6 +294,10 @@ class UnitKind(Enum):
     NAMED_AREA = "named_area"
     ZIP_CODE = "zip_code"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise DomainValidationError(f"unknown unit kind {value!r}")
+
 
 class WeightVariant(Enum):
     """Which of the two supported weight-derivation rules is in force."""
@@ -334,10 +316,20 @@ class Strategy(Enum):
     RANK_WEIGHTED = "rank_weighted"
 
 
-class CityProfile(NamedTuple):
-    city: str
-    unit_kind: UnitKind
-    bll_threshold_ug_dl: float
+class CityProfile(Value):
+    """How one city's datasets are read: its unit kind and blood-lead threshold in ug/dL."""
+
+    __slots__ = _fields = ("city", "unit_kind", "bll_threshold_ug_dl")
+
+    def __init__(self, city: str, unit_kind: UnitKind | str, bll_threshold_ug_dl: float) -> None:
+        self._init(city, UnitKind(unit_kind), bll_threshold_ug_dl)
+
+    def __post_init__(self) -> None:
+        threshold = self.bll_threshold_ug_dl
+        if not (math.isfinite(threshold) and threshold > 0):
+            raise DomainValidationError(
+                f"{self.city}: blood-lead threshold must be finite and positive, got {threshold}"
+            )
 
 
 _CITY_REGISTRY: dict[str, CityProfile] = {
@@ -360,7 +352,7 @@ def city_profile(city: str) -> CityProfile:
 
 
 def register_city(
-    city: str, unit_kind: UnitKind, bll_threshold_ug_dl: float, *, replace: bool = False
+    city: str, unit_kind: UnitKind | str, bll_threshold_ug_dl: float, *, replace: bool = False
 ) -> CityProfile:
     """Add a city to the registry so its datasets can be parsed."""
     key = city.strip().lower()
@@ -412,7 +404,7 @@ class CityDataset(_Columnar):
         extra_columns: Mapping[str, Iterable[float]] = MappingProxyType({}),
         *,
         bll_threshold_ug_dl: float,
-        unit_kind: UnitKind,
+        unit_kind: UnitKind | str,
     ) -> None:
         extras = {factor: self._column(values) for factor, values in extra_columns.items()}
         self._init(
@@ -430,7 +422,7 @@ class CityDataset(_Columnar):
                 }
             ),
             bll_threshold_ug_dl,
-            unit_kind,
+            UnitKind(unit_kind),
         )
 
     def __post_init__(self) -> None:
@@ -519,16 +511,16 @@ def derived_beta_gamma(r: float, alpha: float, variant: WeightVariant) -> tuple[
     return (1 - alpha) * (1 - gamma), gamma
 
 
-@validated
-class WeightConfig(NamedTuple):
+class WeightConfig(Value):
     """Priority-score weights plus the correlation they were derived from."""
 
-    alpha: float
-    beta: float
-    gamma: float
-    variant: WeightVariant
-    source_correlation: float
-    normalized: bool = False
+    __slots__ = _fields = ("alpha", "beta", "gamma", "variant", "source_correlation", "normalized")
+
+    def __init__(
+        self, alpha: float, beta: float, gamma: float, variant: WeightVariant,
+        source_correlation: float, normalized: bool = False,
+    ) -> None:
+        self._init(alpha, beta, gamma, variant, source_correlation, normalized)
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
@@ -673,12 +665,13 @@ class AllocationPlan(_Columnar):
         return "even_split" if self.strategy is Strategy.TOP_K_EQUAL else "largest_remainder"
 
 
-@validated
-class Recommendation(NamedTuple):
+class Recommendation(Value):
     """One neighborhood's kits in a recorded run, never negative."""
 
-    name: str
-    kits: int
+    __slots__ = _fields = ("name", "kits")
+
+    def __init__(self, name: str, kits: int) -> None:
+        self._init(name, kits)
 
     def __post_init__(self) -> None:
         if self.kits < 0:
@@ -686,39 +679,37 @@ class Recommendation(NamedTuple):
             raise DomainValidationError(message, at=("kits",))
 
 
-@validated
-class ModelRun(NamedTuple):
+class ModelRun(Value):
     """One recorded allocation recommendation by a named model and mode, in order."""
 
-    model: str
-    mode: str
-    per_city: Mapping[str, tuple[Recommendation, ...]]
+    __slots__ = _fields = ("model", "mode", "per_city")
 
-    def __post_init__(self) -> ModelRun:
+    def __init__(
+        self, model: str, mode: str, per_city: Mapping[str, Iterable[Recommendation]]
+    ) -> None:
+        frozen = {city: tuple(recommendations) for city, recommendations in per_city.items()}
+        self._init(model, mode, MappingProxyType(frozen))
+
+    def __post_init__(self) -> None:
         for field in ("model", "mode"):
             if not getattr(self, field).strip():
                 raise DomainValidationError(f"{field} must not be blank", at=(field,))
-        frozen = {
-            city: tuple(Recommendation(*rec) for rec in recs)
-            for city, recs in self.per_city.items()
-        }
-        return tuple.__new__(type(self), (self.model, self.mode, MappingProxyType(frozen)))
 
 
-@validated
-class TargetSet(NamedTuple):
+class TargetSet(Value):
     """Per-city non-empty sets of empirically highest-risk neighborhoods."""
 
-    per_city: Mapping[str, frozenset[str]]
+    __slots__ = _fields = ("per_city",)
 
-    def __post_init__(self) -> TargetSet:
-        frozen = {city: frozenset(names) for city, names in self.per_city.items()}
-        if not frozen:
+    def __init__(self, per_city: Mapping[str, Iterable[str]]) -> None:
+        self._init(MappingProxyType({city: frozenset(names) for city, names in per_city.items()}))
+
+    def __post_init__(self) -> None:
+        if not self.per_city:
             raise DomainValidationError("target set lists no cities")
-        for city, names in frozen.items():
+        for city, names in self.per_city.items():
             if not names:
                 raise DomainValidationError(f"target set for {city!r} is empty", at=(city,))
-        return tuple.__new__(type(self), (MappingProxyType(frozen),))
 
     def total_targets(self) -> int:
         return sum(len(names) for names in self.per_city.values())

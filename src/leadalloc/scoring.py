@@ -60,7 +60,7 @@ def derive_weights(
         )
     if not normalize:
         return weights
-    alpha, beta, gamma = weights[:3]
+    beta, gamma = weights.beta, weights.gamma
     total = alpha + beta + gamma
     return WeightConfig(alpha / total, beta / total, gamma / total, variant, r, normalized=True)
 
@@ -96,7 +96,8 @@ def score_city(
     # normalized columns are read as the sum is made, so none is held, and
     # the scores go into a float64 column, not float objects.
     columns = (prevalence, dataset.untested_pct, coverage)
-    p, u, h = (map(mul, repeat(w), _min_max_scaled(c)) for w, c in zip(weights[:3], columns))
+    alpha_beta_gamma = (weights.alpha, weights.beta, weights.gamma)
+    p, u, h = (map(mul, repeat(w), _min_max_scaled(c)) for w, c in zip(alpha_beta_gamma, columns))
     raw = array("d", map(add, map(add, p, u), h))
 
     # Raw score descending, ties by name: sorts are stable, even in reverse,

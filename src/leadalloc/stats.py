@@ -10,16 +10,19 @@ import math
 import warnings
 from itertools import compress, repeat
 from operator import mul, sub, truediv
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DataQualityWarning, DomainValidationError, UndefinedCorrelationError
-from .model import CityDataset, COL_PREVALENCE
+from .model import CityDataset, COL_PREVALENCE, Value
 
 
-class CorrelationResult(NamedTuple):
-    factor: str
-    r: float
-    n: int
+class CorrelationResult(Value):
+    """One factor's correlation ``r`` with prevalence over its ``n`` paired rows."""
+
+    __slots__ = _fields = ("factor", "r", "n")
+
+    def __init__(self, factor: str, r: float, n: int) -> None:
+        self._init(factor, r, n)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:

@@ -125,7 +125,7 @@ def outcome(fn):
     except LeadAllocError as exc:
         return type(exc), str(exc)
     if isinstance(result, PriorityRanking):
-        weights = tuple(v.hex() if isinstance(v, float) else v for v in result.weights)
+        weights = tuple(v.hex() if isinstance(v, float) else v for v in result.weights._values())
         scores = zip(result.names, result.raw_scores, result.scaled_scores)
         return weights, [(name, raw.hex(), scaled.hex()) for name, raw, scaled in scores]
     return [(res.factor, res.r.hex(), res.n) for res in result]

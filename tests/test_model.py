@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import pkgutil
 from collections.abc import Mapping
+from importlib import import_module
 
 import pytest
 from hypothesis import given
@@ -177,6 +179,36 @@ class TestCityRegistry:
             register_city("chicago", UnitKind.NAMED_AREA, 5.0)
         register_city("rivertown", UnitKind.ZIP_CODE, 3.5, replace=True)
         assert city_profile("rivertown").unit_kind is UnitKind.ZIP_CODE
+
+    def test_a_unit_kind_named_by_its_string_keeps_the_zip_rule(self, monkeypatch, write_file):
+        monkeypatch.setattr(leadalloc.model, "_CITY_REGISTRY", dict(leadalloc.model._CITY_REGISTRY))
+        assert register_city("zz", "zip_code", 3.5).unit_kind is UnitKind.ZIP_CODE
+        path = write_file(
+            """
+            neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct
+            not a zip,1,2,3
+            another,4,5,6
+            """
+        )
+        with pytest.raises(DatasetValidationError, match="'not a zip' is not a 5-digit ZIP"):
+            parse_city_dataset(path, "zz")
+        with pytest.raises(DomainValidationError, match="'b' is not a 5-digit ZIP"):
+            CityDataset(
+                "zz", ["b"], [1.0], [2.0], [3.0], bll_threshold_ug_dl=3.5, unit_kind="zip_code"
+            )
+
+    def test_an_unknown_unit_kind_is_rejected(self):
+        with pytest.raises(DomainValidationError, match="^unknown unit kind 'postcode'$"):
+            register_city("zz", "postcode", 3.5)
+        with pytest.raises(DomainValidationError, match="unknown unit kind"):
+            CityProfile("zz", "zip", 3.5)
+        assert "zz" not in leadalloc.model._CITY_REGISTRY
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -3.5])
+    def test_a_threshold_that_is_not_finite_and_positive_is_rejected(self, threshold):
+        with pytest.raises(DomainValidationError, match="threshold must be finite and positive"):
+            register_city("zz", UnitKind.NAMED_AREA, threshold)
+        assert "zz" not in leadalloc.model._CITY_REGISTRY
 
 
 class TestNeighborhoodValues:
@@ -758,16 +790,48 @@ class TestValueTypes:
         assert repr(cls(**fields)).startswith(f"{cls.__name__}(")
 
 
-def test_each_value_field_is_the_slot_of_its_name():
+def _value_types():
+    """Every subclass of :class:`Value` that has fields, however deep."""
     types, unseen = set(), [Value]
     while unseen:
         cls = unseen.pop()
         unseen.extend(cls.__subclasses__())
         if cls._fields:
             types.add(cls)
-    assert types == {AliasTable, CityDataset, PriorityRanking, AllocationPlan}
+    return types
+
+
+def test_each_value_field_is_the_slot_of_its_name():
+    types = _value_types()
+    assert types == {
+        AliasTable, CityProfile, CityDataset, WeightConfig, PriorityRanking, AllocationPlan,
+        Recommendation, ModelRun, TargetSet, RunAccuracy, AccuracyReport, CorrelationResult,
+        ValidationIssue,
+    }
     for cls in types:
         assert cls.__slots__ == cls._fields
+
+
+def test_the_value_cases_cover_every_value_type():
+    # A new type is checked by TestValueTypes, or this fails.
+    assert {case[0] for case in _value_cases()} == _value_types()
+
+
+def test_no_class_of_the_package_is_a_tuple():
+    # Every domain value is a Value; none is a tuple that indexes, unpacks or equals a tuple.
+    modules = [
+        import_module(f"leadalloc.{info.name}")
+        for info in pkgutil.iter_modules(leadalloc.__path__)
+        if info.name != "__main__"
+    ]
+    classes = [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    ]
+    assert len(modules) >= 9 and Value in classes
+    assert [cls.__name__ for cls in classes if issubclass(cls, tuple)] == []
 
 
 def test_sized_types_keep_their_length():
@@ -805,8 +869,6 @@ def test_replace_validates_like_construction():
         neighborhood._replace(prevalence=[-1.0])
     with pytest.raises(DomainValidationError, match="out of range"):
         neighborhood._replace(public_coverage_pct=[101.0])
-    with pytest.raises(DomainValidationError, match="negative kits"):
-        Recommendation._make(("a", -1))
     with pytest.raises(DomainValidationError, match="negative kits"):
         Recommendation("a", 1)._replace(kits=-1)
 
