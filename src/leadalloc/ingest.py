@@ -167,9 +167,12 @@ def _parse_records(
 ) -> tuple[tuple[str, ...], dict[str, array]]:
     """The names and value columns of a city dataset read from ``lines``.
 
-    Each accepted row appends its name, and its value to the column of each
-    core metric and extra factor, NaN for a blank extra cell. Raises if
-    ``report`` rejects the dataset.
+    Each row is checked in one order: its field count, its name, every value
+    cell (see :func:`_cell_values`), a repeat of a kept name, then the ZIP
+    rule. The first failing step excludes the row, so a repeat is judged
+    only against kept rows. Each kept row appends its name, and its value to
+    the column of each core metric and extra factor, NaN for a blank extra
+    cell. Raises if ``report`` rejects the dataset.
     """
     from array import array  # deferred: only a parse builds columns
 
@@ -194,10 +197,8 @@ def _parse_records(
     # Each core metric's cap in the file's unit: under unit=fraction a percentage's is 1.
     caps = tuple(cap / 100 if unit == "fraction" else cap for cap in METRIC_CAPS.values())
 
-    # The kept names, in file order: a dict, as a name's repeat must be found in O(1).
-    names: dict[str, None] = {}
-    rows_kept = array("q")  # each kept name's row; not a dict's int object per row
-    first_rows: dict[str, int] | None = None  # each kept name's row, made at the first repeat
+    # Each kept name's row, in file order: a dict, as a name's repeat must be found in O(1).
+    names: dict[str, int] = {}
     width = len(header)
     zip_codes = unit_kind is UnitKind.ZIP_CODE
     for line, cells in rows:
@@ -206,26 +207,25 @@ def _parse_records(
                 report.error(f"row has {len(cells)} fields, header has {width}", f"row {line}")
                 continue
             cells += [""] * (width - len(cells))  # a short row's missing cells are blank
-        parsed = _parse_row(
-            cells, line, caps, name_index, value_cells, value_columns, aliases, report
-        )
-        if parsed is None:
+        raw_name = cells[name_index].strip()
+        if not raw_name:
+            report.warning("row excluded: missing neighborhood name", f"row {line}")
             continue
-        name, values = parsed
+        try:
+            name = canonicalize_name(raw_name, aliases)
+        except InvalidNameError:
+            report.error(f"invalid neighborhood name {raw_name!r}", f"row {line}")
+            continue
+        values = _cell_values(value_columns, value_cells(cells), caps, line, report)
+        if values is None:
+            continue
         if name in names:
-            if first_rows is None:  # only a rejected file's messages need the rows
-                first_rows = dict(zip(names, rows_kept))
-            report.error(
-                f"{duplicate_name(name)} (first seen at row {first_rows[name]})", f"row {line}"
-            )
+            report.error(f"{duplicate_name(name)} (first seen at row {names[name]})", f"row {line}")
             continue
         if zip_codes and not is_zip_code(name):
             report.error(f"{name!r} is not a 5-digit ZIP code", f"row {line}")
             continue
-        names[name] = None
-        rows_kept.append(line)
-        if first_rows is not None:
-            first_rows[name] = line
+        names[name] = line
         for column, value in zip(columns, values):
             column.append(value)
 
@@ -283,56 +283,30 @@ def _csv_rows(lines: Iterable[str], first_line: int, report: ValidationReport):
         report.error(f"unreadable CSV row: {exc}", f"row {first_line + reader.line_num}")
 
 
-def _parse_row(
-    cells: list[str],
-    line: int,
-    caps: tuple[float, ...],
-    name_index: int,
-    value_cells: itemgetter,
-    value_columns: tuple[str, ...],
-    aliases: AliasTable | None,
-    report: ValidationReport,
-) -> tuple[str, list[float]] | None:
-    """One row's name and values, or None after reporting why the row is excluded.
-
-    ``value_cells`` picks the cells of ``value_columns`` from ``cells``: the
-    three core metrics, then the extra factors. A blank extra cell's value
-    is NaN. ``caps`` holds the core metrics' caps in the file's unit.
-    """
-    raw_name = cells[name_index].strip()
-    if not raw_name:
-        report.warning("row excluded: missing neighborhood name", f"row {line}")
-        return None
-    try:
-        name = canonicalize_name(raw_name, aliases)
-    except InvalidNameError:
-        report.error(f"invalid neighborhood name {raw_name!r}", f"row {line}")
-        return None
-
-    # float() ignores the whitespace around a number, so a row of finite
-    # numbers within their caps needs no per-cell work; any other row goes
-    # cell by cell.
-    try:
-        values = list(map(float, value_cells(cells)))
-    except ValueError:
-        values = None
-    if values is not None and all(map(math.isfinite, values)):
-        p, u, h = values[:3]  # the prevalence, untested and coverage values
-        p_cap, u_cap, h_cap = caps
-        if 0 <= p <= p_cap and 0 <= u <= u_cap and 0 <= h <= h_cap:
-            return name, values
-    values = _cell_values(value_columns, value_cells(cells), caps, line, report)
-    return None if values is None else (name, values)
-
-
 def _cell_values(
     columns: tuple[str, ...], cells: tuple[str, ...], caps: tuple[float, ...], line: int,
     report: ValidationReport,
 ) -> list[float] | None:
     """Each cell's number, NaN for a blank cell; None if any cell excludes the row.
 
-    Each cell that breaks a rule of :func:`model.value_fault` is reported.
+    ``columns`` are the three core metrics, then the extra factors, and
+    ``caps`` the core metrics' caps in the file's unit. Each cell that is
+    blank in a core column, not a number, or breaks a rule of
+    :func:`model.value_fault` is reported.
     """
+    # float() ignores the whitespace around a number, so a row of finite
+    # numbers within their caps needs no per-cell work; any other row goes
+    # cell by cell.
+    try:
+        values = list(map(float, cells))
+    except ValueError:
+        pass
+    else:
+        if all(map(math.isfinite, values)):
+            p, u, h = values[:3]  # the prevalence, untested and coverage values
+            p_cap, u_cap, h_cap = caps
+            if 0 <= p <= p_cap and 0 <= u <= u_cap and 0 <= h <= h_cap:
+                return values
     issues_before = len(report.issues)
     values: list[float] = []
     for column, cell, cap in zip(columns, cells, chain(caps, repeat(None))):

@@ -120,6 +120,23 @@ class Value:
         fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
         return f"{type(self).__name__}({fields})"
 
+    def __reduce__(self):
+        """Rebuild through the class call, so ``copy`` and ``pickle`` check the copy anew."""
+        values = map(getattr, repeat(self), self._fields)
+        return _rebuilt, (type(self), dict(zip(self._fields, map(_plain, values))))
+
+
+def _rebuilt(cls: type, fields: dict) -> Value:
+    """``cls`` built from its fields by keyword, as :meth:`Value.__reduce__` asks."""
+    return cls(**fields)
+
+
+def _plain(value):
+    """A field value as a class call takes it: a mapping as a dict, a column as a list."""
+    if isinstance(value, Mapping):
+        return {key: _plain(item) for key, item in value.items()}
+    return value.tolist() if isinstance(value, memoryview) else value
+
 
 class _Columnar(Value):
     """A value that holds one entry per neighborhood as columns; ``len()`` counts them.
@@ -290,13 +307,21 @@ class AliasTable(Value):
         return len(self.alias_to_canonical)
 
 
+def _refuse_unknown(cls: type[Enum], value):
+    """The ``_missing_`` of each enum here: an unknown value is a fault named in words.
+
+    ``UnitKind("postcode")`` raises ``unknown unit kind 'postcode'``. A shared
+    function, not a memberless base enum: one more enum class costs every
+    call's start-up about 60 us.
+    """
+    kind = re.sub(r"(?<!^)(?=[A-Z])", " ", cls.__name__).lower()
+    raise DomainValidationError(f"unknown {kind} {value!r}")
+
+
 class UnitKind(Enum):
     NAMED_AREA = "named_area"
     ZIP_CODE = "zip_code"
-
-    @classmethod
-    def _missing_(cls, value):
-        raise DomainValidationError(f"unknown unit kind {value!r}")
+    _missing_ = classmethod(_refuse_unknown)
 
 
 class WeightVariant(Enum):
@@ -304,16 +329,14 @@ class WeightVariant(Enum):
 
     TEXT = "text"
     ALGORITHM = "algorithm"
-
-    @classmethod
-    def _missing_(cls, value):
-        raise DomainValidationError(f"unknown weight variant {value!r}")
+    _missing_ = classmethod(_refuse_unknown)
 
 
 class Strategy(Enum):
     PROPORTIONAL = "proportional"
     TOP_K_EQUAL = "top_k_equal"
     RANK_WEIGHTED = "rank_weighted"
+    _missing_ = classmethod(_refuse_unknown)
 
 
 class CityProfile(Value):
@@ -694,6 +717,13 @@ class ModelRun(Value):
         for field in ("model", "mode"):
             if not getattr(self, field).strip():
                 raise DomainValidationError(f"{field} must not be blank", at=(field,))
+        for city, recommendations in self.per_city.items():
+            for position, item in enumerate(recommendations):
+                if not isinstance(item, Recommendation):
+                    raise DomainValidationError(
+                        f"{city}: item {position} is not a Recommendation: {item!r}",
+                        at=(city, position),
+                    )
 
 
 class TargetSet(Value):

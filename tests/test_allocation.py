@@ -138,6 +138,12 @@ class TestAllocateProportional:
         with pytest.raises(DomainValidationError, match="floor"):
             allocate(ranking, 10, floor=-1)
 
+    def test_unknown_strategy_rejected(self):
+        # As an unknown unit kind or weight variant is: a library caller's fault, not a ValueError.
+        ranking = ranking_from_scores({"a": 1.0})
+        with pytest.raises(DomainValidationError, match="^unknown strategy 'nope'$"):
+            allocate(ranking, 10, "nope")
+
 
 class TestAllocateTopKEqual:
     def test_remainder_goes_to_leading_entries(self):

@@ -21,6 +21,9 @@ from leadalloc.ingest import parse_ranking, write_ranking
 from leadalloc.model import CORE_COLUMNS
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
 @pytest.fixture(autouse=True)
 def _no_alias_override(monkeypatch):
     monkeypatch.delenv(ALIAS_ENV_VAR, raising=False)
@@ -282,6 +285,43 @@ class TestScore:
         assert code == 0
         assert out == golden("score_demo.json")
         assert err == ""
+
+    @pytest.mark.parametrize(
+        ("flags", "expected"),
+        [((), "score_bad_rows.err"), (("--strict",), "score_bad_rows_strict.err")],
+    )
+    def test_fault_matrix_reports_each_row_at_its_first_fault(
+        self, capsys, golden, tmp_path, monkeypatch, flags, expected
+    ):
+        # One row per way a row can fail, and three names seen twice: a
+        # kept name (a repeat), a name first excluded for a bad cell and one
+        # first excluded for too many fields (neither a repeat). The goldens
+        # name the file bad.csv, as the installed-package check runs it.
+        (tmp_path / "bad.csv").write_bytes((GOLDEN / "score_bad_rows.csv").read_bytes())
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "score", "--input", "bad.csv", "--city", "chicago", *flags)
+        assert (code, out, err) == (2, "", golden(expected))
+
+    def test_zip_rows_report_a_non_zip_name_and_a_repeated_zip(self, capsys, write_file):
+        path = write_file(
+            """
+            neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct
+            20001,4.0,50.0,40.0
+            Capitol Hill,5.0,60.0,30.0
+            20002,3.0,40.0,50.0
+            20001,6.0,55.0,45.0
+            Capitol Hill,5.0,60.0,30.0
+            """,
+            "dc.csv",
+        )
+        code, out, err = run_cli(capsys, "score", "--input", str(path), "--city", "dc")
+        assert (code, out) == (2, "")
+        # The second 'capitol hill' is no repeat: its first row was not kept.
+        assert err == (
+            f"error: {path}: row 3: 'capitol hill' is not a 5-digit ZIP code\n"
+            f"error: {path}: row 5: duplicate neighborhood '20001' (first seen at row 2)\n"
+            f"error: {path}: row 6: 'capitol hill' is not a 5-digit ZIP code\n"
+        )
 
     def test_top_entry_scaled_to_ten(self, capsys, demo_csv):
         code, out, _ = run_cli(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import pkgutil
 from collections.abc import Mapping
 from importlib import import_module
@@ -203,6 +205,14 @@ class TestCityRegistry:
         with pytest.raises(DomainValidationError, match="unknown unit kind"):
             CityProfile("zz", "zip", 3.5)
         assert "zz" not in leadalloc.model._CITY_REGISTRY
+
+    @pytest.mark.parametrize(
+        ("choice", "words"),
+        [(UnitKind, "unit kind"), (WeightVariant, "weight variant"), (Strategy, "strategy")],
+    )
+    def test_each_enum_refuses_an_unknown_value_naming_itself(self, choice, words):
+        with pytest.raises(DomainValidationError, match=f"^unknown {words} 'nope'$"):
+            choice("nope")
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -3.5])
     def test_a_threshold_that_is_not_finite_and_positive_is_rejected(self, threshold):
@@ -489,6 +499,13 @@ class TestModelRunAndTargets:
                 mode="d",
                 per_city={"chicago": (Recommendation("austin", -1),)},
             )
+
+    def test_an_item_that_is_not_a_recommendation_is_rejected(self):
+        # A pair once built a run that build_report then failed on with AttributeError.
+        with pytest.raises(DomainValidationError) as raised:
+            ModelRun("m", "d", {"chicago": [Recommendation("a", 1), ("b", -1)]})
+        assert str(raised.value) == "chicago: item 1 is not a Recommendation: ('b', -1)"
+        assert raised.value.at == ("chicago", 1)
 
     def test_target_set_counts(self):
         targets = TargetSet(
@@ -788,6 +805,13 @@ class TestValueTypes:
 
     def test_repr_names_the_type(self, cls, fields, changed):
         assert repr(cls(**fields)).startswith(f"{cls.__name__}(")
+
+    def test_copies_and_pickles_are_rebuilt_equal(self, cls, fields, changed):
+        value = cls(**fields)
+        for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(copied) is cls
+            assert copied == value
+            assert repr(copied) == repr(value)
 
 
 def _value_types():
