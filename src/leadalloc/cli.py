@@ -28,6 +28,7 @@ from operator import truediv
 from . import __version__, resources
 from .errors import DatasetValidationError, LeadAllocError, UndefinedCorrelationError
 from .ingest import (
+    ValidationIssue,
     ValidationReport,
     dump_plan,
     dump_ranking,
@@ -49,6 +50,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
+    # The file the command read: each caught warning and an undefined correlation name it.
+    report = ValidationReport(source=getattr(args, "input", getattr(args, "ranking", None)))
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -56,9 +59,12 @@ def main(argv: list[str] | None = None) -> int:
                 status = args.func(args)
                 sys.stdout.flush()
                 return status
+            except UndefinedCorrelationError as exc:
+                raise report.reject(str(exc)) from None
             finally:
                 for item in caught:
-                    print(f"warning: {item.message}", file=sys.stderr)
+                    issue = ValidationIssue("warning", None, str(item.message))
+                    print(report.describe(issue), file=sys.stderr)
     except BrokenPipeError:
         # The reader closed stdout, as `| head` does: it stopped on purpose. Point
         # stdout at devnull so the flush at exit cannot fail again (the `signal`
@@ -66,7 +72,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (LeadAllocError, OSError) as exc:
-        print(exc if isinstance(exc, DatasetValidationError) else f"error: {exc}", file=sys.stderr)
+        if not isinstance(exc, DatasetValidationError):  # an argument's fault: no file to name
+            exc = ValidationReport().reject(str(exc))
+        print(exc, file=sys.stderr)
         return 2
     except Exception as exc:  # never surface a traceback for malformed input
         print(f"internal error: {exc}", file=sys.stderr)
@@ -183,10 +191,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     )
     _emit_report(report)
     factors = _split_factors(args.factors) if args.factors else list(dataset.factor_names())
-    try:
-        results = correlate_factors(dataset, factors, estimator=args.estimator)
-    except UndefinedCorrelationError as exc:
-        raise ValidationReport(source=args.input).reject(str(exc)) from None
+    results = correlate_factors(dataset, factors, estimator=args.estimator)
     if args.json:
         doc = {
             "city": dataset.city,
@@ -210,11 +215,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         args.input, args.city, aliases=_alias_table(), strict=args.strict
     )
     _emit_report(report)
-    try:
-        ranking = score_city(dataset, args.alpha, args.variant, args.r_override,
-                             normalize_weights=args.normalize_weights)
-    except UndefinedCorrelationError as exc:
-        raise ValidationReport(source=args.input).reject(str(exc)) from None
+    ranking = score_city(dataset, args.alpha, args.variant, args.r_override,
+                         normalize_weights=args.normalize_weights)
     if args.out:
         write_ranking(ranking, args.out)
     if args.json:

@@ -38,6 +38,9 @@ class DatasetValidationError(LeadAllocError):
         self.report = report
         super().__init__("\n".join(map(report.describe, report.issues)))
 
+    def __reduce__(self):  # rebuilt from its report, so a rejection can be pickled
+        return (type(self), (self.report,))
+
 
 class DataQualityWarning(UserWarning):
     """Non-fatal data condition (degenerate column, clamped weight, ...)."""

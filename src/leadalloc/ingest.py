@@ -191,8 +191,9 @@ def _parse_records(
         *_VALUE_COLUMNS,
         *(column for column in header if column not in CORE_COLUMNS and column),
     )
-    name_index = header.index(COL_NEIGHBORHOOD)
-    value_cells = itemgetter(*map(header.index, value_columns))
+    position = dict(zip(header, range(len(header))))  # one pass: a name's index is O(1)
+    name_index = position[COL_NEIGHBORHOOD]
+    value_cells = itemgetter(*map(position.__getitem__, value_columns))
     columns = [array("d") for _ in value_columns]
     # Each core metric's cap in the file's unit: under unit=fraction a percentage's is 1.
     caps = tuple(cap / 100 if unit == "fraction" else cap for cap in METRIC_CAPS.values())

@@ -23,6 +23,7 @@ from .errors import DataQualityWarning, DomainValidationError
 from .model import (
     COL_COVERAGE,
     DEFAULT_ALPHA,
+    METRIC_CAPS,
     CityDataset,
     PriorityRanking,
     WeightConfig,
@@ -97,7 +98,8 @@ def score_city(
     # the scores go into a float64 column, not float objects.
     columns = (prevalence, dataset.untested_pct, coverage)
     alpha_beta_gamma = (weights.alpha, weights.beta, weights.gamma)
-    p, u, h = (map(mul, repeat(w), _min_max_scaled(c)) for w, c in zip(alpha_beta_gamma, columns))
+    scaled = map(_min_max_scaled, columns, METRIC_CAPS)  # each warned about by its name
+    p, u, h = (map(mul, repeat(w), c) for w, c in zip(alpha_beta_gamma, scaled))
     raw = array("d", map(add, map(add, p, u), h))
 
     # Raw score descending, ties by name: sorts are stable, even in reverse,

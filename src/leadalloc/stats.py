@@ -160,11 +160,11 @@ def min_max_normalize(values: Sequence[float]) -> list[float]:
     return list(_min_max_scaled(values))
 
 
-def _min_max_scaled(values: Sequence[float]) -> Iterator[float]:
+def _min_max_scaled(values: Sequence[float], column: str = "") -> Iterator[float]:
     """``(value - lo) / (hi - lo)`` for each value, made as it is read.
 
-    The range is taken, and a constant column warned about, when this is
-    called, before any value is read.
+    The range is taken, and a constant column warned about by its name
+    ``column``, when this is called, before any value is read.
     """
     if not values:
         raise DomainValidationError("cannot normalize an empty sequence")
@@ -172,7 +172,8 @@ def _min_max_scaled(values: Sequence[float]) -> Iterator[float]:
     hi = max(values)
     if lo == hi:
         warnings.warn(
-            f"degenerate column: all {len(values)} values equal {lo}; normalized to 0",
+            f"degenerate {f'column {column}' if column else 'column'}: all {len(values)} values"
+            f" equal {lo}; normalized to 0",
             DataQualityWarning,
             stacklevel=3,
         )

@@ -468,8 +468,47 @@ class TestScore:
             "0.6",
         )
         assert code == 0
-        assert "warning: degenerate column" in err
+        assert err == (
+            f"warning: {path}: degenerate column prevalence_per_1000: all 2 values equal 5.0; "
+            "normalized to 0\n"
+        )
         assert "warning" not in out
+
+
+class TestDataQualityWarnings:
+    """A ``DataQualityWarning`` is one stderr line naming the file read, and its column.
+
+    The degenerate-column and negative-correlation lines are also pinned by
+    ``TestScore.test_degenerate_columns_warn_on_stderr`` and
+    ``TestFiniteExtremes.test_score_with_a_subnormal_prevalence``.
+    """
+
+    def test_all_zero_scores_follow_each_degenerate_column(self, capsys, write_file):
+        path = write_file(GOOD_HEADER + "\na,5,20,30\nb,5,20,30\n", "zero.csv")
+        code, out, err = run_cli(
+            capsys, "score", "--input", str(path), "--city", "demo", "--r-override", "0.6"
+        )
+        assert code == 0 and out
+        assert err.splitlines() == [
+            *(
+                f"warning: {path}: degenerate column {column}: all 2 values equal {value}; "
+                "normalized to 0"
+                for column, value in zip(CORE_COLUMNS[1:], ("5.0", "20.0", "30.0"))
+            ),
+            f"warning: {path}: demo: all raw priority scores are zero; scaled scores set to 0",
+        ]
+
+    @pytest.mark.parametrize(("k", "expected"), [
+        (10, ""),  # k equal to the ranking's length truncates nothing
+        (99, "warning: {}: k=99 exceeds the 10 ranked neighborhoods; truncated to 10\n"),
+    ])
+    def test_k_beyond_the_ranking(self, capsys, demo_ranking, k, expected):
+        code, out, err = run_cli(
+            capsys, "allocate", "--ranking", str(demo_ranking), "--kits", "1000",
+            "--strategy", "top_k_equal", "--k", str(k),
+        )
+        assert code == 0 and out
+        assert err == expected.format(demo_ranking)
 
 
 class TestAllocate:
@@ -669,8 +708,8 @@ class TestFiniteExtremes:
             capsys, "score", "--input", str(path), "--city", "demo", "--json"
         )
         assert code == 0
-        assert err.startswith("warning: negative correlation")
         r = json.loads(out)["weights"]["source_correlation"]
+        assert err == f"warning: {path}: negative correlation {r} clamped to 0 for weight derivation\n"
         assert r == pytest.approx(-math.sqrt(3) / 2, abs=1e-15)
 
 

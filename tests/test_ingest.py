@@ -5,7 +5,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import pickle
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from leadalloc.errors import (
 )
 from leadalloc.ingest import (
     ValidationIssue,
+    ValidationReport,
     dump_plan,
     dump_ranking,
     parse_city_dataset,
@@ -39,6 +42,7 @@ from leadalloc.ingest import (
     write_ranking,
 )
 from leadalloc.model import (
+    CORE_COLUMNS,
     AliasTable,
     PriorityRanking,
     Strategy,
@@ -67,6 +71,21 @@ class TestParseCityDataset:
         assert dataset.prevalence[0] == 12.4
         assert dataset.bll_threshold_ug_dl == 5.0
         assert dataset.unit_kind is UnitKind.NAMED_AREA
+
+    def test_a_wide_header_parses_in_linear_time(self, tmp_path):
+        # 40,000 extra columns: a column lookup per name scanning the header took about 9 s.
+        extras = [f"f{i}" for i in range(40_000)]
+        row = ",".join(["5", "20", "30", *("1",) * len(extras)])
+        path = tmp_path / "wide.csv"
+        path.write_text(
+            ",".join([*CORE_COLUMNS, *extras]) + "".join(f"\n{name},{row}" for name in "abc"),
+            encoding="utf-8",
+        )
+        start = time.perf_counter()
+        dataset, report = parse_city_dataset(path, "chicago")
+        assert time.perf_counter() - start < 2.0
+        assert report.accepted and len(dataset) == 3
+        assert len(dataset.factor_names()) == 2 + len(extras)
 
     def test_demo_file_parses_with_extras(self, demo_csv):
         dataset, report = parse_city_dataset(demo_csv, "demo")
@@ -786,7 +805,8 @@ class TestStreamingWriters:
         ),
     )
     def test_ranking_matches_json_dump(self, city, scored):
-        scored.sort(key=lambda item: (-item[1], item[0]))
+        # A ranking holds float64 scores, so sort as floats: two integers past 2**53 can tie.
+        scored.sort(key=lambda item: (-float(item[1]), item[0]))
         ranking = ranking_of_entries(city=city, weights=derive_weights(0.6), entries=scored)
         assert written_text(dump_ranking, ranking) == json_dump_text(ranking_to_dict(ranking))
 
@@ -834,3 +854,13 @@ class TestIssueFormatting:
         _, report = parse_city_dataset(path, "chicago")
         rendered = [report.describe(issue) for issue in report.issues]
         assert rendered == [f"warning: {path}: row 2: row excluded: missing untested_pct"]
+
+    def test_a_rejection_survives_pickling(self, write_file):
+        path = write_file("neighborhood,untested_pct\nEnglewood,48.0\n")
+        with pytest.raises(DatasetValidationError) as info:
+            parse_city_dataset(path, "chicago")
+        for error in (info.value, ValidationReport(source="x.csv").reject("bad")):
+            copy = pickle.loads(pickle.dumps(error))
+            assert type(copy) is DatasetValidationError
+            assert str(copy) == str(error)
+            assert copy.report == error.report

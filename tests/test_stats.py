@@ -18,6 +18,7 @@ from leadalloc.errors import (
 from leadalloc.ingest import parse_city_dataset
 from leadalloc.stats import (
     CorrelationResult,
+    _average_ranks,
     correlate_factors,
     min_max_normalize,
     pearson,
@@ -167,6 +168,12 @@ class TestSpearman:
         assert spearman([1.0, 1.0, 2.0], [1.0, 1.0, 2.0]) == 1.0
         with pytest.raises(UndefinedCorrelationError):
             spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    def test_tied_ranks_are_the_mean_of_their_positions(self):
+        # By hand: 1 and 1 hold positions 1-2, 2 holds 3, and the three 3s hold 4-6.
+        assert _average_ranks([3, 1, 1, 2, 3, 3]) == [5.0, 1.5, 1.5, 3.0, 5.0, 5.0]
+        # x ranks (1.5, 1.5, 3, 4) and y ranks (3.5, 3.5, 1, 2): -3.5 / 4.5 by hand.
+        assert spearman([1, 1, 2, 3], [4, 4, 1, 2]) == pytest.approx(-7 / 9)
 
 
 class TestCorrelateFactors:
