@@ -3,8 +3,9 @@
 Every strategy is a largest-remainder (Hamilton) apportionment of integer
 weights in exact integer arithmetic, so every plan conserves the budget,
 stays within one kit of its ideal share, and is bit-identical across
-platforms. ``rank_weighted`` apportions the weights ``lcm(1..n) // rank``
-without building them: see :func:`_rank_weighted_kits`.
+platforms. All three strategies share one leftover award, :func:`_award_leftover`.
+``rank_weighted`` apportions the weights ``lcm(1..n) // rank`` without
+building them: see :func:`_rank_weighted_kits`.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ import math
 import warnings
 from itertools import compress, islice, repeat
 from operator import add, eq, floordiv, gt, mod, mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import DataQualityWarning, DomainValidationError
-from .model import DEFAULT_TOP_K, AllocationPlan, PriorityRanking, Strategy
+from .model import DEFAULT_TOP_K, AllocationPlan, PriorityRanking, Strategy, check_count
 
 # Fraction bits of the rank_weighted screen. Any width gives the exact plan;
 # a wider one leaves fewer entries whose remainder must be computed exactly.
@@ -41,7 +42,7 @@ def largest_remainder(weights: Sequence[int], total: int) -> list[int]:
     # Each share total·weight is made twice rather than held: it is wider than either result.
     kits = list(map(floordiv, map(mul, repeat(total), weights), repeat(weight_sum)))
     remainders = list(map(mod, map(mul, repeat(total), weights), repeat(weight_sum)))
-    _award_leftover(kits, remainders, range(len(weights)), total - sum(kits))
+    _award_leftover(kits, remainders, total - sum(kits))
     return kits
 
 
@@ -54,29 +55,18 @@ def _rank_weighted_kits(n: int, total: int) -> list[int]:
     fixed-point constant ``scaled = total·L·2^B // S`` gives
     ``scaled // rank == floor(2^B · quota)`` exactly (nested floor division).
     Its high bits are the exact kit floor; its low ``B`` bits are the
-    remainder truncated to ``B`` bits. Truncation keeps the order of any two
-    remainders whose truncations differ, so only the entries whose truncated
-    remainder equals that of the last entry to receive a leftover kit need
-    their exact remainder ``total·(L // rank) mod S``.
+    remainder truncated to ``B`` bits, which :func:`_award_leftover` ranks;
+    only the entries tied at its cutoff need their exact remainder
+    ``total·(L // rank) mod S``.
     """
     harmonic, lcm = _harmonic_sum(1, n + 1)
     scaled = (total * lcm << _SCREEN_BITS) // harmonic
     kits = [scaled // (rank << _SCREEN_BITS) for rank in range(1, n + 1)]
     mask = (1 << _SCREEN_BITS) - 1
     screened = [scaled // rank & mask for rank in range(1, n + 1)]
-    leftover = total - sum(kits)
-    if not leftover:
-        return kits
-    cutoff = sorted(screened, reverse=True)[leftover - 1]
-    tied = []
-    for i, remainder in enumerate(screened):
-        if remainder > cutoff:
-            kits[i] += 1
-            leftover -= 1
-        elif remainder == cutoff:
-            tied.append(i)
-    exact = [total * (lcm // (i + 1)) % harmonic for i in tied]
-    _award_leftover(kits, exact, tied, leftover)
+    _award_leftover(
+        kits, screened, total - sum(kits), lambda i: total * (lcm // (i + 1)) % harmonic
+    )
     return kits
 
 
@@ -96,24 +86,29 @@ def _harmonic_sum(lo: int, hi: int) -> tuple[int, int]:
 
 
 def _award_leftover(
-    kits: list[int], remainders: Sequence[int], positions: Sequence[int], leftover: int
+    kits: list[int], remainders: Sequence[int], leftover: int, exact: Callable | None = None
 ) -> None:
     """Give one more unit to each of the ``leftover`` entries with the largest remainders.
 
-    ``remainders[j]`` is the remainder of ``kits[positions[j]]``, and
-    ``positions`` ascends. The cutoff is the ``leftover``-th largest
-    remainder: every entry above it gets a unit, and the rest go to the
-    entries equal to it, earlier entries first. That is the first
-    ``leftover`` entries of a stable sort by remainder, descending, but it
-    holds only the sorted remainders, not an index per entry.
+    ``remainders[i]`` is the remainder of ``kits[i]``, or a truncation of it
+    if ``exact(i)`` gives the exact one. The cutoff is the ``leftover``-th
+    largest remainder: every entry above it gets a unit, and the rest go to
+    the entries equal to it, by ``exact`` descending if given, earlier
+    entries first on ties. Truncation keeps the order of two remainders whose
+    truncations differ, so that is the first ``leftover`` entries of a stable
+    sort by exact remainder, descending; it holds only the sorted remainders
+    and the tied entries, not an index per entry.
     """
     if not leftover:
         return
     cutoff = sorted(remainders, reverse=True)[leftover - 1]
-    for i in compress(positions, map(gt, remainders, repeat(cutoff))):
+    for i in compress(range(len(kits)), map(gt, remainders, repeat(cutoff))):
         kits[i] += 1
         leftover -= 1
-    for i in islice(compress(positions, map(eq, remainders, repeat(cutoff))), leftover):
+    tied = compress(range(len(kits)), map(eq, remainders, repeat(cutoff)))
+    if exact is not None:
+        tied = sorted(tied, key=exact, reverse=True)
+    for i in islice(tied, leftover):
         kits[i] += 1
 
 
@@ -132,8 +127,7 @@ def allocate(
     ``top_k_equal``.
     """
     strategy = Strategy(strategy)
-    if total_kits < 1:
-        raise DomainValidationError(f"total_kits must be >= 1, got {total_kits}")
+    check_count("total_kits", total_kits)
     if floor < 0:
         raise DomainValidationError(f"floor must be non-negative, got {floor}")
     n = len(ranking)
@@ -159,8 +153,7 @@ def allocate(
     elif strategy is Strategy.RANK_WEIGHTED:
         kits = _rank_weighted_kits(n, remaining)
     else:
-        if k < 1:
-            raise DomainValidationError(f"k must be >= 1, got {k}")
+        check_count("k", k)
         if k > n:
             warnings.warn(
                 f"k={k} exceeds the {n} ranked neighborhoods; truncated to {n}",

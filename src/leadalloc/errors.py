@@ -11,12 +11,12 @@ class LeadAllocError(Exception):
         self.at = at
 
 
-class InvalidNameError(LeadAllocError):
-    """A neighborhood name is empty after canonicalization."""
-
-
 class DomainValidationError(LeadAllocError):
     """A domain object or parameter violates one of its invariants."""
+
+
+class InvalidNameError(DomainValidationError):
+    """A neighborhood name is empty after canonicalization."""
 
 
 class UndefinedCorrelationError(LeadAllocError):
@@ -53,6 +53,6 @@ def located(at: tuple, build, *args):
     """
     try:
         return build(*args)
-    except (DomainValidationError, InvalidNameError) as exc:
+    except DomainValidationError as exc:
         exc.at = (*at, *exc.at)
         raise

@@ -12,7 +12,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import DomainValidationError
-from .model import DEFAULT_K, ModelRun, TargetSet, Value
+from .model import DEFAULT_K, ModelRun, TargetSet, Value, check_count
 
 if TYPE_CHECKING:
     # Imported where used at run time: ``fractions`` loads ``decimal``, which
@@ -37,8 +37,7 @@ def city_hits(recommended: Sequence[str], targets: AbstractSet[str], k: int = DE
     Duplicate recommendations count once; an empty recommendation list
     scores zero.
     """
-    if k < 1:
-        raise DomainValidationError(f"k must be >= 1, got {k}")
+    check_count("k", k)
     return len(set(recommended[:k]) & set(targets))
 
 

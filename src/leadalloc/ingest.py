@@ -48,8 +48,8 @@ from .model import (
     canonicalize_name,
     city_profile,
     duplicate_name,
-    is_zip_code,
     value_fault,
+    zip_fault,
 )
 
 if TYPE_CHECKING:
@@ -223,8 +223,8 @@ def _parse_records(
         if name in names:
             report.error(f"{duplicate_name(name)} (first seen at row {names[name]})", f"row {line}")
             continue
-        if zip_codes and not is_zip_code(name):
-            report.error(f"{name!r} is not a 5-digit ZIP code", f"row {line}")
+        if zip_codes and (fault := zip_fault(name)):
+            report.error(fault, f"row {line}")
             continue
         names[name] = line
         for column, value in zip(columns, values):
@@ -448,7 +448,7 @@ def _first_fault(report: ValidationReport, build: Callable, *args):
     """``build(*args)``; the first fault it raises rejects ``report``'s file, at its pointer."""
     try:
         return build(*args)
-    except (DomainValidationError, InvalidNameError) as exc:
+    except DomainValidationError as exc:
         raise report.reject(str(exc), _pointer(exc.at) or None) from None
 
 

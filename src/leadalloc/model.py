@@ -18,8 +18,10 @@ CLI's start-up.
 Each input rule lives here once, and every reader or type that checks it
 words its faults here: the metric bounds in :data:`METRIC_CAPS` and
 :func:`value_fault`; the name rules, non-blank and distinct, in
-:class:`_Columnar` and :func:`duplicate_name`; the weight limits, ``alpha``
-in (0, 1) and ``r`` in [-1, 1], in :class:`WeightConfig`.
+:class:`_Columnar` and :func:`duplicate_name`; the ZIP rule in
+:func:`zip_fault`; the counts ``k`` and ``total_kits``, at least 1, in
+:func:`check_count`; the weight limits, ``alpha`` in (0, 1) and ``r`` in
+[-1, 1], in :class:`WeightConfig`.
 """
 
 from __future__ import annotations
@@ -213,9 +215,9 @@ class _Columnar(Value):
                 seen.add(name)
 
 
-def is_zip_code(name: str) -> bool:
-    """Whether a canonical name is a 5-digit ZIP code."""
-    return len(name) == 5 and name.isdecimal()
+def zip_fault(name: str) -> str | None:
+    """Why a canonical name is no 5-digit ZIP code, or None: the ZIP rule is worded here."""
+    return None if len(name) == 5 and name.isdecimal() else f"{name!r} is not a 5-digit ZIP code"
 
 
 def canonicalize_name(raw: str, aliases: "AliasTable | None" = None) -> str:
@@ -456,9 +458,9 @@ class CityDataset(_Columnar):
         columns = (self.prevalence, self.untested_pct, self.public_coverage_pct)
         if any(len(values) != len(names) for values in (*columns, *self.extra_columns.values())):
             raise DomainValidationError(f"{self.city}: every column needs one value per name")
-        if self.unit_kind is UnitKind.ZIP_CODE and not all(map(is_zip_code, names)):
-            name = next(name for name in names if not is_zip_code(name))
-            raise DomainValidationError(f"{self.city}: {name!r} is not a 5-digit ZIP code")
+        zip_faults = map(zip_fault, names) if self.unit_kind is UnitKind.ZIP_CODE else ()
+        if fault := next(filter(None, zip_faults), None):
+            raise DomainValidationError(f"{self.city}: {fault}")
         for (label, cap), values in zip(METRIC_CAPS.items(), columns):
             if not all(map(math.isfinite, values)) or min(values) < 0 or max(values) > cap:
                 faults = map(value_fault, repeat(label), values, repeat(cap))
@@ -509,6 +511,12 @@ class CityDataset(_Columnar):
     def factor_names(self) -> tuple[str, ...]:
         """Core metric columns plus every extra factor, sorted."""
         return (COL_UNTESTED, COL_COVERAGE, *sorted(self.extra_columns))
+
+
+def check_count(name: str, value: int) -> None:
+    """Reject a count parameter, ``k`` or ``total_kits``, that is below 1."""
+    if value < 1:
+        raise DomainValidationError(f"{name} must be >= 1, got {value}")
 
 
 def check_alpha(alpha: float) -> None:
@@ -666,8 +674,7 @@ class AllocationPlan(_Columnar):
 
     def __post_init__(self) -> None:
         """Raise on a broken invariant, in two C-level passes over the kits."""
-        if self.total_kits < 1:
-            raise DomainValidationError(f"total_kits must be >= 1, got {self.total_kits}")
+        check_count("total_kits", self.total_kits)
         if len(self.kits) != len(self.names):
             raise DomainValidationError(f"{self.city}: every name needs one kit count")
         if min(self.kits, default=0) < 0:

@@ -29,6 +29,7 @@ from .model import (
     WeightConfig,
     WeightVariant,
     check_alpha,
+    check_count,
     check_correlation,
     derived_beta_gamma,
 )
@@ -122,6 +123,5 @@ def score_city(
 
 def top_k(ranking: PriorityRanking, k: int) -> list[str]:
     """First ``min(k, len)`` neighborhood names in ranking order."""
-    if k < 1:
-        raise DomainValidationError(f"k must be >= 1, got {k}")
+    check_count("k", k)
     return list(ranking.names[:k])

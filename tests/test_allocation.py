@@ -75,12 +75,23 @@ TIED_INTS = st.sampled_from([0, 0, 0, 1, 2, 3, 10**20]) | st.integers(0, 10**30)
 def test_award_matches_the_sorting_award(remainders, data):
     n = len(remainders)
     leftover = data.draw(st.integers(0, n), label="leftover")
-    # Ascending positions among more kits, as the rank_weighted tie set passes them.
-    positions = sorted(data.draw(st.sets(st.integers(0, 2 * n), min_size=n, max_size=n)))
-    kits = data.draw(st.lists(st.integers(0, 5), min_size=2 * n + 1, max_size=2 * n + 1))
+    kits = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     expected = list(kits)
-    award_by_sort(expected, dict(zip(positions, remainders)), positions, leftover)
-    allocation._award_leftover(kits, remainders, positions, leftover)
+    award_by_sort(expected, remainders, range(n), leftover)
+    allocation._award_leftover(kits, remainders, leftover)
+    assert kits == expected
+
+
+@given(st.lists(st.integers(0, 63) | TIED_INTS, max_size=40), st.integers(1, 8), st.data())
+def test_award_of_truncated_remainders_orders_the_tied_by_the_exact_ones(exact, shift, data):
+    # As rank_weighted passes them: truncations screen, and the exact key breaks their ties.
+    n = len(exact)
+    leftover = data.draw(st.integers(0, n), label="leftover")
+    kits = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    expected = list(kits)
+    award_by_sort(expected, exact, range(n), leftover)
+    truncated = [remainder >> shift for remainder in exact]
+    allocation._award_leftover(kits, truncated, leftover, exact=exact.__getitem__)
     assert kits == expected
 
 

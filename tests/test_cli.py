@@ -528,6 +528,21 @@ class TestAllocate:
         assert out == golden("allocate_demo.json")
         assert err == ""
 
+    @pytest.mark.parametrize(
+        ("flags", "expected"),
+        [
+            # The default --k, so the even split 334/333/333 pins DEFAULT_TOP_K.
+            (("--strategy", "top_k_equal"), "allocate_demo_top_k_equal.txt"),
+            (("--strategy", "rank_weighted", "--floor", "2", "--json"),
+             "allocate_demo_rank_weighted.json"),
+        ],
+    )
+    def test_demo_strategy_matches_golden(self, capsys, golden, demo_ranking, flags, expected):
+        code, out, err = run_cli(
+            capsys, "allocate", "--ranking", str(demo_ranking), "--kits", "1000", *flags
+        )
+        assert (code, out, err) == (0, golden(expected), "")
+
     def test_kits_conserved(self, capsys, demo_ranking):
         code, out, _ = run_cli(
             capsys,

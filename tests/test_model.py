@@ -104,8 +104,10 @@ class TestCanonicalizeName:
             assert canonicalize_name(raw, aliases) == expected
 
     def test_empty_after_normalization_rejected(self):
-        with pytest.raises(InvalidNameError):
+        with pytest.raises(InvalidNameError) as caught:
             canonicalize_name(" --- ")
+        # A name fault is a domain fault: one except clause catches every fault of a value.
+        assert isinstance(caught.value, DomainValidationError)
 
     def test_alias_resolution_applies_after_normalization(self):
         table = AliasTable.from_mapping({"bedford stuyvesant": ["bed-stuy", "Bed Stuy"]})
@@ -213,6 +215,11 @@ class TestCityRegistry:
     def test_each_enum_refuses_an_unknown_value_naming_itself(self, choice, words):
         with pytest.raises(DomainValidationError, match=f"^unknown {words} 'nope'$"):
             choice("nope")
+
+    @pytest.mark.parametrize("threshold", [0.5, 1.0])
+    def test_a_threshold_of_at_most_one_is_accepted(self, monkeypatch, threshold):
+        monkeypatch.setattr(leadalloc.model, "_CITY_REGISTRY", dict(leadalloc.model._CITY_REGISTRY))
+        assert register_city("zz", UnitKind.NAMED_AREA, threshold).bll_threshold_ug_dl == threshold
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -3.5])
     def test_a_threshold_that_is_not_finite_and_positive_is_rejected(self, threshold):
