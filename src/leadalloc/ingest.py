@@ -13,9 +13,10 @@ City dataset CSV schema (header order-insensitive, UTF-8, comma-separated)::
 
 A leading byte-order mark is ignored and header names are stripped; a
 repeated header name or a row wider than the header rejects the file.
-Lines before the header starting with ``#`` are comments; a comment of the
-form ``# unit=fraction`` declares that the two percentage columns are
-given in [0, 1] and converts them to 0-100 on load.
+Blank lines and ``#`` comments before the header are skipped, in any
+order; any of the comments may be ``# unit=fraction``, which declares that
+the two percentage columns are given in [0, 1] and converts them to 0-100
+on load.
 """
 
 from __future__ import annotations
@@ -176,9 +177,9 @@ def _parse_records(
     """
     from array import array  # deferred: only a parse builds columns
 
-    unit, comment_count, blank_lines = _leading_directives(lines, report)
-    rows = _csv_rows(chain(blank_lines, lines), comment_count, report)
-    header_line, cells = next(rows, (comment_count + 1, []))
+    unit, skipped, first = _leading_directives(lines, report)
+    rows = _csv_rows(chain((first,), lines), skipped, report)
+    header_line, cells = next(rows, (skipped + 1, []))
     header = [name.strip() for name in cells]
     missing = [column for column in CORE_COLUMNS if column not in header]
     if missing:
@@ -239,36 +240,31 @@ def _parse_records(
     return tuple(names), dict(zip(value_columns, columns))
 
 
-def _leading_directives(lines: TextIO, report: ValidationReport) -> tuple[str, int, list[str]]:
-    """Consume leading ``#`` comment lines; return (unit, comment line count, blank lines).
+def _leading_directives(lines: TextIO, report: ValidationReport) -> tuple[str, int, str]:
+    """Consume the blank and ``#`` lines before the header; return (unit, their count, next line).
 
-    The blank lines are those read after the comments up to and including
-    the first line with content; the rest of the file is left unread. A
-    file with no such line has no header row, which rejects it.
+    Blank lines and comments may come in any order, and ``# unit=`` may be
+    any of the comments. The next line is the first other one, where the
+    header starts; the rest of the file is left unread. A file with no such
+    line has no header row, which rejects it.
     """
     unit = "percent"
     count = 0
     line = lines.readline()
-    while line.lstrip().startswith("#"):
+    while line and (content := line.lstrip())[:1] in ("", "#"):  # a blank line or a comment
         count += 1
-        content = line.lstrip().lstrip("#").strip()
-        if "=" in content:
-            key, _, value = content.partition("=")
-            if key.strip().lower() == "unit":
-                declared = value.strip().lower()
-                if declared not in ("percent", "fraction"):
-                    report.error(f"unknown unit declaration {declared!r}", f"row {count}")
-                else:
-                    unit = declared
+        key, equals, value = content.lstrip("#").partition("=")
+        if equals and key.strip().lower() == "unit":
+            declared = value.strip().lower()
+            if declared not in ("percent", "fraction"):
+                report.error(f"unknown unit declaration {declared!r}", f"row {count}")
+            else:
+                unit = declared
         line = lines.readline()
-    blank_lines = [line]
-    while line and not line.strip():
-        line = lines.readline()
-        blank_lines.append(line)
     if not line:
         report.error("empty file: no header row")
         report.raise_if_rejected()
-    return unit, count, blank_lines
+    return unit, count, line
 
 
 def _csv_rows(lines: Iterable[str], first_line: int, report: ValidationReport):
@@ -425,7 +421,8 @@ def _alias_table(doc) -> AliasTable:
 def read_text(path: str | Path) -> str:
     """Contents of a UTF-8 input file, less any byte-order mark; non-UTF-8 bytes reject it."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        # utf-8-sig would drop the mark before decoding, so a fault's offset would miss its 3 bytes.
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         message = f"not UTF-8 text ({exc.reason} at byte offset {exc.start})"
         raise ValidationReport(source=str(path)).reject(message) from None

@@ -762,6 +762,13 @@ class TestInputBoundary:
         assert expected[0] == 0
         assert run_cli(capsys, *command, str(marked)) == expected
 
+    def test_front_matter_before_the_header_is_skipped(self, capsys, golden, demo_csv, tmp_path):
+        fronted = tmp_path / "fronted.csv"
+        front = b"# note\n\n   \n# unit=percent\n"
+        fronted.write_bytes(codecs.BOM_UTF8 + front + demo_csv.read_bytes())
+        expected = (0, golden("score_demo.txt"), "")
+        assert run_cli(capsys, "score", "--city", "demo", "--input", str(fronted)) == expected
+
     def test_byte_order_mark_in_alias_file_is_ignored(self, capsys, tmp_path, monkeypatch):
         expected = run_cli(capsys, "evaluate")
         marked = tmp_path / "aliases.json"

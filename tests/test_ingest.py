@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import codecs
 import io
 import json
 import math
 import pickle
+import re
 import tempfile
 import time
 import tracemalloc
@@ -59,6 +61,41 @@ Englewood,12.4,48.0,41.0
 West Englewood,11.1,50.5,39.0
 Austin,10.2,46.0,44.0
 """
+GOOD_HEADER = "neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct"
+
+# Small city files, each well formed or broken in ways reported at a row.
+CSV_BODIES = [
+    GOOD_CSV.lstrip("\n"),
+    f"{GOOD_HEADER}\nEnglewood,12.4,,41.0\nAustin,high,1,1\nAustin,1,2,3\nAUSTIN,1,2,3\n"
+    "A,1,2,3,4,5\n",
+    "neighborhood,prevalence_per_1000,untested_pct\nA,1,2\n",
+    f"{GOOD_HEADER}\n",
+]
+# Lines a file may hold before its header: blank ones, of spaces and tabs or
+# none, and comments, one of them a unit directive; each ends as a line can.
+FRONT_MATTER = st.lists(
+    st.tuples(
+        st.text(" \t", max_size=3)
+        | st.builds(
+            "{}#{}".format,
+            st.text(" \t", max_size=2),
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n="),
+                    max_size=6),
+        )
+        | st.just("# unit=percent"),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+    ).map("".join),
+    max_size=6,
+).map("".join)
+
+
+def parse_outcome(path: Path) -> tuple:
+    """The dataset of a Chicago file, None if rejected, and its issues as tuples."""
+    try:
+        dataset, report = parse_city_dataset(path, "chicago")
+    except DatasetValidationError as exc:
+        dataset, report = None, exc.report
+    return dataset, [(issue.severity, issue.location, issue.message) for issue in report.issues]
 
 
 class TestParseCityDataset:
@@ -138,6 +175,16 @@ class TestParseCityDataset:
         with pytest.raises(DatasetValidationError) as read:
             read_text(path)
         message = f"not UTF-8 text (invalid continuation byte at byte offset {offset})"
+        assert str(parsed.value) == str(read.value) == f"error: {path}: {message}"
+
+    def test_decode_error_after_a_byte_order_mark_counts_the_mark(self, tmp_path):
+        path = tmp_path / "city.csv"
+        path.write_bytes(codecs.BOM_UTF8 + f"{GOOD_HEADER}\nA\xff,1.0,2.0,3.0\n".encode("latin-1"))
+        with pytest.raises(DatasetValidationError) as parsed:
+            parse_city_dataset(path, "chicago")
+        with pytest.raises(DatasetValidationError) as read:
+            read_text(path)
+        message = "not UTF-8 text (invalid start byte at byte offset 70)"
         assert str(parsed.value) == str(read.value) == f"error: {path}: {message}"
 
     def test_parse_holds_each_row_once(self, tmp_path):
@@ -261,6 +308,41 @@ class TestParseCityDataset:
         with pytest.raises(DatasetValidationError, match="unknown unit"):
             parse_city_dataset(path, "chicago")
 
+    @pytest.mark.parametrize(
+        "front, plain",
+        [
+            ("# first\n\n# second\n", ""),
+            ("# c\n   \n", ""),
+            ("\n# unit=fraction\n", "# unit=fraction\n"),
+        ],
+        ids=["comment-after-blank-line", "line-of-spaces", "unit-after-blank-line"],
+    )
+    def test_blank_lines_and_comments_come_in_any_order(self, tmp_path, front, plain):
+        body = f"{GOOD_HEADER}\nEnglewood,12.4,0.48,0.41\nAustin,10.2,0.46,0.44\n"
+        fronted, expected = tmp_path / "fronted.csv", tmp_path / "expected.csv"
+        fronted.write_bytes((front + body).encode())
+        expected.write_bytes((plain + body).encode())
+        dataset, report = parse_city_dataset(fronted, "chicago")
+        assert report.issues == []
+        assert dataset == parse_city_dataset(expected, "chicago")[0]
+
+    @given(front=FRONT_MATTER, body=st.sampled_from(CSV_BODIES))
+    def test_front_matter_shifts_only_the_row_numbers(self, front, body):
+        lines = len(re.findall(r"\r\n|\r|\n", front))
+
+        def shift(text: str) -> str:  # each row number, moved past the front matter
+            return re.sub(r"row (\d+)", lambda m: f"row {int(m[1]) + lines}", text)
+
+        with tempfile.TemporaryDirectory() as directory:
+            plain, fronted = Path(directory, "plain.csv"), Path(directory, "fronted.csv")
+            plain.write_bytes(body.encode())
+            fronted.write_bytes((front + body).encode())
+            dataset, issues = parse_outcome(plain)
+            assert parse_outcome(fronted) == (dataset, [
+                (severity, location and shift(location), shift(message))
+                for severity, location, message in issues
+            ])
+
     def test_missing_required_column(self, write_file):
         path = write_file(
             """
@@ -340,9 +422,23 @@ class TestParseCityDataset:
         with pytest.raises(DatasetValidationError, match=r"prevalence_per_1000 out of range \[0, inf\), got -2.0"):
             parse_city_dataset(path, "chicago")
 
-    def test_empty_file_rejected(self, write_file):
-        with pytest.raises(DatasetValidationError, match="empty file"):
-            parse_city_dataset(write_file("\n"), "chicago")
+    @pytest.mark.parametrize(
+        "content, issues",
+        [
+            (b"", []),
+            (codecs.BOM_UTF8, []),
+            (b"# a\n\n \t\r\n#\r", []),
+            (b"# unit=permille\n\n", ["row 1: unknown unit declaration 'permille'"]),
+        ],
+        ids=["empty", "byte-order-mark", "comments-and-blank-lines", "unknown-unit"],
+    )
+    def test_empty_file_rejected(self, tmp_path, content, issues):
+        path = tmp_path / "city.csv"
+        path.write_bytes(content)
+        with pytest.raises(DatasetValidationError) as excinfo:
+            parse_city_dataset(path, "chicago")
+        lines = [*issues, "empty file: no header row"]
+        assert str(excinfo.value) == "\n".join(f"error: {path}: {line}" for line in lines)
 
     def test_header_only_rejected(self, write_file):
         path = write_file("neighborhood,prevalence_per_1000,untested_pct,public_coverage_pct\n")
@@ -497,6 +593,14 @@ class TestParseModelRuns:
         assert report.warnings() == [
             ValidationIssue("warning", "/runs/0/cities/chicago", "no recommendations")
         ]
+
+    def test_decode_error_after_a_byte_order_mark_counts_the_mark(self, tmp_path):
+        path = tmp_path / "runs.json"
+        path.write_bytes(codecs.BOM_UTF8 + b'{"runs"\xff: []}')
+        with pytest.raises(DatasetValidationError) as excinfo:
+            parse_model_runs(path)
+        message = "not UTF-8 text (invalid start byte at byte offset 10)"
+        assert str(excinfo.value) == f"error: {path}: {message}"
 
     def test_malformed_json_rejected(self, write_file):
         with pytest.raises(DatasetValidationError, match="malformed JSON"):
