@@ -13,10 +13,10 @@ City dataset CSV schema (header order-insensitive, UTF-8, comma-separated)::
 
 A leading byte-order mark is ignored and header names are stripped; a
 repeated header name or a row wider than the header rejects the file.
-Blank lines and ``#`` comments before the header are skipped, in any
-order; any of the comments may be ``# unit=fraction``, which declares that
-the two percentage columns are given in [0, 1] and converts them to 0-100
-on load.
+Blank lines, also of only spaces or tabs, are skipped anywhere; ``#``
+comments only before the header. Any comment may be ``# unit=fraction``,
+which declares that the two percentage columns are given in [0, 1] and
+converts them to 0-100 on load.
 """
 
 from __future__ import annotations
@@ -168,12 +168,12 @@ def _parse_records(
 ) -> tuple[tuple[str, ...], dict[str, array]]:
     """The names and value columns of a city dataset read from ``lines``.
 
-    Each row is checked in one order: its field count, its name, every value
-    cell (see :func:`_cell_values`), a repeat of a kept name, then the ZIP
-    rule. The first failing step excludes the row, so a repeat is judged
-    only against kept rows. Each kept row appends its name, and its value to
-    the column of each core metric and extra factor, NaN for a blank extra
-    cell. Raises if ``report`` rejects the dataset.
+    Each row but a blank one (see :func:`_csv_rows`) is checked in one order:
+    its field count, its name, every value cell (see :func:`_cell_values`), a
+    repeat of a kept name, then the ZIP rule. The first failing step excludes
+    the row, so a repeat is judged only against kept rows. Each kept row
+    appends its name, and its value to the column of each core metric and
+    extra factor, NaN for a blank extra cell. Raises if ``report`` rejects the file.
     """
     from array import array  # deferred: only a parse builds columns
 
@@ -268,13 +268,14 @@ def _leading_directives(lines: TextIO, report: ValidationReport) -> tuple[str, i
 
 
 def _csv_rows(lines: Iterable[str], first_line: int, report: ValidationReport):
-    """Yield (row number, cells) for each non-blank row up to the first unreadable one."""
+    """Yield (row number, cells) for each row up to the first unreadable one, less blank rows:
+    those of no cell or of one cell empty after ``strip()``, as a line of spaces or tabs is."""
     import csv  # deferred: only a CSV parse reads rows
 
     reader = csv.reader(lines)
     try:
         for cells in reader:
-            if cells:
+            if len(cells) > 1 or cells and cells[0].strip():
                 yield first_line + reader.line_num, cells
     except csv.Error as exc:
         report.error(f"unreadable CSV row: {exc}", f"row {first_line + reader.line_num}")

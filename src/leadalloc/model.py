@@ -19,7 +19,8 @@ Each input rule lives here once, and every reader or type that checks it
 words its faults here: the metric bounds in :data:`METRIC_CAPS` and
 :func:`value_fault`; the name rules, non-blank and distinct, in
 :class:`_Columnar` and :func:`duplicate_name`; the ZIP rule in
-:func:`zip_fault`; the counts ``k`` and ``total_kits``, at least 1, in
+:func:`zip_fault`; the alias rule, no canonical name also an alias, in
+:func:`chained_aliases`; the counts ``k`` and ``total_kits``, at least 1, in
 :func:`check_count`; the weight limits, ``alpha`` in (0, 1) and ``r`` in
 [-1, 1], in :class:`WeightConfig`.
 """
@@ -220,6 +221,11 @@ def zip_fault(name: str) -> str | None:
     return None if len(name) == 5 and name.isdecimal() else f"{name!r} is not a 5-digit ZIP code"
 
 
+def chained_aliases(names: Iterable[str]) -> str:
+    """The fault of canonical names that are also aliases, worded once for every check of it."""
+    return f"canonical names also appear as aliases (chained mapping): {sorted(names)}"
+
+
 def canonicalize_name(raw: str, aliases: "AliasTable | None" = None) -> str:
     """Normalize a neighborhood name to its canonical matching form.
 
@@ -264,11 +270,8 @@ class AliasTable(Value):
                     f"alias table name {name!r} is not canonical; its canonical form is "
                     f"{canonical!r}"
                 )
-        chained = table.keys() & set(table.values())
-        if chained:
-            raise DomainValidationError(
-                f"canonical names also appear as aliases (chained mapping): {sorted(chained)}"
-            )
+        if chained := table.keys() & set(table.values()):
+            raise DomainValidationError(chained_aliases(chained))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, Iterable[str]]) -> "AliasTable":
@@ -288,12 +291,8 @@ class AliasTable(Value):
                         at=(canonical_raw, position),
                     )
                 alias_to_canonical[alias] = canonical
-        chained = [name for name in canonicals if name in alias_to_canonical]
-        if chained:
-            raise DomainValidationError(
-                f"canonical names also appear as aliases (chained mapping): {sorted(chained)}",
-                at=(canonicals[chained[0]],),
-            )
+        if chained := [name for name in canonicals if name in alias_to_canonical]:
+            raise DomainValidationError(chained_aliases(chained), at=(canonicals[chained[0]],))
         return cls(alias_to_canonical)
 
     @classmethod

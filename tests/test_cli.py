@@ -769,6 +769,13 @@ class TestInputBoundary:
         expected = (0, golden("score_demo.txt"), "")
         assert run_cli(capsys, "score", "--city", "demo", "--input", str(fronted)) == expected
 
+    def test_blank_lines_after_the_header_are_skipped(self, capsys, golden, demo_csv, tmp_path):
+        lines = demo_csv.read_bytes().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_bytes(b"".join([*lines[:3], b"   \n", *lines[3:], b"\t\n"]))
+        argv = ("score", "--city", "demo", "--input", str(spaced), "--strict")
+        assert run_cli(capsys, *argv) == (0, golden("score_demo.txt"), "")
+
     def test_byte_order_mark_in_alias_file_is_ignored(self, capsys, tmp_path, monkeypatch):
         expected = run_cli(capsys, "evaluate")
         marked = tmp_path / "aliases.json"

@@ -87,12 +87,17 @@ FRONT_MATTER = st.lists(
     ).map("".join),
     max_size=6,
 ).map("".join)
+# Blank lines a file may hold anywhere: empty or of spaces and tabs, each ended as a line can.
+BLANK_LINES = st.lists(
+    st.tuples(st.text(" \t", max_size=3), st.sampled_from(["\n", "\r\n", "\r"])).map("".join),
+    max_size=3,
+).map("".join)
 
 
-def parse_outcome(path: Path) -> tuple:
+def parse_outcome(path: Path, strict: bool = False) -> tuple:
     """The dataset of a Chicago file, None if rejected, and its issues as tuples."""
     try:
-        dataset, report = parse_city_dataset(path, "chicago")
+        dataset, report = parse_city_dataset(path, "chicago", strict=strict)
     except DatasetValidationError as exc:
         dataset, report = None, exc.report
     return dataset, [(issue.severity, issue.location, issue.message) for issue in report.issues]
@@ -342,6 +347,66 @@ class TestParseCityDataset:
                 (severity, location and shift(location), shift(message))
                 for severity, location, message in issues
             ])
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    @given(body=st.sampled_from(CSV_BODIES), data=st.data())
+    def test_blank_lines_after_the_header_shift_only_the_row_numbers(self, strict, body, data):
+        records = body.splitlines(keepends=True)
+        gaps = data.draw(st.lists(BLANK_LINES, min_size=len(records), max_size=len(records)))
+        moved, inserted = {}, 0  # each record's row number once the gaps are in
+        for number, gap in enumerate(gaps, 1):
+            moved[number] = number + inserted
+            inserted += len(re.findall(r"\r\n|\r|\n", gap))
+
+        def shift(text: str) -> str:
+            return re.sub(r"row (\d+)", lambda m: f"row {moved[int(m[1])]}", text)
+
+        with tempfile.TemporaryDirectory() as directory:
+            plain, spaced = Path(directory, "plain.csv"), Path(directory, "spaced.csv")
+            plain.write_bytes(body.encode())
+            spaced.write_bytes("".join(map("".join, zip(records, gaps))).encode())
+            dataset, issues = parse_outcome(plain, strict)
+            assert parse_outcome(spaced, strict) == (dataset, [
+                (severity, location and shift(location), shift(message))
+                for severity, location, message in issues
+            ])
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+    def test_blank_rows_after_the_header_are_skipped(self, tmp_path, strict):
+        spaced, plain = tmp_path / "spaced.csv", tmp_path / "plain.csv"
+        spaced.write_text(f"{GOOD_HEADER}\nA,1,2,3\n   \n\nB,2,3,4\n\t\nC,3,4,5\n   ")
+        plain.write_text(f"{GOOD_HEADER}\nA,1,2,3\nB,2,3,4\nC,3,4,5\n")
+        dataset, report = parse_city_dataset(spaced, "chicago", strict=strict)
+        assert report.issues == []
+        assert dataset == parse_city_dataset(plain, "chicago")[0]
+
+    @pytest.mark.parametrize(
+        "row, messages",
+        [
+            (",,,", ["row excluded: missing neighborhood name"]),
+            (" ,", ["row excluded: missing neighborhood name"]),
+            ("Austin", [f"row excluded: missing {column}" for column in CORE_COLUMNS[1:]]),
+        ],
+        ids=["commas-only", "one-comma", "name-only"],
+    )
+    def test_a_row_of_commas_or_of_a_lone_name_is_not_blank(self, tmp_path, row, messages):
+        path = tmp_path / "city.csv"
+        path.write_text(f"{GOOD_HEADER}\nEnglewood,12.4,48.0,41.0\n{row}\n")
+        dataset, report = parse_city_dataset(path, "chicago")
+        assert dataset.names == ("englewood",)
+        assert report.issues == [ValidationIssue("warning", "row 3", m) for m in messages]
+        with pytest.raises(DatasetValidationError) as excinfo:
+            parse_city_dataset(path, "chicago", strict=True)
+        assert excinfo.value.report.issues == [
+            ValidationIssue("error", "row 3", m) for m in messages
+        ]
+
+    def test_a_header_and_blank_lines_has_no_usable_rows(self, tmp_path):
+        path = tmp_path / "city.csv"
+        path.write_bytes(f"{GOOD_HEADER}\n   \n\t\r\n\n \r".encode())
+        with pytest.raises(DatasetValidationError) as excinfo:
+            parse_city_dataset(path, "chicago")
+        assert str(excinfo.value) == f"error: {path}: no usable data rows"
 
     def test_missing_required_column(self, write_file):
         path = write_file(
