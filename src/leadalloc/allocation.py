@@ -128,8 +128,8 @@ def allocate(
     """
     strategy = Strategy(strategy)
     check_count("total_kits", total_kits)
-    if floor < 0:
-        raise DomainValidationError(f"floor must be non-negative, got {floor}")
+    if type(floor) is not int or floor < 0:
+        raise DomainValidationError(f"floor must be a non-negative int, got {floor!r}")
     n = len(ranking)
     if floor * n > total_kits:
         raise DomainValidationError(

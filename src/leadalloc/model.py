@@ -11,7 +11,9 @@ types with a length of their own, :class:`AliasTable`, :class:`CityDataset`,
 field, not as records. Names, and a plan's kit counts, which are unbounded
 ints, are tuples; a dataset's metrics and a ranking's scores are read-only
 float64 views of an ``array('d')``, 8 bytes a value, compared by their bytes
-(see :class:`_Columnar`). No type is a named tuple or a dataclass:
+(see :class:`_Columnar`). Every value hashes; a mapping field compares as a
+set of pairs and prints, and is copied, as a dict in key order (see
+:class:`Value`). No type is a named tuple or a dataclass:
 building either kind of class at import costs more than the rest of the
 CLI's start-up.
 
@@ -20,8 +22,8 @@ words its faults here: the metric bounds in :data:`METRIC_CAPS` and
 :func:`value_fault`; the name rules, non-blank and distinct, in
 :class:`_Columnar` and :func:`duplicate_name`; the ZIP rule in
 :func:`zip_fault`; the alias rule, no canonical name also an alias, in
-:func:`chained_aliases`; the counts ``k`` and ``total_kits``, at least 1, in
-:func:`check_count`; the weight limits, ``alpha`` in (0, 1) and ``r`` in
+:func:`chained_aliases`; the counts ``k`` and ``total_kits``, ints of at least
+1, in :func:`check_count`; the weight limits, ``alpha`` in (0, 1) and ``r`` in
 [-1, 1], in :class:`WeightConfig`.
 """
 
@@ -78,19 +80,21 @@ class Value:
     build it, normalizes what it is given and sets the slots with
     :meth:`_init`, which checks the value with ``__post_init__``; any later
     assignment raises ``AttributeError``. A value is no tuple: it does not
-    index, unpack or equal one. Equality and hashing go by :meth:`_key`, and
-    ``repr`` and ``_replace`` by :meth:`_values`; both are the field values
-    unless a subclass says otherwise.
+    index, unpack or equal one. Its fields have two views, the same for
+    every type: equality and hashing go by :meth:`_key`, and ``repr``,
+    ``_replace``, ``copy`` and ``pickle`` by :meth:`_values`.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        return tuple(map(getattr, repeat(self), self._fields))
+        """The fields as the class call takes them: see :func:`_plain`."""
+        return tuple(map(_plain, map(getattr, repeat(self), self._fields)))
 
     def _key(self) -> tuple:
-        return self._values()
+        """The fields as they compare and hash: see :func:`_hashable`."""
+        return tuple(map(_hashable, map(getattr, repeat(self), self._fields)))
 
     def _init(self, *values) -> None:
         """Set the slots, in ``__slots__`` order, then check the value with ``__post_init__``."""
@@ -125,8 +129,7 @@ class Value:
 
     def __reduce__(self):
         """Rebuild through the class call, so ``copy`` and ``pickle`` check the copy anew."""
-        values = map(getattr, repeat(self), self._fields)
-        return _rebuilt, (type(self), dict(zip(self._fields, map(_plain, values))))
+        return _rebuilt, (type(self), dict(zip(self._fields, self._values())))
 
 
 def _rebuilt(cls: type, fields: dict) -> Value:
@@ -135,10 +138,20 @@ def _rebuilt(cls: type, fields: dict) -> Value:
 
 
 def _plain(value):
-    """A field value as a class call takes it: a mapping as a dict, a column as a list."""
+    """A field value as a class call takes it: a mapping as a dict in key order, a column a list."""
     if isinstance(value, Mapping):
-        return {key: _plain(item) for key, item in value.items()}
+        return {key: _plain(value[key]) for key in sorted(value)}
     return value.tolist() if isinstance(value, memoryview) else value
+
+
+def _hashable(value):
+    """A field value as it compares and hashes: a mapping as a set of pairs, a column as bytes.
+
+    A mapping's order does not count. A column's bytes hash, and its NaNs are equal.
+    """
+    if isinstance(value, Mapping):
+        return frozenset(zip(value.keys(), map(_hashable, value.values())))
+    return value.tobytes() if isinstance(value, memoryview) else value
 
 
 class _Columnar(Value):
@@ -153,9 +166,9 @@ class _Columnar(Value):
 
     Each float column is a read-only view of an ``array('d')`` made by
     :meth:`_column`, so a value costs 8 bytes, not a float object; a field
-    may also be a mapping of such columns. Equality and hashing compare each
-    column's bytes, so -0.0 differs from 0.0, and ``repr`` and ``_replace``
-    see each column as a list and a mapping of columns as a dict in key order.
+    may also be a mapping of such columns. :class:`Value` compares and hashes
+    each column by its bytes, so -0.0 differs from 0.0, and prints and copies
+    it as a list.
     """
 
     __slots__ = ()
@@ -181,28 +194,11 @@ class _Columnar(Value):
             column[row] = math.nan
         return memoryview(column).toreadonly()
 
-    def _values(self) -> tuple:
-        """The fields with each column as a list: a memoryview's ``repr`` is its address."""
-        return tuple(
-            {key: value[key].tolist() for key in sorted(value)} if isinstance(value, Mapping)
-            else value.tolist() if isinstance(value, memoryview) else value
-            for value in super()._values()
-        )
-
-    def _key(self) -> tuple:
-        """The fields with each column as bytes: memoryviews do not hash, and NaN is unequal.
-
-        A mapping of columns compares as a set of pairs, so its order does not count.
-        """
-        return tuple(
-            frozenset((key, column.tobytes()) for key, column in value.items())
-            if isinstance(value, Mapping)
-            else value.tobytes() if isinstance(value, memoryview) else value
-            for value in super()._values()
-        )
-
     def __len__(self) -> int:
         return len(self.names)
+
+    def _reject(self, row: int, problem: str) -> None:
+        raise DomainValidationError(f"{self.city}: {self.names[row]}: {problem}", at=(row,))
 
     def _check_distinct(self) -> None:
         """Raise on a repeated name, naming the first repeat, as ingest does."""
@@ -400,11 +396,12 @@ class CityDataset(_Columnar):
     bytes, not a float object. The columns hold floats, so integral values
     given come back as floats.
 
-    The class call copies the columns given and checks them once (see
-    :meth:`__post_init__`). Equality and hashing compare each column's
-    bytes, so every blank cell holds the same NaN, and -0.0 differs from
-    0.0. ``records`` builds rows afresh on every access, in O(n): it is not
-    for hot paths.
+    The class call checks the city, unit kind and threshold by building
+    their :class:`CityProfile`, then copies the columns given and checks
+    them once (see :meth:`__post_init__`). Equality and hashing compare
+    each column's bytes, so every blank cell holds the same NaN, and -0.0
+    differs from 0.0. ``records`` builds rows afresh on every access, in
+    O(n): it is not for hot paths.
     """
 
     __slots__ = _fields = (
@@ -430,6 +427,7 @@ class CityDataset(_Columnar):
         bll_threshold_ug_dl: float,
         unit_kind: UnitKind | str,
     ) -> None:
+        profile = CityProfile(city, unit_kind, bll_threshold_ug_dl)
         extras = {factor: self._column(values) for factor, values in extra_columns.items()}
         self._init(
             city,
@@ -445,8 +443,8 @@ class CityDataset(_Columnar):
                     if not all(map(math.isnan, values))
                 }
             ),
-            bll_threshold_ug_dl,
-            UnitKind(unit_kind),
+            profile.bll_threshold_ug_dl,
+            profile.unit_kind,
         )
 
     def __post_init__(self) -> None:
@@ -469,9 +467,6 @@ class CityDataset(_Columnar):
             if any(map(math.isinf, values)):
                 row = next(i for i, value in enumerate(values) if math.isinf(value))
                 self._reject(row, value_fault(factor, values[row]))
-
-    def _reject(self, row: int, problem: str) -> None:
-        raise DomainValidationError(f"{self.city}: {self.names[row]}: {problem}", at=(row,))
 
     @property
     def records(self) -> tuple[tuple, ...]:
@@ -513,9 +508,9 @@ class CityDataset(_Columnar):
 
 
 def check_count(name: str, value: int) -> None:
-    """Reject a count parameter, ``k`` or ``total_kits``, that is below 1."""
-    if value < 1:
-        raise DomainValidationError(f"{name} must be >= 1, got {value}")
+    """Reject a count, ``k`` or ``total_kits``, that is no int or is below 1; a bool is no int."""
+    if type(value) is not int or value < 1:
+        raise DomainValidationError(f"{name} must be an int >= 1, got {value!r}")
 
 
 def check_alpha(alpha: float) -> None:
@@ -672,13 +667,15 @@ class AllocationPlan(_Columnar):
         self._init(city, total_kits, tuple(names), tuple(kits), strategy)
 
     def __post_init__(self) -> None:
-        """Raise on a broken invariant, in two C-level passes over the kits."""
+        """Raise on a broken invariant, in three C-level passes over the kits."""
         check_count("total_kits", self.total_kits)
-        if len(self.kits) != len(self.names):
+        kits = self.kits
+        if len(kits) != len(self.names):
             raise DomainValidationError(f"{self.city}: every name needs one kit count")
-        if min(self.kits, default=0) < 0:
-            raise DomainValidationError("kit counts must be non-negative")
-        assigned = sum(self.kits)
+        if not set(map(type, kits)) <= {int} or min(kits, default=0) < 0:
+            index = next(i for i, kit in enumerate(kits) if type(kit) is not int or kit < 0)
+            self._reject(index, f"kit counts must be non-negative ints, got {kits[index]!r}")
+        assigned = sum(kits)
         if assigned != self.total_kits:
             raise DomainValidationError(
                 f"allocations sum to {assigned}, expected {self.total_kits}"

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import compress, repeat
+from itertools import compress, groupby, repeat
 from operator import mul, sub, truediv
 from typing import Iterator, Sequence
 
@@ -82,17 +82,16 @@ def _require_finite(x: Sequence[float], y: Sequence[float]) -> None:
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
+    """The 1-based rank of each value; tied values share the mean of their ranks."""
+    order = sorted(range(len(values)), key=values.__getitem__)
     ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2 + 1
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
+    start = 0
+    for _, group in groupby(order, values.__getitem__):
+        tied = list(group)
+        rank = start + (len(tied) + 1) / 2
+        for i in tied:
+            ranks[i] = rank
+        start += len(tied)
     return ranks
 
 

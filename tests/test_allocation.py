@@ -149,6 +149,23 @@ class TestAllocateProportional:
         with pytest.raises(DomainValidationError, match="floor"):
             allocate(ranking, 10, floor=-1)
 
+    @pytest.mark.parametrize(
+        ("total_kits", "options", "message"),
+        [
+            (10, dict(floor=0.5), "floor must be a non-negative int, got 0.5"),
+            (10, dict(floor=True), "floor must be a non-negative int, got True"),
+            (10.5, {}, "total_kits must be an int >= 1, got 10.5"),
+            (True, {}, "total_kits must be an int >= 1, got True"),
+            (10, dict(strategy="top_k_equal", k=1.5), "k must be an int >= 1, got 1.5"),
+        ],
+    )
+    def test_a_count_that_is_no_int_is_rejected(self, total_kits, options, message):
+        # A float floor once gave kits of 6.5 and 3.5; a float budget or k died with TypeError.
+        ranking = ranking_from_scores({"a": 2.0, "b": 1.0})
+        with pytest.raises(DomainValidationError) as raised:
+            allocate(ranking, total_kits, **options)
+        assert str(raised.value) == message
+
     def test_unknown_strategy_rejected(self):
         # As an unknown unit kind or weight variant is: a library caller's fault, not a ValueError.
         ranking = ranking_from_scores({"a": 1.0})

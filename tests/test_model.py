@@ -371,6 +371,19 @@ class TestCityDataset:
         )
         assert ok.names == ("20011",)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_the_threshold_rule_is_the_city_profile_rule(self, threshold):
+        with pytest.raises(DomainValidationError) as from_profile:
+            CityProfile("x", UnitKind.NAMED_AREA, threshold)
+        with pytest.raises(DomainValidationError) as from_dataset:
+            CityDataset(
+                "x", ["a", "b"], [1, 2], [3, 4], [5, 6],
+                bll_threshold_ug_dl=threshold, unit_kind="named_area",
+            )
+        assert str(from_dataset.value) == str(from_profile.value) == (
+            f"x: blood-lead threshold must be finite and positive, got {threshold}"
+        )
+
     def test_factor_names_are_core_plus_sorted_extras(self):
         ds = dataset(
             [
@@ -488,6 +501,20 @@ class TestAllocationPlan:
                 allocations=(("a", 2), ("b", -1)),
                 strategy=Strategy.PROPORTIONAL,
             )
+
+    @pytest.mark.parametrize(
+        ("kits", "index", "shown"),
+        [((2, -1, 0, -3), 1, "-1"), ((6.5, 3.5, 0, 0), 0, "6.5"), ((1, 0, True, 0), 2, "True"),
+         ((1, 1.0, 0, 0), 1, "1.0")],
+    )
+    def test_a_kit_that_is_no_non_negative_int_is_named(self, kits, index, shown):
+        names = ["a", "b", "c", "d"]
+        with pytest.raises(DomainValidationError) as raised:
+            AllocationPlan("demo", 1, names, kits, Strategy.PROPORTIONAL)
+        assert str(raised.value) == (
+            f"demo: {names[index]}: kit counts must be non-negative ints, got {shown}"
+        )
+        assert raised.value.at == (index,)
 
 
 class TestModelRunAndTargets:
@@ -813,12 +840,48 @@ class TestValueTypes:
     def test_repr_names_the_type(self, cls, fields, changed):
         assert repr(cls(**fields)).startswith(f"{cls.__name__}(")
 
+    def test_equal_values_hash_alike(self, cls, fields, changed):
+        value = cls(**fields)
+        assert hash(value) == hash(cls(**fields))
+        for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert hash(copied) == hash(value)
+
     def test_copies_and_pickles_are_rebuilt_equal(self, cls, fields, changed):
         value = cls(**fields)
         for copied in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(copied) is cls
             assert copied == value
             assert repr(copied) == repr(value)
+
+
+_MAPPING_CASES = [
+    (AliasTable, dict(alias_to_canonical={"old town": "new town", "east": "west"})),
+    (
+        CityDataset,
+        dict(
+            city="demo", names=("a",), prevalence=[1.0], untested_pct=[2.0],
+            public_coverage_pct=[3.0], extra_columns={"f": [1.0], "g": [-0.0]},
+            bll_threshold_ug_dl=5.0, unit_kind=UnitKind.NAMED_AREA,
+        ),
+    ),
+    (ModelRun, dict(model="m", mode="d", per_city={"dc": (), "chicago": [Recommendation("a", 1)]})),
+    (TargetSet, dict(per_city={"chicago": frozenset({"a"}), "dc": frozenset({"20011"})})),
+    (RunAccuracy, dict(model="m", mode="d", hits_per_city={"dc": 0, "chicago": 1}, denominator=3)),
+]
+
+
+@pytest.mark.parametrize(
+    ("cls", "fields"), [pytest.param(*case, id=case[0].__name__) for case in _MAPPING_CASES]
+)
+def test_a_mapping_in_another_order_makes_an_equal_value(cls, fields):
+    """Equal values hash and print alike, and copies hold their mappings in key order."""
+    name, mapping = next((name, item) for name, item in fields.items() if isinstance(item, dict))
+    value = cls(**fields)
+    other = cls(**{**fields, name: dict(reversed(mapping.items()))})
+    assert list(getattr(value, name)) == list(reversed(getattr(other, name)))
+    assert value == other and hash(value) == hash(other) and repr(value) == repr(other)
+    for copied in (value._replace(), copy.copy(other), pickle.loads(pickle.dumps(value))):
+        assert list(getattr(copied, name)) == sorted(mapping)
 
 
 def _value_types():
