@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--normalize-weights",
         action="store_true",
         dest="normalize_weights",
-        help="rescale weights to sum to 1 (ordering is unaffected)",
+        help="divide the weights by their sum (ordering is unaffected)",
     )
     score.add_argument(
         "--strict", action="store_true", help="treat recoverable row issues as errors"

@@ -24,7 +24,9 @@ words its faults here: the metric bounds in :data:`METRIC_CAPS` and
 :func:`zip_fault`; the alias rule, no canonical name also an alias, in
 :func:`chained_aliases`; the counts ``k`` and ``total_kits``, ints of at least
 1, in :func:`check_count`; the weight limits, ``alpha`` in (0, 1) and ``r`` in
-[-1, 1], in :class:`WeightConfig`.
+[-1, 1], in :func:`check_alpha` and :func:`check_correlation`; the weight
+derivation, normalized or not, in :func:`derived_weights`, which
+:class:`WeightConfig` checks its weights against.
 """
 
 from __future__ import annotations
@@ -525,19 +527,26 @@ def check_correlation(r: float) -> None:
         raise DomainValidationError(f"source correlation must lie in [-1, 1], got {r}")
 
 
-def derived_beta_gamma(r: float, alpha: float, variant: WeightVariant) -> tuple[float, float]:
-    """(beta, gamma) under ``variant``'s rule, with ``r`` clamped to [0, 1].
+def derived_weights(
+    r: float, alpha: float, variant: WeightVariant, normalize: bool = False
+) -> tuple[float, float, float]:
+    """(alpha, beta, gamma) under ``variant``'s rule, with ``r`` clamped to [0, 1].
 
     ``text``: gamma = r * (1 - alpha); ``algorithm``: gamma = r; in both,
-    beta = (1 - alpha) * (1 - gamma).
+    beta = (1 - alpha) * (1 - gamma). ``normalize`` divides all three by
+    their sum, which neither rule makes 1.
     """
     r_clamped = min(max(r, 0.0), 1.0)
     gamma = r_clamped * (1 - alpha) if variant is WeightVariant.TEXT else r_clamped
-    return (1 - alpha) * (1 - gamma), gamma
+    beta = (1 - alpha) * (1 - gamma)
+    if not normalize:
+        return alpha, beta, gamma
+    total = alpha + beta + gamma
+    return alpha / total, beta / total, gamma / total
 
 
 class WeightConfig(Value):
-    """Priority-score weights plus the correlation they were derived from."""
+    """Priority-score weights, each what :func:`derived_weights` gives to 1e-9 relative."""
 
     __slots__ = _fields = ("alpha", "beta", "gamma", "variant", "source_correlation", "normalized")
 
@@ -549,28 +558,21 @@ class WeightConfig(Value):
 
     def __post_init__(self) -> None:
         check_alpha(self.alpha)
-        if self.beta < 0 or self.gamma < 0:
-            raise DomainValidationError("beta and gamma must be non-negative")
         check_correlation(self.source_correlation)
-        if self.normalized:
-            total = self.alpha + self.beta + self.gamma
-            if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-9):
-                raise DomainValidationError(
-                    f"normalized weights must sum to 1, got {total}"
-                )
-        else:
-            expected_beta, expected_gamma = derived_beta_gamma(
-                self.source_correlation, self.alpha, self.variant
+        alpha, r = self.alpha, min(max(self.source_correlation, 0.0), 1.0)
+        if self.normalized:  # recover the alpha that was divided by alpha + beta + gamma
+            q = 1 - alpha * r
+            text = self.variant is WeightVariant.TEXT
+            alpha /= (q + math.sqrt(q * q + 4 * alpha * alpha * r)) / 2 if text else q
+            alpha = min(alpha, 1.0)  # past 1: by rounding it passes as 1, by more it fails
+        derived = derived_weights(r, alpha, self.variant, self.normalized)
+        pairs = zip((self.alpha, self.beta, self.gamma), derived)
+        if not all(math.isclose(*pair, rel_tol=1e-9, abs_tol=1e-12) for pair in pairs):
+            raise DomainValidationError(
+                f"weights (alpha={self.alpha}, beta={self.beta}, gamma={self.gamma}, normalized="
+                f"{self.normalized}) do not follow the {self.variant.value} derivation rule for "
+                f"r={self.source_correlation}"
             )
-            if not (
-                math.isclose(self.gamma, expected_gamma, rel_tol=1e-9, abs_tol=1e-12)
-                and math.isclose(self.beta, expected_beta, rel_tol=1e-9, abs_tol=1e-12)
-            ):
-                raise DomainValidationError(
-                    f"weights (beta={self.beta}, gamma={self.gamma}) do not follow the "
-                    f"{self.variant.value} derivation rule for r={self.source_correlation}, "
-                    f"alpha={self.alpha}"
-                )
 
     def as_dict(self) -> dict:
         return {

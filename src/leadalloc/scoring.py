@@ -8,9 +8,9 @@ implemented as explicit variants:
 * ``text``:      gamma = clamp(r, 0, 1) * (1 - alpha)
 * ``algorithm``: gamma = clamp(r, 0, 1)
 
-with beta = (1 - alpha) * (1 - gamma) in both cases. Neither rule makes
-the weights sum to 1; ``normalize_weights`` rescales them when a unit sum
-is wanted (ranking order is unaffected either way).
+with beta = (1 - alpha) * (1 - gamma) in both cases. The two rules, and the
+division by the weights' sum that ``normalize_weights`` asks for (ranking
+order is unaffected either way), live in :func:`leadalloc.model.derived_weights`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .model import (
     check_alpha,
     check_count,
     check_correlation,
-    derived_beta_gamma,
+    derived_weights,
 )
 from .stats import _min_max_scaled, _named, pearson
 
@@ -53,18 +53,15 @@ def derive_weights(
     variant = WeightVariant(variant)
     check_alpha(alpha)  # first: an int past float range overflows the derivation
     check_correlation(r)
-    weights = WeightConfig(alpha, *derived_beta_gamma(r, alpha, variant), variant, r)
     if r < 0:
         warnings.warn(
             f"negative correlation {r} clamped to 0 for weight derivation",
             DataQualityWarning,
             stacklevel=2,
         )
-    if not normalize:
-        return weights
-    beta, gamma = weights.beta, weights.gamma
-    total = alpha + beta + gamma
-    return WeightConfig(alpha / total, beta / total, gamma / total, variant, r, normalized=True)
+    return WeightConfig(
+        *derived_weights(r, alpha, variant, normalize), variant, r, bool(normalize)
+    )
 
 
 def score_city(

@@ -448,6 +448,23 @@ class TestScore:
         code, out, err = run_cli(capsys, "allocate", "--ranking", str(demo_ranking), "--kits", "9")
         assert (code, out, err) == (2, "", f"error: {demo_ranking}: /weights: {message}\n")
 
+    def test_normalized_weights_no_derivation_gives_exit_2(self, capsys, demo_csv, tmp_path):
+        path = tmp_path / "normalized.json"
+        argv = ["score", "--input", str(demo_csv), "--city", "demo", "--normalize-weights"]
+        assert run_cli(capsys, *argv, "--out", str(path))[0] == 0
+        assert run_cli(capsys, "allocate", "--ranking", str(path), "--kits", "10")[0] == 0
+        # They sum to 1, but no alpha gives them at the demo's r.
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["weights"].update(alpha=0.5, beta=0.5, gamma=0.0)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "allocate", "--ranking", str(path), "--kits", "10")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith(
+            f"error: {path}: /weights: weights (alpha=0.5, beta=0.5, gamma=0.0, normalized=True) "
+            "do not follow the text derivation rule for r="
+        )
+
     def test_degenerate_columns_warn_on_stderr(self, capsys, write_file):
         path = write_file(
             """

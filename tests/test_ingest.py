@@ -11,6 +11,7 @@ import re
 import tempfile
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from helpers import (
     rows_of,
 )
 from leadalloc.errors import (
+    DataQualityWarning,
     DatasetValidationError,
     DomainValidationError,
     UnknownCityError,
@@ -49,6 +51,7 @@ from leadalloc.model import (
     PriorityRanking,
     Strategy,
     UnitKind,
+    WeightVariant,
 )
 from leadalloc.scoring import derive_weights, score_city
 
@@ -936,6 +939,33 @@ class TestRankingRoundTrip:
             path = Path(directory) / "ranking.json"
             write_ranking(ranking, path)
             assert parse_ranking(path) == ranking
+
+    @given(
+        st.floats(-1.0, 1.0),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        | st.sampled_from([5e-324, 1 - 2**-53]),
+        st.sampled_from(WeightVariant),
+        st.booleans(),
+        st.sampled_from(["alpha", "beta", "gamma"]),
+    )
+    def test_derived_weights_read_back_and_no_others_do(self, r, alpha, variant, normalize, key):
+        # A plain config's alpha is the derivation's input: under the algorithm rule at r = 1
+        # any alpha gives beta 0 and gamma 1, so only a normalized alpha is a derived weight.
+        assume(normalize or key != "alpha")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DataQualityWarning)  # a negative r is clamped
+            weights = derive_weights(r, alpha, variant, normalize=normalize)
+        ranking = PriorityRanking("demo", weights, ["a", "b"], [1.0, 0.5])
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "ranking.json"
+            write_ranking(ranking, path)
+            assert parse_ranking(path) == ranking
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc["weights"][key] += 1e-6
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(DatasetValidationError) as rejected:
+                parse_ranking(path)
+        assert str(rejected.value).startswith(f"error: {path}: /weights: ")
 
     def test_entry_shaped_objects_outside_the_entries_are_ignored(self, tmp_path):
         ranking = ranking_from_scores({"a": 2.0, "b": 1.0, "c": 0.5})

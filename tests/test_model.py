@@ -413,12 +413,37 @@ class TestWeightConfig:
         with pytest.raises(DomainValidationError, match="alpha"):
             WeightConfig(alpha, 0.35, 0.30, WeightVariant.TEXT, 0.6)
 
-    def test_normalized_weights_must_sum_to_one(self):
-        with pytest.raises(DomainValidationError, match="sum to 1"):
-            WeightConfig(0.5, 0.4, 0.3, WeightVariant.TEXT, 0.6, normalized=True)
+    def test_normalized_weights_must_follow_the_derivation(self):
+        # Summing to 1 is not enough: no alpha gives these weights under the text rule.
+        with pytest.raises(DomainValidationError) as rejected:
+            WeightConfig(0.5, 0.5, 0.0, WeightVariant.TEXT, 0.6, normalized=True)
+        assert str(rejected.value) == (
+            "weights (alpha=0.5, beta=0.5, gamma=0.0, normalized=True) do not follow the text "
+            "derivation rule for r=0.6"
+        )
         config = derive_weights(0.6, normalize=True)
         assert config.normalized
         assert config.alpha + config.beta + config.gamma == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_weights_are_the_derived_ones_to_1e_9_relative(self, normalize):
+        weights = derive_weights(0.6, normalize=normalize).as_dict()
+        variant = WeightVariant(weights.pop("variant"))
+        for key, factor in (("beta", 1 + 1e-10), ("gamma", 1 - 1e-10)):
+            WeightConfig(**{**weights, key: weights[key] * factor, "variant": variant})
+        for key, factor in (("beta", 1 + 1e-8), ("gamma", 1 - 1e-8)):
+            with pytest.raises(DomainValidationError, match="derivation rule"):
+                WeightConfig(**{**weights, key: weights[key] * factor, "variant": variant})
+
+    def test_normalized_weights_of_an_alpha_past_1_rejected(self):
+        # alpha = 9 under the algorithm rule at r = 1: (9, 0, 1), divided by 10.
+        with pytest.raises(DomainValidationError, match="derivation rule"):
+            WeightConfig(0.9, 0.0, 0.1, WeightVariant.ALGORITHM, 1.0, normalized=True)
+        # The largest alpha below 1 comes back as 1.0 or more by rounding (text at r = 0.5,
+        # algorithm at 0.75), and is no fault.
+        for variant in WeightVariant:
+            for r in (0.0, 0.5, 0.75, 1.0):
+                assert derive_weights(r, 1 - 2**-53, variant, normalize=True).normalized
 
 
 class TestPriorityRanking:
